@@ -34,6 +34,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
     widths = [
         max(len(header), *(len(row[i]) for row in rows)) if rows else len(header)
@@ -145,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reps = sub.add_parser("reps", help="stream one representative type vector per class")
     p_reps.add_argument("n", type=_positive_int)
     p_reps.add_argument("--ramification", required=True, metavar="SPEC")
-    p_reps.add_argument("--limit", type=int, default=None)
+    p_reps.add_argument("--limit", type=_non_negative_int, default=None)
     p_reps.set_defaults(handler=cmd_reps)
 
     p_verify = sub.add_parser(

@@ -1,12 +1,22 @@
 """Brute-force verification engine over explicit small symmetric groups.
 
 Everything here is computed from first principles at desk scale (n <= 5):
-explicit group elements, centralizers and commutator subgroups by exhaustive
-products, abelian quotients with a greedy cyclic decomposition, their full
-character groups, and direct orbit counting of the relabelling action on
-(base point, character tuple) pairs.  The closed-form counting path never
-feeds into these computations, so agreement between the two is evidence,
-not circularity.
+explicit group elements, centralizers by exhaustive commutation test,
+commutator subgroups generated from the commutators [a, s] with s in a
+generating set, abelian quotients with a greedy cyclic decomposition, and
+their full character groups.
+
+Orbits of the relabelling action are counted on integer-coded points.  Per
+class, the character basis is built once, at the first base point u0, and
+carried to the rest of the class along a breadth-first tree of conjugations
+by adjacent transpositions.  What each adjacent transposition does to a
+(base point, character) pair is then read off ``act`` and stored as index
+maps, so one orbit partition is an array union-find over
+``range(|C|·γ^r)``.  The maps are observed, never assumed: that moving a
+character around a loop of conjugations brings it back to itself is what
+the closed form relies on.  The closed-form counting path never feeds into
+these computations, so agreement between the two is evidence, not
+circularity.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Hashable, Iterable, TypeVar
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .centralizer import gamma
 from .perm import (
@@ -96,30 +106,45 @@ def centralizer(sigma: Permutation) -> Subgroup:
     return Subgroup(sigma.n, members)
 
 
-def _closure(n: int, seed: Iterable[Permutation]) -> frozenset[Permutation]:
-    elements = {Permutation.identity(n)} | set(seed)
-    frontier = list(elements)
-    while frontier:
-        fresh: list[Permutation] = []
-        snapshot = list(elements)
-        for a in frontier:
-            for b in snapshot:
-                for product in (compose(a, b), compose(b, a)):
-                    if product not in elements:
-                        elements.add(product)
+def _generate(
+    n: int, candidates: Iterable[Permutation]
+) -> tuple[set[Permutation], list[Permutation]]:
+    """The subgroup generated by ``candidates`` and the candidates kept as its
+    generators.  The span grows by breadth-first right multiplication with
+    the generators; a candidate is kept only if it is not yet in the span."""
+    span = {Permutation.identity(n)}
+    generators: list[Permutation] = []
+    for candidate in candidates:
+        if candidate in span:
+            continue
+        generators.append(candidate)
+        frontier = list(span)
+        while frontier:
+            fresh: list[Permutation] = []
+            for a in frontier:
+                for s in generators:
+                    product = compose(a, s)
+                    if product not in span:
+                        span.add(product)
                         fresh.append(product)
-        frontier = fresh
-    return frozenset(elements)
+            frontier = fresh
+    return span, generators
 
 
 def commutator_subgroup(H: Subgroup) -> Subgroup:
-    """Closure of all commutators a·b·a⁻¹·b⁻¹ of H."""
-    commutators = {
-        compose(compose(a, b), compose(inverse(a), inverse(b)))
-        for a in H.elements
-        for b in H.elements
-    }
-    return Subgroup(H.n, _closure(H.n, commutators))
+    """H' as the closure of the commutators [a, s] = a·s·a⁻¹·s⁻¹ for a in H
+    and s in a greedily chosen generating set of H.
+
+    Since [ab, s] = a·[b, s]·a⁻¹·[a, s], these commutators generate a normal
+    subgroup N of H; every s is central modulo N, so H/N is abelian and N = H'.
+    """
+    elements = list(H)
+    _, generators = _generate(H.n, elements)
+    commutators = (
+        compose(conjugate(a, s), inverse(s)) for s in generators for a in elements
+    )
+    derived, _ = _generate(H.n, commutators)
+    return Subgroup(H.n, frozenset(derived))
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,6 +345,78 @@ def character_basis(u: Permutation) -> tuple[Character, ...]:
     return tuple(dual_characters(abelian_quotient(centralizer(u))))
 
 
+@dataclass(frozen=True)
+class ClassAction:
+    """The adjacent transpositions s_k = (k+1 k+2) of S_n acting on one
+    class's (base point, character) pairs, as index maps.
+
+    base_points     ``conjugacy_class(lam)``; base point b is base_points[b]
+    bases           bases[b] is the character group of the centralizer of
+                    base point b, carried from base point 0 by conjugation
+    base_maps       base_maps[k][b]: index of s_k·u_b·s_k⁻¹
+    character_maps  character_maps[k][b][c]: index, in the target's basis,
+                    of the character that s_k moves bases[b][c] to
+    """
+
+    base_points: tuple[Permutation, ...]
+    bases: tuple[tuple[Character, ...], ...]
+    base_maps: tuple[tuple[int, ...], ...]
+    character_maps: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+@lru_cache(maxsize=None)
+def class_action(lam: CycleType) -> ClassAction:
+    """Build one class's index maps by breadth-first conjugation from base
+    point 0, the only base point ``character_basis`` runs at.
+
+    Every (base point, s) edge moves each character of the base point's
+    basis with ``act`` on an r = 1 point.  Along the first edge into a base
+    point, the moved characters become its basis.  Along every edge, each
+    moved character is looked up by its value table in the target's basis,
+    so the maps record what ``act`` does; none is assumed to be the identity.
+    """
+    base_points = conjugacy_class(lam)
+    index = {u: b for b, u in enumerate(base_points)}
+    swaps = [Permutation.from_cycles(lam.n, [(i, i + 1)]) for i in range(1, lam.n)]
+    one_slot = Permutation.identity(1)
+    size = len(base_points)
+    bases: list[tuple[Character, ...] | None] = [None] * size
+    bases[0] = character_basis(base_points[0])
+    base_maps = [[0] * size for _ in swaps]
+    character_maps: list[list[tuple[int, ...]]] = [[()] * size for _ in swaps]
+    frontier = [0]
+    while frontier:
+        fresh: list[int] = []
+        for b in frontier:
+            u = base_points[b]
+            for k, s in enumerate(swaps):
+                moved = [act(s, one_slot, RSCPoint(u, (chi,))) for chi in bases[b]]
+                target = index[moved[0].base_point]
+                images = tuple(point.characters[0] for point in moved)
+                if bases[target] is None:
+                    bases[target] = images
+                    fresh.append(target)
+                basis = bases[target]
+                by_values = {chi.values: c for c, chi in enumerate(basis)}
+                row: list[int] = []
+                for image in images:
+                    c = by_values.get(image.values)
+                    if c is None or basis[c] != image:
+                        raise AssertionError(
+                            f"{s} moves a character at {u} off the basis at {base_points[target]}"
+                        )
+                    row.append(c)
+                base_maps[k][b] = target
+                character_maps[k][b] = tuple(row)
+        frontier = fresh
+    return ClassAction(
+        base_points,
+        tuple(bases),
+        tuple(map(tuple, base_maps)),
+        tuple(map(tuple, character_maps)),
+    )
+
+
 def _check_budget(lam: CycleType, r: int) -> int:
     points = class_size(lam) * gamma(lam) ** r
     if points > ORBIT_POINT_BUDGET:
@@ -332,16 +429,48 @@ def _check_budget(lam: CycleType, r: int) -> int:
 @lru_cache(maxsize=None)
 def class_points(lam: CycleType, r: int) -> tuple[RSCPoint, ...]:
     """Every (base point, r characters) pair for one class: the per-class
-    factor of the full RSC space."""
+    factor of the full RSC space.  The point at position b·γ^r + Σ c_i·γ^(r-i)
+    (i = 1..r) carries base point b and characters c_1..c_r of its basis in
+    ``class_action(lam)``; ``index_moves`` works on these positions."""
     _ensure_scale(lam.n)
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
     _check_budget(lam, r)
-    points: list[RSCPoint] = []
-    for u in conjugacy_class(lam):
-        for chars in itertools.product(character_basis(u), repeat=r):
-            points.append(RSCPoint(u, chars))
-    return tuple(points)
+    action = class_action(lam)
+    return tuple(
+        RSCPoint(u, chars)
+        for u, basis in zip(action.base_points, action.bases)
+        for chars in itertools.product(basis, repeat=r)
+    )
+
+
+def index_moves(lam: CycleType, r: int) -> list[list[int]]:
+    """The generators of S_n × S_r as maps on the positions of
+    ``class_points(lam, r)``: first the adjacent transpositions of S_n with
+    the slots fixed, then the adjacent transpositions of the r slots."""
+    action = class_action(lam)
+    gam = len(action.bases[0])
+    width = gam**r
+    moves: list[list[int]] = []
+    for targets, maps in zip(action.base_maps, action.character_maps):
+        image: list[int] = []
+        for target, chars in zip(targets, maps):
+            # the images of base point b's positions, in order: the target
+            # base point followed by every slot's relabelled digit
+            digits = [target]
+            for _ in range(r):
+                digits = [x * gam + c for x in digits for c in chars]
+            image.extend(digits)
+        moves.append(image)
+    for i in range(r - 1):
+        high, low = gam ** (r - 1 - i), gam ** (r - 2 - i)
+        swap = [
+            x + (x // low % gam - x // high % gam) * (high - low) for x in range(width)
+        ]
+        moves.append(
+            [b * width + x for b in range(len(action.base_points)) for x in swap]
+        )
+    return moves
 
 
 def point_type(point: RSCPoint) -> tuple[int, ...]:
@@ -355,31 +484,29 @@ def point_type(point: RSCPoint) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _partition(size: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Orbits of range(size) under the group the index maps generate, by
+    union-find on an integer parent array with path halving (Tarjan 1975)."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for image in maps:
+        for x, y in enumerate(image):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[ry] = rx
+    orbits: dict[int, list[int]] = {}
+    for x in range(size):
+        orbits.setdefault(find(x), []).append(x)
+    return list(orbits.values())
+
+
 T = TypeVar("T", bound=Hashable)
-
-
-class UnionFind:
-    """Disjoint sets over hashable items with path compression."""
-
-    def __init__(self, items: Iterable[T]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: T) -> T:
-        root = self.parent[x]
-        if self.parent[root] != root:
-            root = self.parent[x] = self.find(root)
-        return root
-
-    def union(self, x: T, y: T) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def groups(self) -> list[set[T]]:
-        out: dict[T, set[T]] = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return list(out.values())
 
 
 def find_orbits(points: Iterable[T], moves: Iterable[Callable[[T], T]]) -> list[set[T]]:
@@ -389,27 +516,9 @@ def find_orbits(points: Iterable[T], moves: Iterable[Callable[[T], T]]) -> list[
     moves need only generate the acting group.
     """
     points = list(points)
-    moves = list(moves)
-    uf = UnionFind(points)
-    for move in moves:
-        for point in points:
-            uf.union(point, move(point))
-    return uf.groups()
-
-
-def _generator_moves(n: int, r: int) -> list[Callable[[RSCPoint], RSCPoint]]:
-    # adjacent transpositions generate S_n and S_r; pair each with the
-    # identity on the other factor
-    moves: list[Callable[[RSCPoint], RSCPoint]] = []
-    id_n = Permutation.identity(n)
-    id_r = Permutation.identity(r)
-    for i in range(1, n):
-        g = Permutation.from_cycles(n, [(i, i + 1)])
-        moves.append(lambda p, g=g: act(g, id_r, p))
-    for i in range(1, r):
-        pi = Permutation.from_cycles(r, [(i, i + 1)])
-        moves.append(lambda p, pi=pi: act(id_n, pi, p))
-    return moves
+    position = {point: x for x, point in enumerate(points)}
+    maps = [[position[move(point)] for point in points] for move in moves]
+    return [{points[x] for x in orbit} for orbit in _partition(len(points), maps)]
 
 
 @lru_cache(maxsize=None)
@@ -418,8 +527,8 @@ def orbit_partition_class(lam: CycleType, r: int) -> tuple[frozenset[RSCPoint], 
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     points = class_points(lam, r)
-    orbits = find_orbits(points, _generator_moves(lam.n, r))
-    return tuple(frozenset(orbit) for orbit in orbits)
+    orbits = _partition(len(points), index_moves(lam, r))
+    return tuple(frozenset(points[x] for x in orbit) for orbit in orbits)
 
 
 def orbit_count_class(lam: CycleType, r: int) -> int:
@@ -428,9 +537,11 @@ def orbit_count_class(lam: CycleType, r: int) -> int:
 
 
 def oracle_count(ram) -> int:
-    """Ground-truth isomorphism-class count: the acting group and the point
-    set both split over the support, so the orbit count is the product of the
-    per-class orbit counts."""
+    """Ground-truth count of isomorphism classes under independent per-class
+    relabelling: each class in the support gets its own conjugation and slot
+    permutation, so the count is the product of the per-class orbit counts.
+    One conjugation applied to every class at once is a different, joint
+    reading, which this count does not test (ROADMAP item 2)."""
     _ensure_scale(ram.n)
     total = 1
     for lam, mult in ram.entries:

@@ -113,6 +113,14 @@ class TestReps:
         vectors = [line for line in out.strip().splitlines() if not line.startswith("#")]
         assert len(vectors) == 1
 
+    def test_limit_must_be_non_negative(self, capsys):
+        code, out, _ = run(capsys, "reps", "3", "--ramification", "all:1", "--limit", "0")
+        assert code == 0
+        assert all(line.startswith("#") for line in out.strip().splitlines())
+        with pytest.raises(SystemExit) as info:
+            main(["reps", "3", "--ramification", "all:1", "--limit", "-1"])
+        assert info.value.code == 2
+
     def test_vectors_match_library_order(self, capsys):
         from ramsys.counting import enumerate_types
 

@@ -17,11 +17,14 @@ from ramsys.oracle import (
     beta,
     centralizer,
     character_basis,
+    class_action,
     class_points,
     commutator_subgroup,
+    conjugacy_class,
     dual_characters,
     find_orbits,
     fixed_point_count,
+    index_moves,
     oracle_count,
     orbit_count_class,
     orbit_partition_class,
@@ -38,11 +41,36 @@ from ramsys.perm import (
     cycle_count,
     cycle_type,
     enumerate_cycle_types,
+    inverse,
 )
 
 
 def is_even(p):
     return (p.n - cycle_count(p)) % 2 == 0
+
+
+def all_pairs_derived(H):
+    """Reference H': the closure of every commutator a·b·a⁻¹·b⁻¹, a, b in H."""
+    elements = {Permutation.identity(H.n)} | {
+        compose(compose(a, b), compose(inverse(a), inverse(b)))
+        for a in H.elements
+        for b in H.elements
+    }
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(elements):
+                product = compose(a, b)
+                if product not in elements:
+                    elements.add(product)
+                    fresh.append(product)
+        frontier = fresh
+    return frozenset(elements)
+
+
+def adjacent_transpositions(n):
+    return [Permutation.from_cycles(n, [(i, i + 1)]) for i in range(1, n)]
 
 
 class TestSymmetricGroup:
@@ -113,6 +141,15 @@ class TestCommutatorSubgroup:
     def test_result_is_closed(self):
         for n in range(1, 5):
             assert commutator_subgroup(symmetric_group(n)).is_closed()
+
+    def test_matches_all_pairs_closure(self):
+        for n in range(1, 6):
+            groups = [symmetric_group(n)] + [
+                centralizer(canonical_representative(lam))
+                for lam in enumerate_cycle_types(n)
+            ]
+            for H in groups:
+                assert commutator_subgroup(H).elements == all_pairs_derived(H)
 
 
 class TestAbelianQuotient:
@@ -245,6 +282,55 @@ class TestAct:
             act(Permutation.identity(4), Permutation.identity(1), point)
         with pytest.raises(ValueError):
             act(Permutation.identity(3), Permutation.identity(2), point)
+
+
+class TestClassAction:
+    def test_transported_bases_match_character_basis(self):
+        # S_4 and S_5, every base point of every class
+        for n in (4, 5):
+            for lam in enumerate_cycle_types(n):
+                action = class_action(lam)
+                assert action.base_points == conjugacy_class(lam)
+                for u, basis in zip(action.base_points, action.bases):
+                    assert len(basis) == gamma(lam)
+                    assert len(set(basis)) == len(basis)
+                    assert set(basis) == set(character_basis(u))
+
+    def test_observed_character_maps_are_identity(self):
+        # conjugating around a loop in the class lands in the centralizer,
+        # which fixes every character: the fact the closed form relies on
+        for n in range(1, 6):
+            for lam in enumerate_cycle_types(n):
+                action = class_action(lam)
+                identity = tuple(range(gamma(lam)))
+                for maps in action.character_maps:
+                    assert all(row == identity for row in maps)
+
+    @pytest.mark.parametrize("n", (3, 4))
+    @pytest.mark.parametrize("r", (1, 2))
+    def test_index_moves_agree_with_act(self, n, r):
+        # maps run over S_n's adjacent transpositions, then the slots'
+        id_n, id_r = Permutation.identity(n), Permutation.identity(r)
+        generators = [(s, id_r) for s in adjacent_transpositions(n)]
+        generators += [(id_n, pi) for pi in adjacent_transpositions(r)]
+        for lam in enumerate_cycle_types(n):
+            points = class_points(lam, r)
+            assert len(points) == class_size(lam) * gamma(lam) ** r
+            moves = index_moves(lam, r)
+            assert len(moves) == len(generators)
+            for image, (g, pi) in zip(moves, generators):
+                assert sorted(image) == list(range(len(points)))
+                for x, y in enumerate(image):
+                    assert points[y] == act(g, pi, points[x])
+
+    def test_character_basis_built_once_per_class(self):
+        lam = CycleType.parse("1^2 3^1")
+        class_action.cache_clear()
+        character_basis.cache_clear()
+        orbit_partition_class.cache_clear()
+        class_points.cache_clear()
+        orbit_count_class(lam, 2)
+        assert character_basis.cache_info().misses == 1
 
 
 class TestOrbitCounts:
