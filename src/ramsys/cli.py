@@ -92,12 +92,8 @@ def cmd_reps(args: argparse.Namespace) -> int:
         )
     )
     print(f"# count = {count_rsc(ram)}")
-    emitted = 0
-    for type_vector in enumerate_types(ram):
-        if args.limit is not None and emitted >= args.limit:
-            break
+    for type_vector in itertools.islice(enumerate_types(ram), args.limit):
         print(type_vector)
-        emitted += 1
     return 0
 
 

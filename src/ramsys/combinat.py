@@ -1,4 +1,4 @@
-"""Exact integer combinatorics: Stirling numbers, binomials, weak compositions."""
+"""Exact integer combinatorics: Stirling numbers, multiset coefficients, weak compositions."""
 
 from __future__ import annotations
 
@@ -54,11 +54,6 @@ def stirling_first(n: int, k: int) -> int:
     return _TABLE.value(n, k)
 
 
-def binomial(a: int, b: int) -> int:
-    """C(a, b), exactly; 0 when b > a."""
-    return comb(a, b)
-
-
 def multiset_coefficient(gamma: int, r: int) -> int:
     """Number of size-r multisets drawn from gamma symbols: C(gamma + r - 1, r)."""
     if gamma < 1:
@@ -69,16 +64,32 @@ def multiset_coefficient(gamma: int, r: int) -> int:
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `parts` non-negative integers summing to `total`.
 
-    Yielded in descending lexicographic order; the stream is lazy and has
-    multiset_coefficient(parts, total) entries.
+    Yielded in descending lexicographic order, from (total, 0, ..., 0) to
+    (0, ..., 0, total): multiset_coefficient(parts, total) entries.  The
+    stream is lazy and holds one list, which a successor step updates in
+    place (Knuth, TAOCP 7.2.1.3): take one unit from entry j, the rightmost
+    non-zero entry before the last, and gather it with the last entry into
+    entry j + 1.  The step needs no recursion, so `parts` may be any size.
+    j is kept between steps and moves left only when its entry runs out, so
+    a step takes constant amortized time besides copying out the tuple.
     """
     if parts < 1:
         raise ValueError(f"parts must be positive, got {parts}")
     if total < 0:
         raise ValueError(f"total must be non-negative, got {total}")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first, *rest)
+    current = [0] * parts
+    current[0] = total
+    yield tuple(current)
+    last = parts - 1
+    j = 0 if total and last else -1
+    while j >= 0:
+        current[j] -= 1
+        if j + 1 < last:
+            current[j + 1] = current[last] + 1
+            current[last] = 0
+            j += 1
+        else:
+            current[last] += 1
+            while j >= 0 and not current[j]:
+                j -= 1
+        yield tuple(current)

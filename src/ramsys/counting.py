@@ -11,8 +11,8 @@ composition of r_C into γ_C parts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Iterator, Mapping
 
@@ -115,10 +115,24 @@ class RSCTypeVector:
                 raise ValueError(f"negative entry in composition for class {lam}")
 
     def __str__(self) -> str:
-        return " ".join(
-            "(" + ",".join(str(part) for part in composition) + ")"
-            for _, composition in self.entries
-        )
+        return " ".join([_composition_text(composition) for _, composition in self.entries])
+
+
+def _trusted_vector(entries: tuple[tuple[CycleType, tuple[int, ...]], ...]) -> RSCTypeVector:
+    """An RSCTypeVector built without __post_init__, for entries that
+    enumerate_types generated and so knows to be valid: per class, a weak
+    composition of r_C into γ_C parts."""
+    vector = object.__new__(RSCTypeVector)
+    object.__setattr__(vector, "entries", entries)
+    return vector
+
+
+@lru_cache(maxsize=4096)
+def _composition_text(composition: tuple[int, ...]) -> str:
+    """`(a,b,...)`: one composition as printed; memoised, because a type
+    vector stream repeats each composition of its slower classes on many
+    consecutive lines."""
+    return "(" + ",".join(map(str, composition)) + ")"
 
 
 def count_rsc(ram: Ramification) -> int:
@@ -156,14 +170,39 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     """All type vectors for ram, one per isomorphism class.
 
     The stream is the Cartesian product, over support classes in canonical
-    order, of the weak compositions of r_C into γ_C parts; its length equals
+    order, of the weak compositions of r_C into γ_C parts, in the order of
+    itertools.product (the last class varies fastest); its length equals
     count_rsc(ram) and it contains no duplicates.
+
+    It is lazy: an odometer keeps one weak_compositions stream per class.
+    To advance, it draws from the last class's stream; when a stream is
+    exhausted it draws from the class to its left instead (the carry), then
+    restarts the exhausted streams to the right.  The first vector costs one
+    composition per class; each further one costs one plus its restarts,
+    fewer than two on average because for n >= 2 every class in a support
+    has at least two compositions.  The work is thus linear in the number of
+    vectors drawn.  The carry is a loop, not a recursion, so any number of
+    classes works (S_22 has 1,002).  Vectors are built without re-checking
+    the compositions just generated.
     """
     ensure_countable(ram.n)
-    classes = [lam for lam, _ in ram.entries]
-    streams = [tuple(weak_compositions(mult, gamma(lam))) for lam, mult in ram.entries]
-    for combo in itertools.product(*streams):
-        yield RSCTypeVector(tuple(zip(classes, combo)))
+    shapes = [(mult, gamma(lam)) for lam, mult in ram.entries]
+    streams = [weak_compositions(mult, g) for mult, g in shapes]
+    current = [(lam, next(stream)) for (lam, _), stream in zip(ram.entries, streams)]
+    while True:
+        yield _trusted_vector(tuple(current))
+        i = len(streams) - 1
+        while i >= 0:
+            composition = next(streams[i], None)
+            if composition is not None:
+                break
+            i -= 1
+        else:
+            return
+        current[i] = (current[i][0], composition)
+        for k in range(i + 1, len(streams)):
+            streams[k] = weak_compositions(*shapes[k])
+            current[k] = (current[k][0], next(streams[k]))
 
 
 def parse_ramification(text: str, n: int) -> Ramification:

@@ -121,6 +121,18 @@ class TestReps:
             main(["reps", "3", "--ramification", "all:1", "--limit", "-1"])
         assert info.value.code == 2
 
+    def test_limit_does_bounded_work_on_many_classes(self, capsys):
+        # S_22 has 1,002 classes; only the two vectors asked for are built
+        code, out, _ = run(capsys, "reps", "22", "--ramification", "all:1", "--limit", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 5
+        assert all(line.startswith("#") for line in lines[:3])
+        for line in lines[3:]:
+            compositions = line.split(" ")
+            assert len(compositions) == 1002
+            assert all(c.startswith("(") and c.endswith(")") for c in compositions)
+
     def test_vectors_match_library_order(self, capsys):
         from ramsys.counting import enumerate_types
 

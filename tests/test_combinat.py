@@ -1,13 +1,12 @@
 import itertools
 import random
 import threading
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
 from ramsys.combinat import (
     StirlingTable,
-    binomial,
     multiset_coefficient,
     stirling_first,
     weak_compositions,
@@ -117,18 +116,6 @@ class TestStirlingTable:
         assert not errors
 
 
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 0) == 1
-        assert binomial(3, 5) == 0
-
-    def test_matches_math_comb(self):
-        for a in range(0, 20):
-            for b in range(0, 25):
-                assert binomial(a, b) == comb(a, b)
-
-
 class TestMultisetCoefficient:
     def test_single_pick(self):
         for g in range(1, 10):
@@ -165,6 +152,25 @@ class TestWeakCompositions:
         for r, parts in ((3, 3), (5, 2), (4, 4)):
             stream = list(weak_compositions(r, parts))
             assert stream == sorted(stream, reverse=True)
+
+    def test_matches_filtered_product(self):
+        for r in range(0, 5):
+            for parts in range(1, 6):
+                reference = sorted(
+                    (t for t in itertools.product(range(r + 1), repeat=parts) if sum(t) == r),
+                    reverse=True,
+                )
+                assert list(weak_compositions(r, parts)) == reference
+
+    def test_no_recursion_limit(self):
+        # a recursive generator nests one frame per part and stops near 1,000
+        count = 0
+        for composition in weak_compositions(1, 5000):
+            if count == 0:
+                assert composition == (1,) + (0,) * 4999
+            count += 1
+        assert count == 5000
+        assert composition == (0,) * 4999 + (1,)
 
     def test_lazy(self):
         stream = weak_compositions(50, 6)

@@ -1,10 +1,11 @@
+import itertools
 import random
 from math import prod
 
 import pytest
 
 from ramsys.centralizer import gamma
-from ramsys.combinat import multiset_coefficient
+from ramsys.combinat import multiset_coefficient, weak_compositions
 from ramsys.counting import (
     Ramification,
     RamificationParseError,
@@ -193,6 +194,49 @@ class TestEnumerateTypes:
     def test_rejects_s6(self):
         with pytest.raises(UnsupportedGroupError):
             next(enumerate_types(Ramification.all_ones(6)))
+
+    def test_trusted_vectors_equal_validated(self):
+        # the stream builds vectors without __post_init__; they must be the
+        # vectors the public constructor gives for the itertools.product order
+        rng = random.Random(29)
+        checked = 0
+        while checked < 40:
+            ram = random_ramification(rng, rng.randint(1, 5), max_r=3)
+            if count_rsc(ram) > 3000:
+                continue
+            classes = [lam for lam, _ in ram.entries]
+            compositions = [list(weak_compositions(r, gamma(lam))) for lam, r in ram.entries]
+            expected = [
+                RSCTypeVector(tuple(zip(classes, combo)))
+                for combo in itertools.product(*compositions)
+            ]
+            observed = list(enumerate_types(ram))
+            assert observed == expected, str(ram)
+            assert [hash(v) for v in observed] == [hash(v) for v in expected]
+            assert [str(v) for v in observed] == [str(v) for v in expected]
+            checked += 1
+
+    def test_prefix_work_is_bounded(self, monkeypatch):
+        # drawing k vectors costs one composition per class for the first and
+        # fewer than two for each further one, not the full per-class lists
+        import ramsys.counting
+
+        drawn = 0
+
+        def counting_compositions(total, parts):
+            nonlocal drawn
+            for composition in weak_compositions(total, parts):
+                drawn += 1
+                yield composition
+
+        monkeypatch.setattr(ramsys.counting, "weak_compositions", counting_compositions)
+        ram = Ramification.all_ones(20)
+        support = len(ram.entries)
+        for k in (1, 2, 7, 64):
+            drawn = 0
+            vectors = list(itertools.islice(enumerate_types(ram), k))
+            assert len(vectors) == k
+            assert drawn <= support + 2 * k
 
     def test_vector_validation(self):
         lam = CycleType.parse("3^1")
