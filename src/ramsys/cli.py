@@ -14,6 +14,7 @@ from .counting import (
     Ramification,
     count_report,
     count_rsc,
+    decimal_string,
     enumerate_types,
     parse_ramification,
 )
@@ -73,11 +74,11 @@ def cmd_count(args: argparse.Namespace) -> int:
         print(json.dumps(count_report(ram), indent=2))
         return 0
     rows = [
-        [str(lam), str(mult), str(gamma(lam)), str(multiset_coefficient(gamma(lam), mult))]
+        [str(lam), str(mult), str(gamma(lam)), decimal_string(multiset_coefficient(gamma(lam), mult))]
         for lam, mult in ram.entries
     ]
     _print_table(["class", "r", "gamma", "factor"], rows)
-    print(f"count = {count_rsc(ram)}")
+    print(f"count = {decimal_string(count_rsc(ram))}")
     return 0
 
 
@@ -91,7 +92,7 @@ def cmd_reps(args: argparse.Namespace) -> int:
             for lam, _ in ram.entries
         )
     )
-    print(f"# count = {count_rsc(ram)}")
+    print(f"# count = {decimal_string(count_rsc(ram))}")
     for type_vector in itertools.islice(enumerate_types(ram), args.limit):
         print(type_vector)
     return 0

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 
 from .centralizer import gamma
 from .combinat import multiset_coefficient, stirling_first, weak_compositions
-from .perm import CycleType, canonical_class_order, enumerate_cycle_types
+from .perm import CycleType, enumerate_cycle_types
 
 
 class UnsupportedGroupError(ValueError):
@@ -69,7 +69,7 @@ class Ramification:
         normalized = tuple(
             sorted(
                 ((lam, mult) for lam, mult in self.entries if mult > 0),
-                key=lambda item: canonical_class_order(item[0]),
+                key=lambda item: item[0].parts(),
                 reverse=True,
             )
         )
@@ -82,7 +82,7 @@ class Ramification:
     @classmethod
     def all_ones(cls, n: int) -> "Ramification":
         """r_C = 1 for every class of S_n."""
-        return cls(n, tuple((lam, 1) for lam in enumerate_cycle_types(n)))
+        return _uniform_ramification(n, 1)
 
     def multiplicity(self, lam: CycleType) -> int:
         for entry_lam, mult in self.entries:
@@ -96,6 +96,17 @@ class Ramification:
 
     def __str__(self) -> str:
         return self.spec_string() or "(empty)"
+
+
+def _uniform_ramification(n: int, count: int) -> Ramification:
+    """r_C = count on every class of S_n, built without __post_init__: the
+    classes enumerate_cycle_types lists are distinct, of degree n and in
+    canonical order.  count = 0 gives the empty support without listing them."""
+    ram = object.__new__(Ramification)
+    object.__setattr__(ram, "n", n)
+    entries = tuple((lam, count) for lam in enumerate_cycle_types(n)) if count else ()
+    object.__setattr__(ram, "entries", entries)
+    return ram
 
 
 @dataclass(frozen=True)
@@ -242,7 +253,7 @@ def parse_ramification(text: str, n: int) -> Ramification:
                 raise RamificationParseError(
                     "'all' cannot be combined with other entries", position
                 )
-            return Ramification(n, tuple((lam, count) for lam in enumerate_cycle_types(n)))
+            return _uniform_ramification(n, count)
         try:
             lam = CycleType.parse(type_text)
         except ValueError as exc:
@@ -257,6 +268,41 @@ def parse_ramification(text: str, n: int) -> Ramification:
     return Ramification.from_mapping(n, entries)
 
 
+# Digits per piece that decimal_string hands to str(): below 640, the smallest
+# int-to-str limit sys.set_int_max_str_digits accepts, so it works under any.
+_CHUNK_DIGITS = 512
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def decimal_string(value: int) -> str:
+    """str(value) at any size.
+
+    Python 3.11+ refuses str() on an int with more digits than
+    sys.get_int_max_str_digits() (4,300 by default).  Raising that limit would
+    change the whole process, so instead value is split, divide and conquer,
+    by the powers 10^(512·2^k) and only pieces below 10^512 go through str().
+    Below 10^512 this is str(value).
+    """
+    if value < 0:
+        return "-" + decimal_string(-value)
+    powers = [_CHUNK]  # powers[k] == 10 ** (_CHUNK_DIGITS * 2**k)
+    while powers[-1] <= value:
+        powers.append(powers[-1] * powers[-1])
+    return _decimal_digits(value, powers, len(powers) - 2)
+
+
+def _decimal_digits(value: int, powers: list[int], k: int) -> str:
+    """Digits of 0 <= value < powers[k + 1] (for k = -1: value < _CHUNK),
+    without leading zeros."""
+    if k < 0:
+        return str(value)
+    high, low = divmod(value, powers[k])
+    low_text = _decimal_digits(low, powers, k - 1)
+    if not high:
+        return low_text
+    return _decimal_digits(high, powers, k - 1) + low_text.zfill(_CHUNK_DIGITS << k)
+
+
 def count_report(ram: Ramification) -> dict:
     """JSON-ready report: n, the support with γ per class, and the count as a
     decimal string (exact at any magnitude)."""
@@ -266,5 +312,5 @@ def count_report(ram: Ramification) -> dict:
             {"class": str(lam), "r": mult, "gamma": gamma(lam)}
             for lam, mult in ram.entries
         ],
-        "count": str(count_rsc(ram)),
+        "count": decimal_string(count_rsc(ram)),
     }

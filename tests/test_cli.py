@@ -1,10 +1,25 @@
 import json
+import sys
+import time
 
 import pytest
 
 from ramsys.cli import main
 from ramsys.counting import Ramification, count_rsc, parse_ramification
 from ramsys.perm import CycleType
+
+
+def digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def parse_decimal(text):
+    """int(text) at any length, 1,000 digits at a time."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def run(capsys, *argv):
@@ -62,6 +77,36 @@ class TestCount:
         code, out, err = run(capsys, "count", "6", "--ramification", "all:1")
         assert code != 0
         assert "n != 6" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_prints_counts_past_the_digit_limit(self, capsys, fmt):
+        limit = digit_limit()
+        code, out, err = run(capsys, "count", "25", "--ramification", "all:1", "--format", fmt)
+        assert code == 0 and not err
+        if fmt == "json":
+            text = json.loads(out)["count"]
+        else:
+            text = out.splitlines()[-1].removeprefix("count = ")
+        assert len(text) > 4300
+        assert parse_decimal(text) == count_rsc(parse_ramification("all:1", 25))
+        assert digit_limit() == limit
+
+    @pytest.mark.parametrize("argv", [
+        ["classes", "90"],
+        ["count", "90", "--ramification", "all:1"],
+        ["reps", "90", "--ramification", "all:1", "--limit", "1"],
+    ])
+    def test_class_list_bound_exits_2(self, capsys, no_class_built, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert "S_90" in err and "n <= 45" in err
+
+    def test_sparse_spec_at_large_n(self, capsys):
+        code, out, _ = run(capsys, "count", "90", "--ramification", "1^90:3")
+        assert code == 0
+        assert out.strip().endswith("count = 4")
 
     def test_parse_error_carries_position(self, capsys):
         code, out, err = run(capsys, "count", "3", "--ramification", "1^3:1;2^1:1")
@@ -132,6 +177,17 @@ class TestReps:
             compositions = line.split(" ")
             assert len(compositions) == 1002
             assert all(c.startswith("(") and c.endswith(")") for c in compositions)
+
+    def test_count_header_past_the_digit_limit(self, capsys):
+        limit = digit_limit()
+        code, out, err = run(capsys, "reps", "25", "--ramification", "all:1", "--limit", "1")
+        assert code == 0 and not err
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert lines[2].startswith("# count = ")
+        count = parse_decimal(lines[2].removeprefix("# count = "))
+        assert count == count_rsc(parse_ramification("all:1", 25))
+        assert digit_limit() == limit
 
     def test_vectors_match_library_order(self, capsys):
         from ramsys.counting import enumerate_types

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from math import prod
 
 import pytest
@@ -14,10 +15,11 @@ from ramsys.counting import (
     count_report,
     count_rsc,
     count_rsc_stirling,
+    decimal_string,
     enumerate_types,
     parse_ramification,
 )
-from ramsys.perm import CycleType, enumerate_cycle_types
+from ramsys.perm import ClassListTooLargeError, CycleType, enumerate_cycle_types
 
 
 def identity_only(n, r):
@@ -293,6 +295,42 @@ class TestParseRamification:
         with pytest.raises(UnsupportedGroupError):
             parse_ramification("all:1", 6)
 
+    def test_all_r_equals_validated_ramification(self):
+        for n in (1, 2, 3, 4, 5, 7, 8):
+            for r in (0, 1, 3):
+                expected = Ramification(n, tuple((lam, r) for lam in enumerate_cycle_types(n)))
+                ram = parse_ramification(f"all:{r}", n)
+                assert ram == expected
+                assert ram.entries == expected.entries
+                assert hash(ram) == hash(expected)
+                assert str(ram) == str(expected)
+            assert parse_ramification("all:0", n).entries == ()
+            assert Ramification.all_ones(n) == parse_ramification("all:1", n)
+
+    def test_all_r_builds_no_validated_object(self, monkeypatch):
+        calls = []
+        for cls in (CycleType, Ramification):
+            original = cls.__post_init__
+
+            def counting(self, original=original):
+                calls.append(self)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        ram = parse_ramification("all:1", 20)
+        assert len(ram.entries) == 627
+        assert Ramification.all_ones(20) == ram
+        assert calls == []
+
+    def test_all_r_is_bounded(self, no_class_built):
+        with pytest.raises(ClassListTooLargeError):
+            parse_ramification("all:1", 90)
+        with pytest.raises(ClassListTooLargeError):
+            Ramification.all_ones(90)
+        assert parse_ramification("all:0", 90).entries == ()
+        ram = parse_ramification("1^90:3", 90)
+        assert count_rsc(ram) == multiset_coefficient(2, 3)
+
 
 class TestCountReport:
     def test_schema(self):
@@ -319,3 +357,37 @@ class TestCountReport:
                 },
             )
             assert count_rsc(rebuilt) == int(report["count"])
+
+
+class TestDecimalString:
+    def test_equals_str_below_the_limit(self):
+        rng = random.Random(7)
+        values = [0, 1, 9, 10, 10**511, 10**512 - 1, 10**512, 10**512 + 1, 10**4000 - 1]
+        values += [rng.randrange(10 ** rng.randint(1, 4000)) for _ in range(200)]
+        for value in values:
+            assert decimal_string(value) == str(value)
+            assert decimal_string(-value) == str(-value)
+
+    def test_round_trips_past_the_limit(self):
+        rng = random.Random(8)
+        for digits in (4301, 5000, 12_345, 40_000):
+            value = rng.randrange(10 ** (digits - 1), 10**digits)
+            for probe in (value, 10 ** (digits - 1), 10**digits - 1, value * 10**1024):
+                text = decimal_string(probe)
+                assert text.isdigit() and text[0] != "0"
+                assert parse_decimal(text) == probe
+
+    def test_leaves_the_digit_limit_alone(self):
+        before = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        decimal_string(7**20_000)
+        after = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        assert after == before
+
+
+def parse_decimal(text):
+    """int(text) at any length, 1,000 digits at a time."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value

@@ -1,15 +1,17 @@
 import itertools
 import random
+import time
 from math import factorial
 
 import pytest
 
 from ramsys.perm import (
+    MAX_CLASS_LIST_N,
+    ClassListTooLargeError,
     Cycle,
     CycleType,
     Permutation,
     canonical_representative,
-    centralizer_membership,
     centralizer_order,
     class_size,
     compose,
@@ -20,8 +22,27 @@ from ramsys.perm import (
     cycle_type,
     enumerate_cycle_types,
     inverse,
-    support_blocks,
 )
+
+
+def reference_partitions(n, largest=None):
+    """Partitions of n as descending part tuples, in descending lexicographic order."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in reference_partitions(n - part, part):
+            yield (part, *rest)
+
+
+def partition_counts(limit):
+    """p(0), ..., p(limit) by the coin-change recurrence."""
+    ways = [1] + [0] * limit
+    for part in range(1, limit + 1):
+        for total in range(part, limit + 1):
+            ways[total] += ways[total - part]
+    return ways
 
 
 def perm(*images):
@@ -213,7 +234,7 @@ class TestClassSizes:
             assert sum(class_size(lam) for lam in enumerate_cycle_types(n)) == factorial(n)
 
     def test_orbit_stabilizer(self):
-        for n in range(1, 9):
+        for n in range(1, 21):
             for lam in enumerate_cycle_types(n):
                 assert class_size(lam) * centralizer_order(lam) == factorial(n)
 
@@ -251,6 +272,42 @@ class TestEnumerateCycleTypes:
         with pytest.raises(ValueError):
             enumerate_cycle_types(0)
 
+    def test_matches_recursive_reference(self):
+        for n in range(1, 31):
+            expected = [CycleType.from_parts(parts) for parts in reference_partitions(n)]
+            types = enumerate_cycle_types(n)
+            assert isinstance(types, list)
+            assert types == expected
+            assert [hash(lam) for lam in types] == [hash(lam) for lam in expected]
+            assert [str(lam) for lam in types] == [str(lam) for lam in expected]
+
+    def test_length_is_partition_count(self):
+        counts = partition_counts(MAX_CLASS_LIST_N)
+        for n in [*range(1, 41), MAX_CLASS_LIST_N]:
+            assert len(enumerate_cycle_types(n)) == counts[n]
+
+    def test_builds_no_validated_cycle_type(self, monkeypatch):
+        calls = []
+        original = CycleType.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(CycleType, "__post_init__", counting)
+        CycleType.parse("1^2 3^1")
+        assert len(calls) == 1
+        calls.clear()
+        assert len(enumerate_cycle_types(20)) == 627
+        assert calls == []
+
+    def test_bound_on_n(self, no_class_built):
+        start = time.perf_counter()
+        with pytest.raises(ClassListTooLargeError, match=f"S_90 .*n <= {MAX_CLASS_LIST_N}"):
+            enumerate_cycle_types(90)
+        assert time.perf_counter() - start < 1
+        assert issubclass(ClassListTooLargeError, ValueError)
+
 
 class TestCanonicalRepresentative:
     def test_identity(self):
@@ -267,61 +324,6 @@ class TestCanonicalRepresentative:
         for n in range(1, 8):
             for lam in enumerate_cycle_types(n):
                 assert cycle_type(canonical_representative(lam)) == lam
-
-
-class TestSupportBlocks:
-    def test_mixed(self):
-        sigma = Permutation.from_cycles(5, [(1, 2), (3, 4, 5)])
-        assert support_blocks(sigma) == {2: frozenset({1, 2}), 3: frozenset({3, 4, 5})}
-
-    def test_identity(self):
-        assert support_blocks(Permutation.identity(3)) == {1: frozenset({1, 2, 3})}
-
-    def test_double_transposition(self):
-        sigma = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        assert support_blocks(sigma) == {2: frozenset({1, 2, 3, 4})}
-
-    def test_blocks_partition_points(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            p = Permutation(tuple(rng.sample(range(1, 8), 7)))
-            blocks = support_blocks(p)
-            union = set().union(*blocks.values())
-            assert union == set(range(1, 8))
-            lam = cycle_type(p)
-            for length, block in blocks.items():
-                assert len(block) == length * lam.multiplicities[length - 1]
-
-
-class TestCentralizerMembership:
-    def test_self(self):
-        sigma = perm(2, 3, 1)
-        assert centralizer_membership(sigma, sigma)
-
-    def test_transposition_vs_three_cycle(self):
-        sigma = perm(2, 3, 1)
-        rho = Permutation.from_cycles(3, [(1, 2)])
-        assert not centralizer_membership(rho, sigma)
-
-    def test_agrees_with_direct_commutation_exhaustive(self):
-        for n in range(1, 5):
-            group = all_perms(n)
-            for sigma in group:
-                for rho in group:
-                    direct = compose(rho, sigma) == compose(sigma, rho)
-                    assert centralizer_membership(rho, sigma) == direct
-
-    def test_agrees_with_direct_commutation_random_s5(self):
-        rng = random.Random(29)
-        group = all_perms(5)
-        for _ in range(10_000):
-            rho, sigma = rng.choice(group), rng.choice(group)
-            direct = compose(rho, sigma) == compose(sigma, rho)
-            assert centralizer_membership(rho, sigma) == direct
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            centralizer_membership(Permutation.identity(3), Permutation.identity(4))
 
 
 class TestCycleString:
