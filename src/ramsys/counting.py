@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Mapping
 
 from .centralizer import gamma
@@ -150,10 +150,14 @@ def count_rsc(ram: Ramification) -> int:
     """Number of isomorphism classes with ramification ram: the product over
     the support of C(γ_C + r_C - 1, r_C).  Empty support counts 1."""
     ensure_countable(ram.n)
-    total = 1
-    for lam, mult in ram.entries:
-        total *= multiset_coefficient(gamma(lam), mult)
-    return total
+    factors = [multiset_coefficient(gamma(lam), mult) for lam, mult in ram.entries]
+    # a product tree: a running product is quadratic in the size of the
+    # result, so runs of 32 small factors are multiplied first and their
+    # products then pairwise in rounds, keeping operands of similar size
+    products = [prod(factors[i : i + 32]) for i in range(0, len(factors), 32)]
+    while len(products) > 1:
+        products = [prod(products[i : i + 2]) for i in range(0, len(products), 2)]
+    return prod(products)
 
 
 def count_rsc_stirling(ram: Ramification) -> int:

@@ -9,14 +9,18 @@ their full character groups.
 Orbits of the relabelling action are counted on integer-coded points.  Per
 class, the character basis is built once, at the first base point u0, and
 carried to the rest of the class along a breadth-first tree of conjugations
-by adjacent transpositions.  What each adjacent transposition does to a
-(base point, character) pair is then read off ``act`` and stored as index
-maps, so one orbit partition is an array union-find over
-``range(|C|·γ^r)``.  The maps are observed, never assumed: that moving a
-character around a loop of conjugations brings it back to itself is what
-the closed form relies on.  The closed-form counting path never feeds into
-these computations, so agreement between the two is evidence, not
-circularity.
+by adjacent transpositions.  Each (base point, transposition) edge conjugates
+every centralizer element once; the sorted conjugates give an index map on
+the centralizer's domain, and each character is moved by permuting its value
+tuple through it and looked up in the target's basis.  The resulting index
+maps turn one orbit partition into an array union-find over
+``range(|C|·γ^r)``, and orbits are returned as tuples of positions.  The maps
+are observed, never assumed: that moving a character around a loop of
+conjugations brings it back to itself is what the closed form relies on.
+``act``, which moves one point at a time on explicit objects, is kept as the
+independent reference the test suite holds the maps to.  The closed-form
+counting path never feeds into these computations, so agreement between the
+two is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .centralizer import gamma
 from .perm import (
@@ -369,16 +373,21 @@ def class_action(lam: CycleType) -> ClassAction:
     """Build one class's index maps by breadth-first conjugation from base
     point 0, the only base point ``character_basis`` runs at.
 
-    Every (base point, s) edge moves each character of the base point's
-    basis with ``act`` on an r = 1 point.  Along the first edge into a base
-    point, the moved characters become its basis.  Along every edge, each
-    moved character is looked up by its value table in the target's basis,
-    so the maps record what ``act`` does; none is assumed to be the identity.
+    Along every (base point, s) edge, each element of the base point's
+    centralizer is conjugated by s once.  Sorting the conjugates gives the
+    target's domain and, with it, one index map for the edge; every
+    character of the base point's basis is moved by permuting its value
+    tuple through that map, which is what ``act`` does to it.  Along the
+    first edge into a base point, the moved characters become its basis.
+    Along every other edge, the conjugates must be exactly the target's
+    domain, and along every edge, each moved character is looked up by its
+    value table in the target's basis; a mismatch or a miss raises
+    ``AssertionError``.  So the maps record what conjugation does; none is
+    assumed to be the identity.
     """
     base_points = conjugacy_class(lam)
     index = {u: b for b, u in enumerate(base_points)}
     swaps = [Permutation.from_cycles(lam.n, [(i, i + 1)]) for i in range(1, lam.n)]
-    one_slot = Permutation.identity(1)
     size = len(base_points)
     bases: list[tuple[Character, ...] | None] = [None] * size
     bases[0] = character_basis(base_points[0])
@@ -388,26 +397,33 @@ def class_action(lam: CycleType) -> ClassAction:
     while frontier:
         fresh: list[int] = []
         for b in frontier:
-            u = base_points[b]
+            u, basis = base_points[b], bases[b]
             for k, s in enumerate(swaps):
-                moved = [act(s, one_slot, RSCPoint(u, (chi,))) for chi in bases[b]]
-                target = index[moved[0].base_point]
-                images = tuple(point.characters[0] for point in moved)
+                target = index[conjugate(s, u)]
+                moved = [conjugate(s, h) for h in basis[0].domain]
+                # order[j] is the position, in u's domain, of the element
+                # whose conjugate is the j-th of the target's sorted domain
+                order = sorted(range(len(moved)), key=lambda i: moved[i].images)
+                domain = tuple([moved[i] for i in order])
+                images = [tuple([chi.values[i] for i in order]) for chi in basis]
                 if bases[target] is None:
-                    bases[target] = images
+                    bases[target] = tuple(
+                        Character(chi.modulus, domain, values)
+                        for chi, values in zip(basis, images)
+                    )
                     fresh.append(target)
-                basis = bases[target]
-                by_values = {chi.values: c for c, chi in enumerate(basis)}
-                row: list[int] = []
-                for image in images:
-                    c = by_values.get(image.values)
-                    if c is None or basis[c] != image:
-                        raise AssertionError(
-                            f"{s} moves a character at {u} off the basis at {base_points[target]}"
-                        )
-                    row.append(c)
+                elif domain != bases[target][0].domain:
+                    raise AssertionError(
+                        f"{s} does not carry the centralizer of {u} onto that of {base_points[target]}"
+                    )
+                by_values = {chi.values: c for c, chi in enumerate(bases[target])}
+                row = tuple(by_values.get(values) for values in images)
+                if None in row:
+                    raise AssertionError(
+                        f"{s} moves a character at {u} off the basis at {base_points[target]}"
+                    )
                 base_maps[k][b] = target
-                character_maps[k][b] = tuple(row)
+                character_maps[k][b] = row
         frontier = fresh
     return ClassAction(
         base_points,
@@ -473,17 +489,6 @@ def index_moves(lam: CycleType, r: int) -> list[list[int]]:
     return moves
 
 
-def point_type(point: RSCPoint) -> tuple[int, ...]:
-    """How often each indexed character of Z_u occurs among the point's
-    characters; the complete per-class isomorphism invariant at fixed u."""
-    basis = character_basis(point.base_point)
-    index = {chi: i for i, chi in enumerate(basis)}
-    counts = [0] * len(basis)
-    for chi in point.characters:
-        counts[index[chi]] += 1
-    return tuple(counts)
-
-
 def _partition(size: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
     """Orbits of range(size) under the group the index maps generate, by
     union-find on an integer parent array with path halving (Tarjan 1975)."""
@@ -506,29 +511,15 @@ def _partition(size: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
     return list(orbits.values())
 
 
-T = TypeVar("T", bound=Hashable)
-
-
-def find_orbits(points: Iterable[T], moves: Iterable[Callable[[T], T]]) -> list[set[T]]:
-    """Orbit partition of `points` under the group generated by `moves`.
-
-    Orbits under a generating set equal orbits under the whole group, so
-    moves need only generate the acting group.
-    """
-    points = list(points)
-    position = {point: x for x, point in enumerate(points)}
-    maps = [[position[move(point)] for point in points] for move in moves]
-    return [{points[x] for x in orbit} for orbit in _partition(len(points), maps)]
-
-
 @lru_cache(maxsize=None)
-def orbit_partition_class(lam: CycleType, r: int) -> tuple[frozenset[RSCPoint], ...]:
-    """Orbits of the relabelling action on one class's point set."""
+def orbit_partition_class(lam: CycleType, r: int) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the relabelling action on one class's point set.  Each orbit
+    is a tuple of positions into ``class_points(lam, r)`` in ascending order;
+    orbits are ordered by their smallest position."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     points = class_points(lam, r)
-    orbits = _partition(len(points), index_moves(lam, r))
-    return tuple(frozenset(points[x] for x in orbit) for orbit in orbits)
+    return tuple(map(tuple, _partition(len(points), index_moves(lam, r))))
 
 
 def orbit_count_class(lam: CycleType, r: int) -> int:

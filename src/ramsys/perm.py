@@ -150,28 +150,38 @@ class CycleType:
         )
 
 
+def _trusted_permutation(images: tuple[int, ...]) -> Permutation:
+    """A Permutation built without __post_init__, for products of permutations
+    that are already valid: compose, inverse and conjugate."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """The product p·q acting as x -> p(q(x))."""
-    if p.n != q.n:
+    images = p.images
+    if len(images) != len(q.images):
         raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    return Permutation(tuple(p.images[j - 1] for j in q.images))
+    return _trusted_permutation(tuple([images[j - 1] for j in q.images]))
 
 
 def inverse(p: Permutation) -> Permutation:
-    images = [0] * p.n
+    images = [0] * len(p.images)
     for i, j in enumerate(p.images, start=1):
         images[j - 1] = i
-    return Permutation(tuple(images))
+    return _trusted_permutation(tuple(images))
 
 
 def conjugate(g: Permutation, x: Permutation) -> Permutation:
     """g·x·g⁻¹; preserves cycle type."""
-    if g.n != x.n:
+    g_images = g.images
+    if len(g_images) != len(x.images):
         raise ValueError(f"size mismatch: {g.n} vs {x.n}")
-    images = [0] * g.n
-    for i in range(1, g.n + 1):
-        images[g.images[i - 1] - 1] = g.images[x.images[i - 1] - 1]
-    return Permutation(tuple(images))
+    images = [0] * len(g_images)
+    for i, j in zip(g_images, x.images):
+        images[i - 1] = g_images[j - 1]
+    return _trusted_permutation(tuple(images))
 
 
 def cycle_decomposition(p: Permutation) -> list[Cycle]:
@@ -205,10 +215,22 @@ def cycle_string(p: Permutation, include_fixed: bool = False) -> str:
 
 
 def cycle_type(p: Permutation) -> CycleType:
+    """The cycle lengths of p, counted straight off its images."""
+    if not p.n:
+        raise ValueError("the empty permutation has no cycle type")
+    images = p.images
     counts = [0] * p.n
-    for cycle in cycle_decomposition(p):
-        counts[len(cycle) - 1] += 1
-    return CycleType(p.n, tuple(counts))
+    seen = [False] * (p.n + 1)
+    for start in range(1, p.n + 1):
+        if seen[start]:
+            continue
+        length, point = 0, start
+        while not seen[point]:
+            seen[point] = True
+            point = images[point - 1]
+            length += 1
+        counts[length - 1] += 1
+    return _trusted_cycle_type(p.n, tuple(counts))
 
 
 def cycle_count(p: Permutation) -> int:
@@ -241,7 +263,8 @@ class ClassListTooLargeError(ValueError):
 
 
 def _trusted_cycle_type(n: int, multiplicities: tuple[int, ...]) -> CycleType:
-    """A CycleType built without __post_init__, for enumerate_cycle_types' vectors."""
+    """A CycleType built without __post_init__, for the vectors that
+    enumerate_cycle_types and cycle_type count out themselves."""
     lam = object.__new__(CycleType)
     object.__setattr__(lam, "n", n)
     object.__setattr__(lam, "multiplicities", multiplicities)

@@ -101,6 +101,14 @@ class TestCountRsc:
         with pytest.raises(UnsupportedGroupError, match="n != 6"):
             count_rsc(Ramification.all_ones(6))
 
+    def test_balanced_product_matches_stirling_at_mid_size(self):
+        # p(29) = 4,565 and p(30) = 5,604 factors: both end in a short run
+        # of factors, and some round of the product tree carries an
+        # unpaired partial product
+        for n in (29, 30):
+            ram = Ramification.all_ones(n)
+            assert count_rsc(ram) == count_rsc_stirling(ram)
+
     def test_adding_a_class_multiplies_the_count(self):
         rng = random.Random(41)
         for n in (3, 4, 5, 7):

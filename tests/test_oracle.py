@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import ramsys.oracle
 from ramsys.centralizer import gamma
 from ramsys.counting import Ramification
 from ramsys.oracle import (
@@ -22,13 +23,11 @@ from ramsys.oracle import (
     commutator_subgroup,
     conjugacy_class,
     dual_characters,
-    find_orbits,
     fixed_point_count,
     index_moves,
     oracle_count,
     orbit_count_class,
     orbit_partition_class,
-    point_type,
     symmetric_group,
 )
 from ramsys.perm import (
@@ -38,6 +37,7 @@ from ramsys.perm import (
     centralizer_order,
     class_size,
     compose,
+    conjugate,
     cycle_count,
     cycle_type,
     enumerate_cycle_types,
@@ -71,6 +71,47 @@ def all_pairs_derived(H):
 
 def adjacent_transpositions(n):
     return [Permutation.from_cycles(n, [(i, i + 1)]) for i in range(1, n)]
+
+
+def point_type(point):
+    """How often each indexed character of Z_u occurs among the point's
+    characters; the complete per-class isomorphism invariant at fixed u."""
+    basis = character_basis(point.base_point)
+    index = {chi: i for i, chi in enumerate(basis)}
+    counts = [0] * len(basis)
+    for chi in point.characters:
+        counts[index[chi]] += 1
+    return tuple(counts)
+
+
+def find_orbits(points, moves):
+    """Orbit partition of hashable points under the group the moves
+    generate, by breadth-first search; independent of the oracle's
+    union-find on positions."""
+    orbits, seen = [], set()
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit, frontier = {start}, [start]
+        while frontier:
+            fresh = []
+            for point in frontier:
+                for move in moves:
+                    image = move(point)
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.add(image)
+                        fresh.append(image)
+            frontier = fresh
+        orbits.append(orbit)
+    return orbits
+
+
+def positions_cover(orbits, size):
+    """Every position in range(size) lies in exactly one orbit."""
+    flat = [x for orbit in orbits for x in orbit]
+    return sorted(flat) == list(range(size))
 
 
 class TestSymmetricGroup:
@@ -306,8 +347,7 @@ class TestClassAction:
                 for maps in action.character_maps:
                     assert all(row == identity for row in maps)
 
-    @pytest.mark.parametrize("n", (3, 4))
-    @pytest.mark.parametrize("r", (1, 2))
+    @pytest.mark.parametrize("r, n", [(1, 3), (1, 4), (2, 3), (2, 4), (1, 5)])
     def test_index_moves_agree_with_act(self, n, r):
         # maps run over S_n's adjacent transpositions, then the slots'
         id_n, id_r = Permutation.identity(n), Permutation.identity(r)
@@ -322,6 +362,38 @@ class TestClassAction:
                 assert sorted(image) == list(range(len(points)))
                 for x, y in enumerate(image):
                     assert points[y] == act(g, pi, points[x])
+
+    def test_centralizer_carried_off_its_domain_is_caught(self, monkeypatch):
+        # a "conjugation" that sends the identity to a 3-cycle does not carry
+        # one centralizer onto another
+        lam = CycleType.parse("1^1 2^1")
+        character_basis(conjugacy_class(lam)[0])  # built with the true conjugation
+        three_cycle = Permutation.from_cycles(3, [(1, 2, 3)])
+
+        def wrong(g, x):
+            return three_cycle if x == Permutation.identity(3) else conjugate(g, x)
+
+        class_action.cache_clear()
+        monkeypatch.setattr(ramsys.oracle, "conjugate", wrong)
+        with pytest.raises(AssertionError, match="does not carry the centralizer"):
+            class_action(lam)
+
+    def test_character_moved_off_the_basis_is_caught(self, monkeypatch):
+        # a "conjugation" that keeps S_3 as a set but swaps a transposition
+        # with a 3-cycle moves the sign character off the basis
+        lam = CycleType.parse("1^3")
+        character_basis(Permutation.identity(3))  # built with the true conjugation
+        pair = (Permutation.from_cycles(3, [(1, 2)]), Permutation.from_cycles(3, [(1, 2, 3)]))
+        swapped = {pair[0]: pair[1], pair[1]: pair[0]}
+
+        def wrong(g, x):
+            image = conjugate(g, x)
+            return swapped.get(image, image)
+
+        class_action.cache_clear()
+        monkeypatch.setattr(ramsys.oracle, "conjugate", wrong)
+        with pytest.raises(AssertionError, match="off the basis"):
+            class_action(lam)
 
     def test_character_basis_built_once_per_class(self):
         lam = CycleType.parse("1^2 3^1")
@@ -364,8 +436,10 @@ class TestOrbitCounts:
         lam = CycleType.parse("1^1 2^1")
         points = class_points(lam, 2)
         orbits = orbit_partition_class(lam, 2)
-        assert sum(len(orbit) for orbit in orbits) == len(points)
-        assert set().union(*orbits) == set(points)
+        assert positions_cover(orbits, len(points))
+        point_orbits = [{points[x] for x in orbit} for orbit in orbits]
+        assert sum(len(orbit) for orbit in point_orbits) == len(points)
+        assert set().union(*point_orbits) == set(points)
 
     def test_s5_classes_at_r2_match_multiset_coefficients(self):
         from ramsys.combinat import multiset_coefficient
@@ -422,11 +496,14 @@ class TestFixedPointCount:
 class TestTypeVectorsVsOrbits:
     def exhaustive_check(self, lam, r):
         u0 = canonical_representative(lam)
+        points = class_points(lam, r)
+        orbits = orbit_partition_class(lam, r)
+        assert positions_cover(orbits, len(points))
         orbit_of = {}
-        for index, orbit in enumerate(orbit_partition_class(lam, r)):
-            for point in orbit:
-                orbit_of[point] = index
-        anchored = [p for p in class_points(lam, r) if p.base_point == u0]
+        for index, orbit in enumerate(orbits):
+            for x in orbit:
+                orbit_of[points[x]] = index
+        anchored = [p for p in points if p.base_point == u0]
         assert len(anchored) == gamma(lam) ** r
         for p, q in itertools.combinations(anchored, 2):
             same_orbit = orbit_of[p] == orbit_of[q]

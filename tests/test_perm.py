@@ -53,6 +53,21 @@ def all_perms(n):
     return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
 
 
+def reference_cycle_type(p):
+    """The cycle type counted over the Cycle objects of cycle_decomposition."""
+    counts = [0] * p.n
+    for cycle in cycle_decomposition(p):
+        counts[len(cycle) - 1] += 1
+    return CycleType(p.n, tuple(counts))
+
+
+def assert_same_permutation(result, images):
+    """result equals, and hashes like, the validated Permutation(images)."""
+    checked = Permutation(tuple(images))
+    assert type(result) is Permutation
+    assert result == checked and hash(result) == hash(checked)
+
+
 class TestPermutation:
     def test_rejects_non_bijections(self):
         with pytest.raises(ValueError):
@@ -177,6 +192,41 @@ class TestComposeInverse:
             p = Permutation(tuple(rng.sample(range(1, 7), 6)))
             assert compose(p, inverse(p)) == Permutation.identity(6)
             assert compose(inverse(p), p) == Permutation.identity(6)
+
+
+class TestTrustedProducts:
+    def test_products_equal_validated_permutations_s4(self):
+        # compose, inverse and conjugate skip the bijection check; their
+        # results must be the permutations a validated build gives
+        points = range(1, 5)
+        group = all_perms(4)
+        for p in group:
+            assert_same_permutation(inverse(p), [p.images.index(x) + 1 for x in points])
+            for q in group:
+                assert_same_permutation(compose(p, q), [p(q(x)) for x in points])
+                # g·x·g⁻¹ sends g(i) to g(x(i))
+                conjugated = dict((p(i), p(q(i))) for i in points)
+                assert_same_permutation(conjugate(p, q), [conjugated[x] for x in points])
+
+    def test_size_mismatches_still_raise(self):
+        small, large = Permutation.identity(2), Permutation.identity(3)
+        for product in (compose, conjugate):
+            with pytest.raises(ValueError, match="size mismatch"):
+                product(small, large)
+            with pytest.raises(ValueError, match="size mismatch"):
+                product(large, small)
+
+    def test_cycle_type_matches_cycle_decomposition(self):
+        for n in range(1, 7):
+            for p in all_perms(n):
+                lam = cycle_type(p)
+                expected = reference_cycle_type(p)
+                assert lam == expected and hash(lam) == hash(expected)
+                assert str(lam) == str(expected)
+
+    def test_cycle_type_of_the_empty_permutation_raises(self):
+        with pytest.raises(ValueError):
+            cycle_type(Permutation(()))
 
 
 class TestConjugate:
