@@ -12,6 +12,8 @@ from .centralizer import abelianization_invariants, gamma
 from .combinat import multiset_coefficient
 from .counting import (
     Ramification,
+    RamificationParseError,
+    UnsupportedGroupError,
     count_report,
     count_rsc,
     decimal_string,
@@ -20,6 +22,7 @@ from .counting import (
 )
 from .oracle import ORACLE_MAX_N, OracleBudgetError, oracle_count
 from .perm import (
+    ClassListTooLargeError,
     canonical_representative,
     centralizer_order,
     class_size,
@@ -55,15 +58,8 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 def cmd_classes(args: argparse.Namespace) -> int:
     rows = []
     for lam in enumerate_cycle_types(args.n):
-        rows.append(
-            [
-                str(lam),
-                str(class_size(lam)),
-                str(centralizer_order(lam)),
-                str(gamma(lam)),
-                str(abelianization_invariants(lam)),
-            ]
-        )
+        row = lam, class_size(lam), centralizer_order(lam), gamma(lam), abelianization_invariants(lam)
+        rows.append([str(value) for value in row])
     _print_table(["type", "size", "centralizer", "gamma", "factors"], rows)
     return 0
 
@@ -165,9 +161,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OracleBudgetError) as exc:
-        # covers ramification parse errors, the n = 6 rejection, and
-        # exceeded oracle budgets
+    except (
+        RamificationParseError,
+        UnsupportedGroupError,
+        ClassListTooLargeError,
+        OracleBudgetError,
+    ) as exc:
+        # input errors exit 2; an internal failure keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

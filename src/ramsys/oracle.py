@@ -4,7 +4,8 @@ Everything here is computed from first principles at desk scale (n <= 5):
 explicit group elements, centralizers by exhaustive commutation test,
 commutator subgroups generated from the commutators [a, s] with s in a
 generating set, abelian quotients with a greedy cyclic decomposition, and
-their full character groups.
+their full character groups.  A subgroup is a plain ``frozenset`` of
+permutations.
 
 Orbits of the relabelling action are counted on integer-coded points.  Per
 class, the character basis is built once, at the first base point u0, and
@@ -18,9 +19,11 @@ maps turn one orbit partition into an array union-find over
 are observed, never assumed: that moving a character around a loop of
 conjugations brings it back to itself is what the closed form relies on.
 ``act``, which moves one point at a time on explicit objects, is kept as the
-independent reference the test suite holds the maps to.  The closed-form
-counting path never feeds into these computations, so agreement between the
-two is evidence, not circularity.
+independent reference the test suite holds the maps to.  Nothing here uses
+the closed form: the only import from the package is the permutation
+primitives of ``perm``, and the point budget is the oracle's own class size
+times its own basis size to the r, so agreement between the two paths is
+evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -29,18 +32,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
-from .centralizer import gamma
-from .perm import (
-    CycleType,
-    Permutation,
-    class_size,
-    compose,
-    conjugate,
-    cycle_type,
-    inverse,
-)
+from .perm import CycleType, Permutation, compose, conjugate, cycle_type, inverse
 
 ORACLE_MAX_N = 5
 
@@ -61,53 +55,24 @@ def _key(p: Permutation) -> tuple[int, ...]:
     return p.images
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """An explicit set of permutations of {1..n} closed under the group operations."""
-
-    n: int
-    elements: frozenset[Permutation]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(sorted(self.elements, key=_key))
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.elements
-
-    def is_closed(self) -> bool:
-        """Exhaustive closure check; used by the test suite, not by callers."""
-        if Permutation.identity(self.n) not in self.elements:
-            return False
-        return all(
-            compose(a, b) in self.elements
-            for a in self.elements
-            for b in self.elements
-        )
-
-
 @lru_cache(maxsize=None)
-def symmetric_group(n: int) -> Subgroup:
+def symmetric_group(n: int) -> frozenset[Permutation]:
     """All n! permutations of {1..n}; hard-capped at n = 5."""
     _ensure_scale(n)
-    elements = frozenset(
+    return frozenset(
         Permutation(images) for images in itertools.permutations(range(1, n + 1))
     )
-    return Subgroup(n, elements)
 
 
 @lru_cache(maxsize=None)
-def centralizer(sigma: Permutation) -> Subgroup:
+def centralizer(sigma: Permutation) -> frozenset[Permutation]:
     """{g : g·sigma = sigma·g}, by exhaustive commutation test."""
     _ensure_scale(sigma.n)
-    members = frozenset(
+    return frozenset(
         g
-        for g in symmetric_group(sigma.n).elements
+        for g in symmetric_group(sigma.n)
         if compose(g, sigma) == compose(sigma, g)
     )
-    return Subgroup(sigma.n, members)
 
 
 def _generate(
@@ -135,20 +100,22 @@ def _generate(
     return span, generators
 
 
-def commutator_subgroup(H: Subgroup) -> Subgroup:
+def commutator_subgroup(H: frozenset[Permutation]) -> frozenset[Permutation]:
     """H' as the closure of the commutators [a, s] = a·s·a⁻¹·s⁻¹ for a in H
-    and s in a greedily chosen generating set of H.
+    and s in a greedily chosen generating set of H.  Candidates are taken in
+    sorted order, so the generating set does not depend on set iteration.
 
     Since [ab, s] = a·[b, s]·a⁻¹·[a, s], these commutators generate a normal
     subgroup N of H; every s is central modulo N, so H/N is abelian and N = H'.
     """
-    elements = list(H)
-    _, generators = _generate(H.n, elements)
+    elements = sorted(H, key=_key)
+    n = elements[0].n
+    _, generators = _generate(n, elements)
     commutators = (
         compose(conjugate(a, s), inverse(s)) for s in generators for a in elements
     )
-    derived, _ = _generate(H.n, commutators)
-    return Subgroup(H.n, frozenset(derived))
+    derived, _ = _generate(n, commutators)
+    return frozenset(derived)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,30 +140,33 @@ class FiniteAbelianGroup:
 
 
 @lru_cache(maxsize=None)
-def abelian_quotient(H: Subgroup) -> FiniteAbelianGroup:
+def abelian_quotient(H: frozenset[Permutation]) -> FiniteAbelianGroup:
     """Explicit H/H' with a greedy cyclic decomposition.
 
     Repeatedly extract an element whose coset order modulo the span so far is
     maximal, restricted to elements whose own order equals that coset order
-    (such a lift always exists because the span stays a direct summand);
-    the chosen generators then give unique coordinates by a counting argument.
+    (such a lift always exists because the span stays a direct summand).
+    Each span element records its coordinates as the span grows: the powers
+    g^k (k below the order) of a new generator g extend every old element's
+    coordinates by k, and they must all be new, or the sum is not direct.
     """
     derived = commutator_subgroup(H)
+    elements = sorted(H, key=_key)
     rep_of: dict[Permutation, Permutation] = {}
-    for h in sorted(H.elements, key=_key):
+    for h in elements:
         if h in rep_of:
             continue
-        coset = [compose(h, d) for d in derived.elements]
+        coset = [compose(h, d) for d in derived]
         rep = min(coset, key=_key)
         for member in coset:
             rep_of[member] = rep
     reps = sorted(set(rep_of.values()), key=_key)
-    identity_rep = rep_of[Permutation.identity(H.n)]
+    identity_rep = rep_of[Permutation.identity(elements[0].n)]
 
     def qmul(a: Permutation, b: Permutation) -> Permutation:
         return rep_of[compose(a, b)]
 
-    def order_modulo(q: Permutation, span: set[Permutation]) -> int:
+    def order_modulo(q: Permutation, span: Container[Permutation]) -> int:
         power, steps = q, 1
         while power not in span:
             power = qmul(power, q)
@@ -206,9 +176,9 @@ def abelian_quotient(H: Subgroup) -> FiniteAbelianGroup:
         return steps
 
     chosen: list[tuple[Permutation, int]] = []
-    span = {identity_rep}
-    while len(span) < len(reps):
-        orders_mod = {q: order_modulo(q, span) for q in reps}
+    coordinates: dict[Permutation, tuple[int, ...]] = {identity_rep: ()}
+    while len(coordinates) < len(reps):
+        orders_mod = {q: order_modulo(q, coordinates) for q in reps}
         largest = max(orders_mod.values())
         candidates = [
             q
@@ -220,25 +190,17 @@ def abelian_quotient(H: Subgroup) -> FiniteAbelianGroup:
             raise AssertionError("no pure lift found; quotient is not abelian?")
         generator = min(candidates, key=_key)
         chosen.append((generator, largest))
-        grown: set[Permutation] = set()
-        for member in span:
+        grown: dict[Permutation, tuple[int, ...]] = {}
+        for member, coords in coordinates.items():
             power = member
-            for _ in range(largest):
-                grown.add(power)
+            for k in range(largest):
+                grown[power] = coords + (k,)
                 power = qmul(power, generator)
-        span = grown
+        if len(grown) != len(coordinates) * largest:
+            raise AssertionError("cyclic decomposition is not a direct sum")
+        coordinates = grown
 
-    coordinates: dict[Permutation, tuple[int, ...]] = {}
-    for tup in itertools.product(*(range(order) for _, order in chosen)):
-        element = identity_rep
-        for (generator, _), exponent in zip(chosen, tup):
-            for _ in range(exponent):
-                element = qmul(element, generator)
-        coordinates[element] = tup
-    if len(coordinates) != len(reps):
-        raise AssertionError("cyclic decomposition does not span the quotient")
-
-    projection = {h: coordinates[rep_of[h]] for h in H.elements}
+    projection = {h: coordinates[rep_of[h]] for h in elements}
     return FiniteAbelianGroup(tuple(reps), tuple(chosen), projection)
 
 
@@ -255,22 +217,12 @@ class Character:
     def __post_init__(self) -> None:
         if len(self.domain) != len(self.values):
             raise ValueError("domain and values differ in length")
-        object.__setattr__(
-            self, "_pos", {h: i for i, h in enumerate(self.domain)}
-        )
 
     def __call__(self, h: Permutation) -> int:
         try:
-            return self.values[self._pos[h]]  # type: ignore[attr-defined]
-        except KeyError:
+            return self.values[self.domain.index(h)]
+        except ValueError:
             raise ValueError(f"{h} is not in the character's domain") from None
-
-    def is_homomorphism(self) -> bool:
-        return all(
-            (self(compose(a, b)) - self(a) - self(b)) % self.modulus == 0
-            for a in self.domain
-            for b in self.domain
-        )
 
 
 def dual_characters(A: FiniteAbelianGroup) -> list[Character]:
@@ -337,7 +289,7 @@ def conjugacy_class(lam: CycleType) -> tuple[Permutation, ...]:
     _ensure_scale(lam.n)
     return tuple(
         sorted(
-            (p for p in symmetric_group(lam.n).elements if cycle_type(p) == lam),
+            (p for p in symmetric_group(lam.n) if cycle_type(p) == lam),
             key=_key,
         )
     )
@@ -433,15 +385,6 @@ def class_action(lam: CycleType) -> ClassAction:
     )
 
 
-def _check_budget(lam: CycleType, r: int) -> int:
-    points = class_size(lam) * gamma(lam) ** r
-    if points > ORBIT_POINT_BUDGET:
-        raise OracleBudgetError(
-            f"class {lam} with r = {r} needs {points} points, over the budget of {ORBIT_POINT_BUDGET}"
-        )
-    return points
-
-
 @lru_cache(maxsize=None)
 def class_points(lam: CycleType, r: int) -> tuple[RSCPoint, ...]:
     """Every (base point, r characters) pair for one class: the per-class
@@ -451,8 +394,13 @@ def class_points(lam: CycleType, r: int) -> tuple[RSCPoint, ...]:
     _ensure_scale(lam.n)
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    _check_budget(lam, r)
     action = class_action(lam)
+    # the oracle's own count: base points times basis size to the r
+    points = len(action.base_points) * len(action.bases[0]) ** r
+    if points > ORBIT_POINT_BUDGET:
+        raise OracleBudgetError(
+            f"class {lam} with r = {r} needs {points} points, over the budget of {ORBIT_POINT_BUDGET}"
+        )
     return tuple(
         RSCPoint(u, chars)
         for u, basis in zip(action.base_points, action.bases)
@@ -532,7 +480,7 @@ def oracle_count(ram) -> int:
     relabelling: each class in the support gets its own conjugation and slot
     permutation, so the count is the product of the per-class orbit counts.
     One conjugation applied to every class at once is a different, joint
-    reading, which this count does not test (ROADMAP item 2)."""
+    reading, which this count does not test."""
     _ensure_scale(ram.n)
     total = 1
     for lam, mult in ram.entries:

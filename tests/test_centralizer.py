@@ -219,7 +219,7 @@ class TestOracleAgreement:
                 derived = oracle.commutator_subgroup(H)
                 quotient = oracle.abelian_quotient(H)
                 observed = Counter(
-                    _coset_order(rep, derived.elements) for rep in quotient.carrier
+                    _coset_order(rep, derived) for rep in quotient.carrier
                 )
                 factors = abelianization_invariants(cycle_type(sigma)).factors
                 assert observed == _cyclic_product_order_histogram(factors)

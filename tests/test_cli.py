@@ -1,9 +1,11 @@
+import hashlib
 import json
 import sys
 import time
 
 import pytest
 
+import ramsys.cli
 from ramsys.cli import main
 from ramsys.counting import Ramification, count_rsc, parse_ramification
 from ramsys.perm import CycleType
@@ -222,3 +224,25 @@ class TestVerify:
     def test_s1_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (("verify", "4", "--max-r", "3"), "8e5820ab6167c884"),
+            (("verify", "5", "--max-r", "2"), "4e6f451126bbbbdd"),
+        ],
+    )
+    def test_stdout_bytes_are_pinned(self, capsys, argv, prefix):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
+class TestErrors:
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(ram):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(ramsys.cli, "count_rsc", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["count", "3", "--ramification", "all:1"])

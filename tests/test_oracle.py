@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import itertools
 import random
 from math import factorial
@@ -12,7 +14,6 @@ from ramsys.oracle import (
     Character,
     OracleBudgetError,
     RSCPoint,
-    Subgroup,
     abelian_quotient,
     act,
     beta,
@@ -49,12 +50,29 @@ def is_even(p):
     return (p.n - cycle_count(p)) % 2 == 0
 
 
+def is_closed(H):
+    """Exhaustive closure check: H holds the identity and every product."""
+    n = next(iter(H)).n
+    return Permutation.identity(n) in H and all(
+        compose(a, b) in H for a in H for b in H
+    )
+
+
+def is_homomorphism(chi):
+    """χ(ab) = χ(a) + χ(b) mod the modulus, for every pair of the domain."""
+    return all(
+        (chi(compose(a, b)) - chi(a) - chi(b)) % chi.modulus == 0
+        for a in chi.domain
+        for b in chi.domain
+    )
+
+
 def all_pairs_derived(H):
     """Reference H': the closure of every commutator a·b·a⁻¹·b⁻¹, a, b in H."""
-    elements = {Permutation.identity(H.n)} | {
+    elements = {Permutation.identity(next(iter(H)).n)} | {
         compose(compose(a, b), compose(inverse(a), inverse(b)))
-        for a in H.elements
-        for b in H.elements
+        for a in H
+        for b in H
     }
     frontier = list(elements)
     while frontier:
@@ -120,7 +138,7 @@ class TestSymmetricGroup:
             assert len(symmetric_group(n)) == factorial(n)
 
     def test_n1_is_trivial(self):
-        assert set(symmetric_group(1).elements) == {Permutation.identity(1)}
+        assert set(symmetric_group(1)) == {Permutation.identity(1)}
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -129,13 +147,13 @@ class TestSymmetricGroup:
             symmetric_group(6)
 
     def test_closure(self):
-        assert symmetric_group(3).is_closed()
-        assert not Subgroup(3, frozenset({Permutation.from_cycles(3, [(1, 2)])})).is_closed()
+        assert is_closed(symmetric_group(3))
+        assert not is_closed(frozenset({Permutation.from_cycles(3, [(1, 2)])}))
 
 
 class TestCentralizer:
     def test_identity_centralizer_is_whole_group(self):
-        assert centralizer(Permutation.identity(3)).elements == symmetric_group(3).elements
+        assert centralizer(Permutation.identity(3)) == symmetric_group(3)
 
     def test_three_cycle(self):
         sigma = Permutation.from_cycles(3, [(1, 2, 3)])
@@ -144,7 +162,7 @@ class TestCentralizer:
             sigma,
             compose(sigma, sigma),
         }
-        assert centralizer(sigma).elements == frozenset(expected)
+        assert centralizer(sigma) == frozenset(expected)
 
     def test_double_transposition_order(self):
         sigma = Permutation.from_cycles(4, [(1, 2), (3, 4)])
@@ -165,7 +183,7 @@ class TestCommutatorSubgroup:
     def test_abelian_gives_trivial(self):
         sigma = Permutation.from_cycles(3, [(1, 2, 3)])
         derived = commutator_subgroup(centralizer(sigma))
-        assert derived.elements == frozenset({Permutation.identity(3)})
+        assert derived == frozenset({Permutation.identity(3)})
 
     def test_dihedral_centralizer(self):
         sigma = Permutation.from_cycles(4, [(1, 2), (3, 4)])
@@ -175,13 +193,13 @@ class TestCommutatorSubgroup:
         for n in range(1, 6):
             derived = commutator_subgroup(symmetric_group(n))
             evens = frozenset(p for p in symmetric_group(n) if is_even(p))
-            assert derived.elements == evens
+            assert derived == evens
             if n >= 2:
                 assert len(derived) * 2 == factorial(n)
 
     def test_result_is_closed(self):
         for n in range(1, 5):
-            assert commutator_subgroup(symmetric_group(n)).is_closed()
+            assert is_closed(commutator_subgroup(symmetric_group(n)))
 
     def test_matches_all_pairs_closure(self):
         for n in range(1, 6):
@@ -190,7 +208,7 @@ class TestCommutatorSubgroup:
                 for lam in enumerate_cycle_types(n)
             ]
             for H in groups:
-                assert commutator_subgroup(H).elements == all_pairs_derived(H)
+                assert commutator_subgroup(H) == all_pairs_derived(H)
 
 
 class TestAbelianQuotient:
@@ -224,8 +242,14 @@ class TestAbelianQuotient:
                 assert product == len(quotient) == len(H) // len(derived)
 
     def test_projection_is_coordinatewise_homomorphism(self):
-        sigma = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        quotient = abelian_quotient(centralizer(sigma))
+        # the centralizer of every element of S_1..S_5, the double
+        # transposition of S_4 among them
+        for n in range(1, 6):
+            for sigma in symmetric_group(n):
+                self.check_coordinatewise_homomorphism(abelian_quotient(centralizer(sigma)))
+
+    @staticmethod
+    def check_coordinatewise_homomorphism(quotient):
         orders = [order for _, order in quotient.generators]
         for a in quotient.projection:
             for b in quotient.projection:
@@ -241,7 +265,7 @@ class TestAbelianQuotient:
 
 class TestDualCharacters:
     def test_trivial_group(self):
-        quotient = abelian_quotient(Subgroup(1, frozenset({Permutation.identity(1)})))
+        quotient = abelian_quotient(frozenset({Permutation.identity(1)}))
         characters = dual_characters(quotient)
         assert len(characters) == 1
         assert set(characters[0].values) == {0}
@@ -266,7 +290,7 @@ class TestDualCharacters:
     def test_characters_are_homomorphisms(self):
         for lam in enumerate_cycle_types(4):
             for chi in character_basis(canonical_representative(lam)):
-                assert chi.is_homomorphism()
+                assert is_homomorphism(chi)
                 assert chi(Permutation.identity(4)) == 0
 
     def test_derived_subgroup_in_kernel(self):
@@ -289,8 +313,8 @@ class TestAct:
 
     def test_action_axiom_random_s4(self):
         rng = random.Random(71)
-        group = list(symmetric_group(4))
-        index_group = list(symmetric_group(2).elements)
+        group = sorted(symmetric_group(4), key=lambda p: p.images)
+        index_group = list(symmetric_group(2))
         points = class_points(CycleType.parse("1^2 2^1"), 2)
         for _ in range(1000):
             point = rng.choice(points)
@@ -314,7 +338,7 @@ class TestAct:
         g = Permutation.from_cycles(4, [(1, 3, 2)])
         moved = act(g, Permutation.identity(1), point)
         assert set(moved.characters[0].domain) == set(
-            centralizer(moved.base_point).elements
+            centralizer(moved.base_point)
         )
 
     def test_size_mismatches(self):
@@ -484,8 +508,8 @@ class TestFixedPointCount:
     def test_matches_closed_form_spot(self):
         lam = CycleType.parse("1^2 2^1")
         rng = random.Random(19)
-        group = list(symmetric_group(4))
-        index_group = list(symmetric_group(2).elements)
+        group = sorted(symmetric_group(4), key=lambda p: p.images)
+        index_group = list(symmetric_group(2))
         for _ in range(25):
             g = rng.choice(group)
             pi = rng.choice(index_group)
@@ -571,3 +595,59 @@ class TestCharacterRepresentation:
     def test_construction_validates_lengths(self):
         with pytest.raises(ValueError):
             Character(2, (Permutation.identity(2),), (0, 1))
+
+
+class TestIndependenceFromTheClosedForm:
+    MODULES = (
+        "ramsys",
+        "ramsys.perm",
+        "ramsys.combinat",
+        "ramsys.centralizer",
+        "ramsys.counting",
+        "ramsys.oracle",
+        "ramsys.cli",
+    )
+    CLOSED_FORM = (
+        "gamma",
+        "abelianization_invariants",
+        "class_size",
+        "centralizer_order",
+        "multiset_coefficient",
+        "count_rsc",
+    )
+
+    def test_orbit_counts_with_the_closed_form_switched_off(self, monkeypatch):
+        cases = [
+            (lam, r) for n in range(2, 5) for lam in enumerate_cycle_types(n) for r in (1, 2)
+        ]
+        recorded = {case: orbit_count_class(*case) for case in cases}
+
+        def switched_off(*args, **kwargs):
+            raise AssertionError("the oracle called the closed form")
+
+        for module in map(importlib.import_module, self.MODULES):
+            for name in self.CLOSED_FORM:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, switched_off)
+        for value in vars(ramsys.oracle).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        for case in cases:
+            assert orbit_count_class(*case) == recorded[case]
+
+
+class TestCharacterNumbering:
+    def test_bases_maps_and_orbits_are_pinned(self):
+        # sha256 over every class of S_2..S_5: the carried value tables, the
+        # character maps and the orbit partitions for r <= 3 (r <= 2 at n = 5);
+        # pins the character numbering that type vectors use
+        digest = hashlib.sha256()
+        for n in range(2, 6):
+            for lam in enumerate_cycle_types(n):
+                action = class_action(lam)
+                digest.update(str(lam).encode())
+                digest.update(repr([[chi.values for chi in basis] for basis in action.bases]).encode())
+                digest.update(repr(action.character_maps).encode())
+                for r in range(1, (2 if n == 5 else 3) + 1):
+                    digest.update(repr(orbit_partition_class(lam, r)).encode())
+        assert digest.hexdigest()[:16] == "23b7056cf622d14f"
