@@ -4,6 +4,8 @@ The centralizer of a permutation with λ_i cycles of length i is the direct
 product over i of the wreath products C_i wr S_{λ_i}.  Its abelianization is
 a product of small cyclic groups whose order γ depends only on the cycle
 type; γ is the number of one-dimensional characters of the centralizer.
+The cyclic factors come from ``perm.class_invariants``, the one place that
+states their rule; ``abelianization_invariants`` and ``gamma`` read them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from math import prod
 from .perm import (
     CycleType,
     Permutation,
+    class_invariants,
     compose,
     cycle_decomposition,
     inverse,
@@ -131,44 +134,29 @@ def wreath_compose(w: WreathElement, tau: Permutation) -> Permutation:
 
 @dataclass(frozen=True)
 class AbelianInvariants:
-    """Cyclic factors of the abelianized centralizer, in per-cycle-length order.
-
-    Each cycle length i contributes C_i when λ_i = 1 and C_i × C_2 when
-    λ_i >= 2; trivial factors are dropped.  The product of the factors is γ.
-    """
+    """Cyclic factors of the abelianized centralizer, in the order
+    ``perm.class_invariants`` gives them; the product of the factors is γ."""
 
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(f < 2 for f in self.factors):
+        if self.factors and min(self.factors) < 2:
             raise ValueError("factors must all be >= 2")
 
     def order(self) -> int:
         return prod(self.factors)
 
     def __str__(self) -> str:
-        return "x".join(str(f) for f in self.factors) if self.factors else "1"
+        return "x".join(map(str, self.factors)) if self.factors else "1"
 
 
 def abelianization_invariants(lam: CycleType) -> AbelianInvariants:
-    factors: list[int] = []
-    for i, mult in enumerate(lam.multiplicities, start=1):
-        if mult == 1:
-            factors.append(i)
-        elif mult >= 2:
-            factors.extend((i, 2))
-    return AbelianInvariants(tuple(f for f in factors if f > 1))
+    return AbelianInvariants(class_invariants(lam)[1])
 
 
 @lru_cache(maxsize=None)
 def gamma(lam: CycleType) -> int:
     """Number of one-dimensional characters of the centralizer of the class:
-    the product of i over lengths with λ_i = 1 and of 2i over lengths with
-    λ_i >= 2."""
-    value = 1
-    for i, mult in enumerate(lam.multiplicities, start=1):
-        if mult == 1:
-            value *= i
-        elif mult >= 2:
-            value *= 2 * i
-    return value
+    the order of its abelianization, the product of the factors that
+    ``perm.class_invariants`` gives."""
+    return prod(class_invariants(lam)[1])

@@ -6,9 +6,10 @@ import argparse
 import itertools
 import json
 import sys
+from math import factorial
 from typing import Sequence
 
-from .centralizer import abelianization_invariants, gamma
+from .centralizer import AbelianInvariants, gamma
 from .combinat import multiset_coefficient
 from .counting import (
     Ramification,
@@ -24,8 +25,7 @@ from .oracle import ORACLE_MAX_N, OracleBudgetError, oracle_count
 from .perm import (
     ClassListTooLargeError,
     canonical_representative,
-    centralizer_order,
-    class_size,
+    class_invariants,
     cycle_string,
     enumerate_cycle_types,
 )
@@ -50,16 +50,19 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
         max(len(header), *(len(row[i]) for row in rows)) if rows else len(header)
         for i, header in enumerate(headers)
     ]
-    print("  ".join(header.ljust(w) for header, w in zip(headers, widths)).rstrip())
+    line = "  ".join([f"{{:<{w}}}" for w in widths]).format
+    print(line(*headers).rstrip())
     for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        print(line(*row).rstrip())
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
+    n_factorial = factorial(args.n)
     rows = []
     for lam in enumerate_cycle_types(args.n):
-        row = lam, class_size(lam), centralizer_order(lam), gamma(lam), abelianization_invariants(lam)
-        rows.append([str(value) for value in row])
+        z, factors = class_invariants(lam)
+        invariants = AbelianInvariants(factors)
+        rows.append([str(lam), str(n_factorial // z), str(z), str(invariants.order()), str(invariants)])
     _print_table(["type", "size", "centralizer", "gamma", "factors"], rows)
     return 0
 
@@ -69,10 +72,10 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(count_report(ram), indent=2))
         return 0
-    rows = [
-        [str(lam), str(mult), str(gamma(lam)), decimal_string(multiset_coefficient(gamma(lam), mult))]
-        for lam, mult in ram.entries
-    ]
+    rows = []
+    for lam, mult in ram.entries:
+        g = gamma(lam)
+        rows.append([str(lam), str(mult), str(g), decimal_string(multiset_coefficient(g, mult))])
     _print_table(["class", "r", "gamma", "factor"], rows)
     print(f"count = {decimal_string(count_rsc(ram))}")
     return 0

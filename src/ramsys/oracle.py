@@ -132,9 +132,6 @@ class FiniteAbelianGroup:
     generators: tuple[tuple[Permutation, int], ...]
     projection: dict[Permutation, tuple[int, ...]]
 
-    def __len__(self) -> int:
-        return len(self.carrier)
-
     def exponent(self) -> int:
         return lcm(*(order for _, order in self.generators)) if self.generators else 1
 
@@ -217,12 +214,6 @@ class Character:
     def __post_init__(self) -> None:
         if len(self.domain) != len(self.values):
             raise ValueError("domain and values differ in length")
-
-    def __call__(self, h: Permutation) -> int:
-        try:
-            return self.values[self.domain.index(h)]
-        except ValueError:
-            raise ValueError(f"{h} is not in the character's domain") from None
 
 
 def dual_characters(A: FiniteAbelianGroup) -> list[Character]:

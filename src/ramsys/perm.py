@@ -2,7 +2,10 @@
 
 Points are 1-based throughout.  A permutation is stored in one-line image
 form; cycle types double as conjugacy-class identifiers.  All counts are
-exact Python integers.
+exact Python integers.  ``class_invariants`` is the one walk over a class's
+cycle lengths that holds the rules for the centralizer order z_λ and for the
+cyclic factors of the abelianized centralizer; ``centralizer_order``,
+``class_size`` and ``centralizer.gamma`` all read it.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count
 from math import factorial
 from typing import Iterable
 
@@ -145,9 +149,8 @@ class CycleType:
         return tuple(out)
 
     def __str__(self) -> str:
-        return " ".join(
-            f"{i}^{m}" for i, m in enumerate(self.multiplicities, start=1) if m
-        )
+        counts = self.multiplicities
+        return " ".join([f"{i}^{counts[i - 1]}" for i in compress(count(1), counts)])
 
 
 def _trusted_permutation(images: tuple[int, ...]) -> Permutation:
@@ -244,13 +247,30 @@ def class_size(lam: CycleType) -> int:
 
 
 def centralizer_order(lam: CycleType) -> int:
-    """Order of the centralizer of any permutation of cycle type lam:
-    prod λ_i! · i^λ_i over the lengths i with λ_i > 0."""
+    """Order z_λ of the centralizer of any permutation of cycle type lam."""
+    return class_invariants(lam)[0]
+
+
+def class_invariants(lam: CycleType) -> tuple[int, tuple[int, ...]]:
+    """z_λ and the cyclic factors of the abelianized centralizer, from one walk
+    over the cycle lengths i present in lam.
+
+    The centralizer is the direct product of the wreath products C_i wr S_λi,
+    so z_λ = prod λ_i! · i^λ_i.  Each length contributes C_i when λ_i = 1 and
+    C_i × C_2 when λ_i >= 2 to the abelianization; the factors come in
+    ascending i, each C_i before its C_2, with trivial factors (i = 1) dropped.
+    """
+    counts = lam.multiplicities
     order = 1
-    for i, m in enumerate(lam.multiplicities, start=1):
-        if m:
-            order *= factorial(m) * i**m
-    return order
+    factors = []
+    for i in compress(count(1), counts):
+        m = counts[i - 1]
+        order *= factorial(m) * i**m
+        if i > 1:
+            factors.append(i)
+        if m > 1:
+            factors.append(2)
+    return order, tuple(factors)
 
 
 # Largest n that enumerate_cycle_types lists: S_45 has p(45) = 89,134 classes

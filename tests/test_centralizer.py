@@ -1,7 +1,8 @@
 import itertools
 import random
+import re
 from collections import Counter
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 import pytest
 
@@ -16,10 +17,13 @@ from ramsys.centralizer import (
     wreath_inverse,
     wreath_multiply,
 )
+from ramsys.cli import main
 from ramsys.perm import (
     CycleType,
     Permutation,
     centralizer_order,
+    class_invariants,
+    class_size,
     compose,
     cycle_type,
     enumerate_cycle_types,
@@ -186,6 +190,50 @@ class TestAbelianization:
         assert str(abelianization_invariants(CycleType.parse("1^1"))) == "1"
 
 
+def stated_row(lam):
+    """The classes row of lam by the README's rules, from its parts alone:
+    text, z_λ = prod λ_i!·i^λ_i, γ (i for λ_i = 1, 2i for λ_i >= 2) and the
+    factors (C_i, or C_i × C_2, per length in ascending order, 1s dropped)."""
+    mults = Counter(lam.parts())
+    lengths = sorted(mults)
+    factors = []
+    for i in lengths:
+        factors += [i] if mults[i] == 1 else [i, 2]
+    return (
+        " ".join(f"{i}^{mults[i]}" for i in lengths),
+        prod(factorial(mults[i]) * i ** mults[i] for i in lengths),
+        prod(i if mults[i] == 1 else 2 * i for i in lengths),
+        tuple(f for f in factors if f > 1),
+    )
+
+
+class TestClassInvariants:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_against_stated_rules(self, n):
+        total = 0
+        for lam in enumerate_cycle_types(n):
+            text, z, g, factors = stated_row(lam)
+            assert str(lam) == text
+            assert class_invariants(lam) == (z, factors)
+            assert centralizer_order(lam) == z
+            assert class_size(lam) * centralizer_order(lam) == factorial(n)
+            assert gamma(lam) == g
+            assert abelianization_invariants(lam).factors == factors
+            total += class_size(lam)
+        assert total == factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_classes_rows(self, capsys, n):
+        assert main(["classes", str(n)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        lams = enumerate_cycle_types(n)
+        assert len(lines) == len(lams) + 1
+        for line, lam in zip(lines[1:], lams):
+            text, z, g, factors = stated_row(lam)
+            shown = "x".join(map(str, factors)) or "1"
+            assert re.split(r" {2,}", line) == [text, str(factorial(n) // z), str(z), str(g), shown]
+
+
 class TestCentralizerOrderFactorization:
     def test_product_of_wreath_orders(self):
         # |Z| = prod_i |C_i wr S_{λ_i}| = prod_i i^{λ_i} λ_i!
@@ -202,7 +250,7 @@ class TestOracleAgreement:
         for n in range(1, 5):
             for sigma in oracle.symmetric_group(n):
                 quotient = oracle.abelian_quotient(oracle.centralizer(sigma))
-                assert len(quotient) == gamma(cycle_type(sigma))
+                assert len(quotient.carrier) == gamma(cycle_type(sigma))
 
     def test_commutator_of_double_transposition_centralizer(self):
         # C_2 wr S_2 has derived subgroup of order |B-bar| * |A_2| = 2 * 1

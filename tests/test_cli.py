@@ -238,6 +238,42 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
 
 
+class TestClosedFormBytes:
+    @pytest.mark.parametrize(
+        "argvs, prefix",
+        [
+            ([("classes", str(n)) for n in range(1, 33)], "dbde7bc13daeb6b4"),
+            (
+                [
+                    ("count", str(n), "--ramification", f"all:{r}", "--format", fmt)
+                    for n in range(1, 21)
+                    if n != 6
+                    for r in range(4)
+                    for fmt in ("table", "json")
+                ],
+                "853d6e186a276472",
+            ),
+            (
+                [
+                    ("reps", str(n), "--ramification", f"all:{r}", "--limit", "50")
+                    for n in range(1, 11)
+                    if n != 6
+                    for r in range(3)
+                ],
+                "1bf0b19676c9fcaa",
+            ),
+        ],
+        ids=["classes", "count", "reps"],
+    )
+    def test_stdout_bytes_are_pinned(self, capsys, argvs, prefix):
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest()[:16] == prefix
+
+
 class TestErrors:
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(ram):

@@ -58,10 +58,22 @@ def is_closed(H):
     )
 
 
+def character_value(chi, h):
+    """χ(h), read from the character's value table."""
+    try:
+        return chi.values[chi.domain.index(h)]
+    except ValueError:
+        raise ValueError(f"{h} is not in the character's domain") from None
+
+
 def is_homomorphism(chi):
     """χ(ab) = χ(a) + χ(b) mod the modulus, for every pair of the domain."""
+
+    def at(h):
+        return character_value(chi, h)
+
     return all(
-        (chi(compose(a, b)) - chi(a) - chi(b)) % chi.modulus == 0
+        (at(compose(a, b)) - at(a) - at(b)) % chi.modulus == 0
         for a in chi.domain
         for b in chi.domain
     )
@@ -214,19 +226,19 @@ class TestCommutatorSubgroup:
 class TestAbelianQuotient:
     def test_s3_quotient_is_c2(self):
         quotient = abelian_quotient(symmetric_group(3))
-        assert len(quotient) == 2
+        assert len(quotient.carrier) == 2
         assert [order for _, order in quotient.generators] == [2]
 
     def test_cyclic_centralizer(self):
         sigma = Permutation.from_cycles(3, [(1, 2, 3)])
         quotient = abelian_quotient(centralizer(sigma))
-        assert len(quotient) == 3
+        assert len(quotient.carrier) == 3
         assert [order for _, order in quotient.generators] == [3]
 
     def test_klein_quotient(self):
         sigma = Permutation.from_cycles(4, [(1, 2), (3, 4)])
         quotient = abelian_quotient(centralizer(sigma))
-        assert len(quotient) == 4
+        assert len(quotient.carrier) == 4
         assert quotient.exponent() == 2
         assert sorted(order for _, order in quotient.generators) == [2, 2]
 
@@ -239,7 +251,7 @@ class TestAbelianQuotient:
                 product = 1
                 for _, order in quotient.generators:
                     product *= order
-                assert product == len(quotient) == len(H) // len(derived)
+                assert product == len(quotient.carrier) == len(H) // len(derived)
 
     def test_projection_is_coordinatewise_homomorphism(self):
         # the centralizer of every element of S_1..S_5, the double
@@ -279,7 +291,7 @@ class TestDualCharacters:
         sign = [c for c in characters if set(c.values) == {0, 1}]
         assert len(trivial) == 1 and len(sign) == 1
         for p in symmetric_group(3):
-            assert sign[0](p) == (0 if is_even(p) else 1)
+            assert character_value(sign[0], p) == (0 if is_even(p) else 1)
 
     def test_count_is_gamma_exhaustive_s4(self):
         for sigma in symmetric_group(4):
@@ -291,19 +303,19 @@ class TestDualCharacters:
         for lam in enumerate_cycle_types(4):
             for chi in character_basis(canonical_representative(lam)):
                 assert is_homomorphism(chi)
-                assert chi(Permutation.identity(4)) == 0
+                assert character_value(chi, Permutation.identity(4)) == 0
 
     def test_derived_subgroup_in_kernel(self):
         sigma = Permutation.from_cycles(4, [(1, 2), (3, 4)])
         H = centralizer(sigma)
         derived = commutator_subgroup(H)
         for chi in dual_characters(abelian_quotient(H)):
-            assert all(chi(d) == 0 for d in derived)
+            assert all(character_value(chi, d) == 0 for d in derived)
 
     def test_domain_errors(self):
         chi = character_basis(Permutation.from_cycles(3, [(1, 2, 3)]))[1]
         with pytest.raises(ValueError):
-            chi(Permutation.from_cycles(3, [(1, 2)]))
+            character_value(chi, Permutation.from_cycles(3, [(1, 2)]))
 
 
 class TestAct:
@@ -612,6 +624,7 @@ class TestIndependenceFromTheClosedForm:
         "abelianization_invariants",
         "class_size",
         "centralizer_order",
+        "class_invariants",
         "multiset_coefficient",
         "count_rsc",
     )
