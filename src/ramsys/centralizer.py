@@ -74,7 +74,7 @@ def _cycle_grid(tau: Permutation) -> tuple[list[tuple[int, ...]], int]:
     tau must be a product of disjoint cycles of one common length l >= 2;
     anchors are the smallest points per cycle, rows ordered by anchor.
     """
-    rows = [c.points for c in cycle_decomposition(tau) if len(c.points) > 1]
+    rows = [c for c in cycle_decomposition(tau) if len(c) > 1]
     if not rows:
         raise ValueError("tau has empty support; wreath coordinates are undefined")
     lengths = {len(row) for row in rows}

@@ -1,48 +1,21 @@
-"""Exact integer combinatorics: Stirling numbers, multiset coefficients, weak compositions."""
+"""Exact integer combinatorics, as pure functions: Stirling numbers (rows
+memoized by ``functools.lru_cache``), multiset coefficients, weak compositions."""
 
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
 from math import comb
 from typing import Iterator
 
 
-class StirlingTable:
-    """Triangular table of unsigned Stirling numbers of the first kind.
-
-    Row n holds s(n, k) for k = 0..n, grown lazily through the recurrence
-    s(n+1, k) = s(n, k-1) + n·s(n, k).  Growth is lock-guarded so concurrent
-    callers always read correct values.
-    """
-
-    def __init__(self, n_max: int = 1):
-        self._rows: list[list[int]] = [[1]]  # s(0, 0) = 1
-        self._lock = threading.Lock()
-        self._grow(n_max)
-
-    @property
-    def n_max(self) -> int:
-        return len(self._rows) - 1
-
-    def _grow(self, n: int) -> None:
-        with self._lock:
-            while len(self._rows) <= n:
-                m = len(self._rows) - 1
-                prev = self._rows[-1]
-                row = [0] * (m + 2)
-                for k in range(1, m + 2):
-                    row[k] = prev[k - 1] + m * (prev[k] if k <= m else 0)
-                self._rows.append(row)
-
-    def value(self, n: int, k: int) -> int:
-        if n < 1 or not 1 <= k <= n:
-            raise ValueError(f"stirling_first needs 1 <= k <= n, got n={n}, k={k}")
-        if n > self.n_max:
-            self._grow(n)
-        return self._rows[n][k]
-
-
-_TABLE = StirlingTable()
+@lru_cache(maxsize=None)
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """s(n, k) for k = 0..n through s(m+1, k) = s(m, k-1) + m·s(m, k), by a
+    loop, so there is no recursion limit."""
+    row = [1]  # s(0, 0)
+    for m in range(n):
+        row = [0] + [row[k - 1] + m * row[k] for k in range(1, m + 1)] + [1]
+    return tuple(row)
 
 
 def stirling_first(n: int, k: int) -> int:
@@ -51,7 +24,9 @@ def stirling_first(n: int, k: int) -> int:
     Equivalently, (-1)^(n-k)·s(n, k) is the coefficient of x^k in the falling
     factorial x(x-1)···(x-n+1).
     """
-    return _TABLE.value(n, k)
+    if not 1 <= k <= n:
+        raise ValueError(f"stirling_first needs 1 <= k <= n, got n={n}, k={k}")
+    return _stirling_row(n)[k]
 
 
 def multiset_coefficient(gamma: int, r: int) -> int:

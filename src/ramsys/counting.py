@@ -230,15 +230,12 @@ def parse_ramification(text: str, n: int) -> Ramification:
     ensure_countable(n)
     if not text.strip():
         raise RamificationParseError("empty ramification spec", 0)
-    chunks: list[tuple[int, str]] = []
+    entries: dict[CycleType, int] = {}
     offset = 0
     for raw in text.split(";"):
-        chunks.append((offset, raw))
-        offset += len(raw) + 1
-    entries: dict[CycleType, int] = {}
-    for position, raw in chunks:
         entry = raw.strip()
-        position += len(raw) - len(raw.lstrip())
+        position = offset + len(raw) - len(raw.lstrip())
+        offset += len(raw) + 1
         if not entry:
             raise RamificationParseError("empty entry", position)
         type_text, sep, count_text = entry.rpartition(":")
@@ -253,7 +250,7 @@ def parse_ramification(text: str, n: int) -> Ramification:
         if count < 0:
             raise RamificationParseError(f"negative count {count}", position)
         if type_text.strip() == "all":
-            if len(chunks) != 1:
+            if ";" in text:
                 raise RamificationParseError(
                     "'all' cannot be combined with other entries", position
                 )

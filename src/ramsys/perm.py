@@ -40,6 +40,8 @@ class Permutation:
         seen: set[int] = set()
         for cycle in cycles:
             points = list(cycle)
+            if not points:
+                raise ValueError("cycles must be non-empty")
             for point in points:
                 if not 1 <= point <= n:
                     raise ValueError(f"point {point} outside 1..{n}")
@@ -59,23 +61,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return cycle_string(self)
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """One cycle of a decomposition; presentation-only carrier."""
-
-    points: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) < 1 or len(set(self.points)) != len(self.points):
-            raise ValueError(f"cycle points must be distinct and non-empty: {self.points!r}")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __str__(self) -> str:
-        return "(" + " ".join(str(p) for p in self.points) + ")"
 
 
 _TYPE_TOKEN = re.compile(r"^(\d+)\^(\d+)$")
@@ -187,52 +172,42 @@ def conjugate(g: Permutation, x: Permutation) -> Permutation:
     return _trusted_permutation(tuple(images))
 
 
-def cycle_decomposition(p: Permutation) -> list[Cycle]:
-    """Disjoint cycles of p, fixed points included as 1-cycles.
+def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
+    """Disjoint cycles of p as point tuples, fixed points included as 1-cycles.
 
-    Cycles are ordered by smallest contained point and rotated to start at it,
-    so ``points[j]`` is the j-th forward image of the cycle's anchor.
+    One pass over the images: cycles are ordered by smallest contained point
+    and start at it, so ``cycle[j]`` is the j-th forward image of its anchor.
     """
-    cycles: list[Cycle] = []
-    seen: set[int] = set()
-    for start in range(1, p.n + 1):
-        if start in seen:
+    images = p.images
+    seen = [False] * (len(images) + 1)
+    cycles = []
+    for start in range(1, len(images) + 1):
+        if seen[start]:
             continue
-        points = [start]
-        seen.add(start)
-        current = p(start)
-        while current != start:
-            points.append(current)
-            seen.add(current)
-            current = p(current)
-        cycles.append(Cycle(tuple(points)))
+        cycle = [start]
+        point = images[start - 1]
+        while point != start:
+            seen[point] = True
+            cycle.append(point)
+            point = images[point - 1]
+        cycles.append(tuple(cycle))
     return cycles
 
 
-def cycle_string(p: Permutation, include_fixed: bool = False) -> str:
-    """Cycle notation, e.g. ``(1 2)(4 5)``; the identity renders as ``()``."""
-    cycles = [c for c in cycle_decomposition(p) if include_fixed or len(c) > 1]
-    if not cycles:
-        return "()"
-    return "".join(str(c) for c in cycles)
+def cycle_string(p: Permutation) -> str:
+    """Cycle notation without fixed points, e.g. ``(1 2)(4 5)``; the identity
+    renders as ``()``."""
+    cycles = [c for c in cycle_decomposition(p) if len(c) > 1]
+    return "".join(["(" + " ".join(map(str, c)) + ")" for c in cycles]) or "()"
 
 
 def cycle_type(p: Permutation) -> CycleType:
-    """The cycle lengths of p, counted straight off its images."""
+    """The cycle lengths of p, counted over cycle_decomposition."""
     if not p.n:
         raise ValueError("the empty permutation has no cycle type")
-    images = p.images
     counts = [0] * p.n
-    seen = [False] * (p.n + 1)
-    for start in range(1, p.n + 1):
-        if seen[start]:
-            continue
-        length, point = 0, start
-        while not seen[point]:
-            seen[point] = True
-            point = images[point - 1]
-            length += 1
-        counts[length - 1] += 1
+    for cycle in cycle_decomposition(p):
+        counts[len(cycle) - 1] += 1
     return _trusted_cycle_type(p.n, tuple(counts))
 
 

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from ramsys.combinat import (
-    StirlingTable,
+    _stirling_row,
     multiset_coefficient,
     stirling_first,
     weak_compositions,
@@ -84,20 +84,13 @@ class TestStirlingFirst:
 
     def test_domain_errors(self):
         for n, k in ((3, 0), (3, 4), (0, 0), (-1, 1), (2, -1)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="stirling_first needs 1 <= k <= n"):
                 stirling_first(n, k)
 
-
-class TestStirlingTable:
-    def test_grows_on_demand(self):
-        table = StirlingTable(2)
-        assert table.n_max == 2
-        assert table.value(10, 3) == stirling_first(10, 3)
-        assert table.n_max >= 10
-
     def test_concurrent_reads_are_correct(self):
-        reference = StirlingTable(120)
-        shared = StirlingTable(1)
+        # values read one at a time, then read again by 8 threads from cold rows
+        reference = {(n, k): stirling_first(n, k) for n in range(1, 121) for k in range(1, n + 1)}
+        _stirling_row.cache_clear()
         errors = []
 
         def worker(seed):
@@ -105,7 +98,7 @@ class TestStirlingTable:
             for _ in range(50):
                 n = rng.randint(1, 120)
                 k = rng.randint(1, n)
-                if shared.value(n, k) != reference.value(n, k):
+                if stirling_first(n, k) != reference[(n, k)]:
                     errors.append((n, k))
 
         threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]

@@ -295,6 +295,26 @@ class TestParseRamification:
         assert info.value.position == 6
         assert "position 6" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "spec, position",
+        [
+            ("3^1:1; ;1^3:1", 7),
+            ("3^1:1;  1^3", 8),
+            ("3^1:1; 1^3:x", 7),
+            ("3^1:1;1^3:-1", 6),
+            ("3^1:1; all:1", 7),
+            ("all:1;3^1:1", 0),
+            ("3^1:1;  4^1:1", 8),
+            ("3^1:1; 1^1 1^2:1", 7),
+            ("3^1:1;1^3:1; [3]:2", 13),
+            ("3^1:1;", 6),
+        ],
+    )
+    def test_error_positions_point_past_leading_blanks(self, spec, position):
+        with pytest.raises(RamificationParseError) as info:
+            parse_ramification(spec, 3)
+        assert info.value.position == position
+
     def test_zero_counts_allowed(self):
         ram = parse_ramification("1^3:0;3^1:2", 3)
         assert ram.entries == ((CycleType.parse("3^1"), 2),)

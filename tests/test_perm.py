@@ -8,7 +8,6 @@ import pytest
 from ramsys.perm import (
     MAX_CLASS_LIST_N,
     ClassListTooLargeError,
-    Cycle,
     CycleType,
     Permutation,
     canonical_representative,
@@ -54,11 +53,15 @@ def all_perms(n):
 
 
 def reference_cycle_type(p):
-    """The cycle type counted over the Cycle objects of cycle_decomposition."""
-    counts = [0] * p.n
-    for cycle in cycle_decomposition(p):
-        counts[len(cycle) - 1] += 1
-    return CycleType(p.n, tuple(counts))
+    """The cycle type from each point's orbit length, found by iterating p:
+    the l points on an l-cycle each have orbit length l."""
+    lengths = []
+    for x in range(1, p.n + 1):
+        length, y = 1, p(x)
+        while y != x:
+            length, y = length + 1, p(y)
+        lengths.append(length)
+    return CycleType(p.n, tuple(lengths.count(i) // i for i in range(1, p.n + 1)))
 
 
 def assert_same_permutation(result, images):
@@ -89,36 +92,40 @@ class TestPermutation:
             Permutation.from_cycles(3, [(1, 2), (2, 3)])
         with pytest.raises(ValueError):
             Permutation.from_cycles(3, [(1, 4)])
+        with pytest.raises(ValueError, match="non-empty"):
+            Permutation.from_cycles(3, [()])
+        with pytest.raises(ValueError, match="non-empty"):
+            Permutation.from_cycles(3, [(1, 2), ()])
 
 
 class TestCycleDecomposition:
     def test_identity(self):
         cycles = cycle_decomposition(Permutation.identity(3))
-        assert cycles == [Cycle((1,)), Cycle((2,)), Cycle((3,))]
+        assert cycles == [(1,), (2,), (3,)]
 
     def test_single_three_cycle(self):
-        assert cycle_decomposition(perm(2, 3, 1)) == [Cycle((1, 2, 3))]
+        assert cycle_decomposition(perm(2, 3, 1)) == [(1, 2, 3)]
 
     def test_disjoint_cycles(self):
         # 1->2, 2->1, 3->4, 4->5, 5->3
-        assert cycle_decomposition(perm(2, 1, 4, 5, 3)) == [
-            Cycle((1, 2)),
-            Cycle((3, 4, 5)),
-        ]
+        assert cycle_decomposition(perm(2, 1, 4, 5, 3)) == [(1, 2), (3, 4, 5)]
 
     def test_partitions_all_points_and_is_anchored(self):
         rng = random.Random(11)
-        for _ in range(100):
-            p = Permutation(tuple(rng.sample(range(1, 8), 7)))
+        every = [p for n in range(1, 7) for p in all_perms(n)]
+        sampled = [Permutation(tuple(rng.sample(range(1, 8), 7))) for _ in range(100)]
+        for p in every + sampled:
             cycles = cycle_decomposition(p)
-            points = [x for c in cycles for x in c.points]
-            assert sorted(points) == list(range(1, 8))
-            anchors = [c.points[0] for c in cycles]
+            assert all(type(c) is tuple for c in cycles)
+            points = [x for c in cycles for x in c]
+            assert sorted(points) == list(range(1, p.n + 1))
+            anchors = [c[0] for c in cycles]
             assert anchors == sorted(anchors)
             for c in cycles:
-                assert c.points[0] == min(c.points)
-                for src, dst in zip(c.points, c.points[1:] + c.points[:1]):
+                assert c[0] == min(c)
+                for src, dst in zip(c, c[1:] + c[:1]):
                     assert p(src) == dst
+            assert Permutation.from_cycles(p.n, cycles) == p
 
 
 class TestCycleType:
@@ -380,4 +387,4 @@ class TestCycleString:
     def test_formats(self):
         assert cycle_string(Permutation.identity(3)) == "()"
         assert cycle_string(Permutation.from_cycles(5, [(1, 2), (4, 5)])) == "(1 2)(4 5)"
-        assert cycle_string(Permutation.identity(2), include_fixed=True) == "(1)(2)"
+        assert cycle_string(Permutation.from_cycles(4, [(3, 1, 4)])) == "(1 4 3)"
