@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from math import factorial
 from typing import Sequence
 
@@ -67,10 +67,26 @@ def cmd_classes(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_json(report: dict) -> str:
+    """The bytes of json.dumps(report, indent=2) for a count_report, laid out
+    by hand: an indent sends json.dumps to its pure-Python encoder, which is
+    several times slower.  Strings go through json's C string encoder."""
+    entries = ",\n".join(
+        f'    {{\n      "class": {_json_string(entry["class"])},\n'
+        f'      "r": {entry["r"]},\n      "gamma": {entry["gamma"]}\n    }}'
+        for entry in report["ramification"]
+    )
+    ramification = f"[\n{entries}\n  ]" if entries else "[]"
+    return (
+        f'{{\n  "n": {report["n"]},\n  "ramification": {ramification},\n'
+        f'  "count": {_json_string(report["count"])}\n}}'
+    )
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     ram = parse_ramification(args.ramification, args.n)
     if args.format == "json":
-        print(json.dumps(count_report(ram), indent=2))
+        print(_report_json(count_report(ram)))
         return 0
     rows = []
     for lam, mult in ram.entries:
@@ -93,7 +109,7 @@ def cmd_reps(args: argparse.Namespace) -> int:
     )
     print(f"# count = {decimal_string(count_rsc(ram))}")
     for type_vector in itertools.islice(enumerate_types(ram), args.limit):
-        print(type_vector)
+        sys.stdout.write(f"{type_vector}\n")
     return 0
 
 
@@ -160,8 +176,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: main is also called in-process, many times over
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (

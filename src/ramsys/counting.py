@@ -11,8 +11,7 @@ composition of r_C into γ_C parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from math import factorial, prod
 from typing import Iterator, Mapping
 
@@ -112,9 +111,11 @@ def _uniform_ramification(n: int, count: int) -> Ramification:
 @dataclass(frozen=True)
 class RSCTypeVector:
     """Canonical representative of one isomorphism class: per support class,
-    the multiplicities with which each of the γ_C characters is used."""
+    the multiplicities with which each of the γ_C characters is used;
+    ``text`` is its printed line, `(a,b,...)` per class joined by spaces."""
 
     entries: tuple[tuple[CycleType, tuple[int, ...]], ...]
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for lam, composition in self.entries:
@@ -124,26 +125,15 @@ class RSCTypeVector:
                 )
             if any(part < 0 for part in composition):
                 raise ValueError(f"negative entry in composition for class {lam}")
+        self.__dict__["text"] = " ".join([_format_composition(c) for _, c in self.entries])
 
     def __str__(self) -> str:
-        return " ".join([_composition_text(composition) for _, composition in self.entries])
+        return self.text
 
 
-def _trusted_vector(entries: tuple[tuple[CycleType, tuple[int, ...]], ...]) -> RSCTypeVector:
-    """An RSCTypeVector built without __post_init__, for entries that
-    enumerate_types generated and so knows to be valid: per class, a weak
-    composition of r_C into γ_C parts."""
-    vector = object.__new__(RSCTypeVector)
-    object.__setattr__(vector, "entries", entries)
-    return vector
-
-
-@lru_cache(maxsize=4096)
-def _composition_text(composition: tuple[int, ...]) -> str:
-    """`(a,b,...)`: one composition as printed; memoised, because a type
-    vector stream repeats each composition of its slower classes on many
-    consecutive lines."""
-    return "(" + ",".join(map(str, composition)) + ")"
+def _format_composition(composition: tuple[int, ...]) -> str:
+    # the tuple's repr without spaces, and without the comma of a 1-tuple
+    return repr(composition).replace(" ", "").replace(",)", ")")
 
 
 def count_rsc(ram: Ramification) -> int:
@@ -199,25 +189,36 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     vectors drawn.  The carry is a loop, not a recursion, so any number of
     classes works (S_22 has 1,002).  Vectors are built without re-checking
     the compositions just generated.
+
+    The odometer also writes each vector's text (its str): it keeps the text
+    of each class, a carry at class i rewrites only the texts from i on, and
+    a line is their join.  A restarted stream starts at the same composition
+    every time, so the text of that start is made once per (r_C, γ_C).
     """
     ensure_countable(ram.n)
     shapes = [(mult, gamma(lam)) for lam, mult in ram.entries]
-    streams = [weak_compositions(mult, g) for mult, g in shapes]
-    current = [(lam, next(stream)) for (lam, _), stream in zip(ram.entries, streams)]
+    streams, current = [None] * len(shapes), [None] * len(shapes)
+    texts = [""] * len(shapes)
+    starts: dict[tuple[int, int], str] = {}
+    i = -1  # the class the last carry reached: the streams past it (re)start
     while True:
-        yield _trusted_vector(tuple(current))
-        i = len(streams) - 1
-        while i >= 0:
+        for k in range(i + 1, len(shapes)):
+            streams[k] = weak_compositions(*shapes[k])
+            current[k] = (ram.entries[k][0], next(streams[k]))
+            if shapes[k] not in starts:
+                starts[shapes[k]] = _format_composition(current[k][1])
+            texts[k] = starts[shapes[k]]
+        vector = object.__new__(RSCTypeVector)
+        vector.__dict__.update(entries=tuple(current), text=" ".join(texts))
+        yield vector
+        for i in range(len(shapes) - 1, -1, -1):
             composition = next(streams[i], None)
             if composition is not None:
                 break
-            i -= 1
         else:
             return
         current[i] = (current[i][0], composition)
-        for k in range(i + 1, len(streams)):
-            streams[k] = weak_compositions(*shapes[k])
-            current[k] = (current[k][0], next(streams[k]))
+        texts[i] = _format_composition(composition)
 
 
 def parse_ramification(text: str, n: int) -> Ramification:

@@ -163,7 +163,8 @@ class TestReps:
     def test_limit_must_be_non_negative(self, capsys):
         code, out, _ = run(capsys, "reps", "3", "--ramification", "all:1", "--limit", "0")
         assert code == 0
-        assert all(line.startswith("#") for line in out.strip().splitlines())
+        lines = out.splitlines()
+        assert len(lines) == 3 and all(line.startswith("#") for line in lines)
         with pytest.raises(SystemExit) as info:
             main(["reps", "3", "--ramification", "all:1", "--limit", "-1"])
         assert info.value.code == 2
@@ -272,6 +273,63 @@ class TestClosedFormBytes:
             assert code == 0
             digest.update(out.encode())
         assert digest.hexdigest()[:16] == prefix
+
+
+class TestParserReuse:
+    S3_CLASSES = (
+        "type     size  centralizer  gamma  factors\n"
+        "3^1      2     3            3      3\n"
+        "1^1 2^1  3     2            2      2\n"
+        "1^3      1     6            2      2\n"
+    )
+    S3_COUNT_JSON = (
+        '{\n  "n": 3,\n  "ramification": [\n'
+        '    {\n      "class": "3^1",\n      "r": 1,\n      "gamma": 3\n    },\n'
+        '    {\n      "class": "1^1 2^1",\n      "r": 1,\n      "gamma": 2\n    },\n'
+        '    {\n      "class": "1^3",\n      "r": 1,\n      "gamma": 2\n    }\n'
+        '  ],\n  "count": "12"\n}\n'
+    )
+    S3_REPS = (
+        "# n = 3, ramification: 1^1 2^1:2\n"
+        "# classes: 1^1 2^1 (gamma=2, u0=(2 3))\n"
+        "# count = 3\n"
+        "(2,0)\n(1,1)\n"
+    )
+    S3_VERIFY = (
+        "PASS  (empty)  formula=1 oracle=1\n"
+        "PASS  1^3:1  formula=2 oracle=2\n"
+        "PASS  1^1 2^1:1  formula=2 oracle=2\n"
+        "PASS  1^1 2^1:1;1^3:1  formula=4 oracle=4\n"
+        "PASS  3^1:1  formula=3 oracle=3\n"
+        "PASS  3^1:1;1^3:1  formula=6 oracle=6\n"
+        "PASS  3^1:1;1^1 2^1:1  formula=6 oracle=6\n"
+        "PASS  3^1:1;1^1 2^1:1;1^3:1  formula=12 oracle=12\n"
+        "S_3, r_C <= 1: 8 cases, 8 passed, 0 failed\n"
+    )
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # main must not build a parser per call; a rejected argv or a bad spec
+        # must leave the shared parser as it was for the calls after it
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(ramsys.cli, "_build_parser", refuse)
+        assert run(capsys, "classes", "3") == (0, self.S3_CLASSES, "")
+        assert run(capsys, "count", "3", "--ramification", "all:1", "--format", "json") == (
+            0, self.S3_COUNT_JSON, "",
+        )
+        reps_argv = ("reps", "3", "--ramification", "1^1 2^1:2", "--limit", "2")
+        assert run(capsys, *reps_argv) == (0, self.S3_REPS, "")
+        assert run(capsys, "verify", "3") == (0, self.S3_VERIFY, "")
+        with pytest.raises(SystemExit) as info:
+            main(["reps", "3"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: --ramification\n")
+        assert run(capsys, "count", "3", "--ramification", "3^1:x") == (
+            2, "", "error: bad count 'x' (at position 0)\n",
+        )
+        assert run(capsys, *reps_argv) == (0, self.S3_REPS, "")
 
 
 class TestErrors:

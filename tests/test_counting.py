@@ -226,6 +226,34 @@ class TestEnumerateTypes:
             assert [str(v) for v in observed] == [str(v) for v in expected]
             checked += 1
 
+    def test_carried_text_matches_a_fresh_join(self):
+        # the odometer rewrites only the texts a carry changed; every line must
+        # still be the whole join, and the vector must be the one the public
+        # constructor builds; 2,000 lines of S_8 all:1 carry into the last 5
+        # of its 22 classes, restarting up to 4 streams at once
+        rng = random.Random(41)
+        rams = [Ramification(4, ()), Ramification.all_ones(1), identity_only(1, 3)]
+        for _ in range(30):
+            n = rng.choice((1, 2, 3, 4, 5, 7, 8))
+            classes = enumerate_cycle_types(n)
+            picked = rng.sample(classes, rng.randint(0, min(4, len(classes))))
+            rams.append(Ramification(n, tuple((lam, rng.randint(1, 4)) for lam in picked)))
+        streams = [itertools.islice(enumerate_types(ram), 300) for ram in rams]
+        streams.append(itertools.islice(enumerate_types(Ramification.all_ones(8)), 2000))
+        lines = 0
+        for vector in itertools.chain(*streams):
+            expected = " ".join(
+                "(" + ",".join(str(part) for part in composition) + ")"
+                for _, composition in vector.entries
+            )
+            assert str(vector) == expected
+            rebuilt = RSCTypeVector(vector.entries)
+            assert vector == rebuilt and hash(vector) == hash(rebuilt)
+            assert str(rebuilt) == expected
+            assert "text" not in repr(vector)
+            lines += 1
+        assert lines > 2000
+
     def test_prefix_work_is_bounded(self, monkeypatch):
         # drawing k vectors costs one composition per class for the first and
         # fewer than two for each further one, not the full per-class lists
