@@ -97,14 +97,34 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+# Most parts, Σ γ_C over the support, that one reps line may have.  Printing
+# the first line of S_n all:1 for n = 28..32 (2.7 M to 12.9 M parts) took
+# about 23 bytes of peak RSS and 0.15 µs per part on a 2-core Xeon VM: 76 MB
+# and 0.5 s at S_28, 297 MB and 1.9 s at S_32.  2^22 parts keep a line near
+# 100 MB and under a second; S_29 all:1 (4,047,081 parts) is the largest
+# all:1 that fits.
+MAX_LINE_PARTS = 2**22
+
+
+class LineTooLongError(ValueError):
+    """A reps line would have more than MAX_LINE_PARTS parts."""
+
+
 def cmd_reps(args: argparse.Namespace) -> int:
     ram = parse_ramification(args.ramification, args.n)
+    gammas = [gamma(lam) for lam, _ in ram.entries]
+    parts = sum(gammas)
+    if args.limit != 0 and parts > MAX_LINE_PARTS:
+        raise LineTooLongError(
+            f"a reps line of S_{ram.n} with this ramification has {parts} parts "
+            f"(gamma summed over the support), over the limit of {MAX_LINE_PARTS}"
+        )
     print(f"# n = {ram.n}, ramification: {ram}")
     print(
         "# classes: "
         + "; ".join(
-            f"{lam} (gamma={gamma(lam)}, u0={cycle_string(canonical_representative(lam))})"
-            for lam, _ in ram.entries
+            f"{lam} (gamma={g}, u0={cycle_string(canonical_representative(lam))})"
+            for (lam, _), g in zip(ram.entries, gammas)
         )
     )
     print(f"# count = {decimal_string(count_rsc(ram))}")
@@ -189,6 +209,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         UnsupportedGroupError,
         ClassListTooLargeError,
         OracleBudgetError,
+        LineTooLongError,
     ) as exc:
         # input errors exit 2; an internal failure keeps its traceback
         print(f"error: {exc}", file=sys.stderr)

@@ -10,20 +10,18 @@ permutations.
 Orbits of the relabelling action are counted on integer-coded points.  Per
 class, the character basis is built once, at the first base point u0, and
 carried to the rest of the class along a breadth-first tree of conjugations
-by adjacent transpositions.  Each (base point, transposition) edge conjugates
-every centralizer element once; the sorted conjugates give an index map on
-the centralizer's domain, and each character is moved by permuting its value
-tuple through it and looked up in the target's basis.  The resulting index
-maps turn one orbit partition into an array union-find over
-``range(|C|·γ^r)``, and orbits are returned as tuples of positions.  The maps
-are observed, never assumed: that moving a character around a loop of
-conjugations brings it back to itself is what the closed form relies on.
-``act``, which moves one point at a time on explicit objects, is kept as the
-independent reference the test suite holds the maps to.  Nothing here uses
-the closed form: the only import from the package is the permutation
-primitives of ``perm``, and the point budget is the oracle's own class size
-times its own basis size to the r, so agreement between the two paths is
-evidence, not circularity.
+by adjacent transpositions, done as index arithmetic on image tuples.  Each
+(base point, transposition) edge gives one index map on the centralizer's
+domain and on the characters, which are looked up in the target's basis.
+The orbits of the maps on ``range(|C|·γ^r)`` are found by a walk over
+positions that builds no point objects.  The maps are observed, never
+assumed: that moving a character around a loop of conjugations brings it
+back to itself is what the closed form relies on.  ``act``, which moves one
+point at a time on explicit objects, is the independent reference the test
+suite holds the maps to.  Nothing here uses the closed form: the only import
+from the package is the permutation primitives of ``perm``, and the point
+budget is the oracle's own class size times its own basis size to the r, so
+agreement between the two paths is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from math import lcm
 from typing import Container, Iterable, Sequence
 
 from .perm import CycleType, Permutation, compose, conjugate, cycle_type, inverse
+from .perm import _trusted_permutation
 
 ORACLE_MAX_N = 5
 
@@ -59,20 +58,19 @@ def _key(p: Permutation) -> tuple[int, ...]:
 def symmetric_group(n: int) -> frozenset[Permutation]:
     """All n! permutations of {1..n}; hard-capped at n = 5."""
     _ensure_scale(n)
-    return frozenset(
-        Permutation(images) for images in itertools.permutations(range(1, n + 1))
-    )
+    return frozenset(map(_trusted_permutation, itertools.permutations(range(1, n + 1))))
+
+
+def _commutes(g: Permutation, x: Permutation) -> bool:
+    """g·x = x·g, tested as g·x·g⁻¹ = x."""
+    return conjugate(g, x) == x
 
 
 @lru_cache(maxsize=None)
 def centralizer(sigma: Permutation) -> frozenset[Permutation]:
     """{g : g·sigma = sigma·g}, by exhaustive commutation test."""
     _ensure_scale(sigma.n)
-    return frozenset(
-        g
-        for g in symmetric_group(sigma.n)
-        if compose(g, sigma) == compose(sigma, g)
-    )
+    return frozenset(g for g in symmetric_group(sigma.n) if _commutes(g, sigma))
 
 
 def _generate(
@@ -112,7 +110,9 @@ def commutator_subgroup(H: frozenset[Permutation]) -> frozenset[Permutation]:
     n = elements[0].n
     _, generators = _generate(n, elements)
     commutators = (
-        compose(conjugate(a, s), inverse(s)) for s in generators for a in elements
+        compose(conjugate(a, s), s_inverse)
+        for s, s_inverse in [(s, inverse(s)) for s in generators]
+        for a in elements
     )
     derived, _ = _generate(n, commutators)
     return frozenset(derived)
@@ -311,69 +311,99 @@ class ClassAction:
     character_maps: tuple[tuple[tuple[int, ...], ...], ...]
 
 
+def _conjugate_images(swap: tuple, elements: list) -> list[tuple[int, ...]]:
+    """s·x·s⁻¹ for each image tuple x, where ``swap = (positions, values)``
+    prepares the transposition s: the conjugate sends point j + 1 to
+    s(x(s(j + 1))), which is ``values[x[positions[j]]]``."""
+    positions, values = swap
+    return [tuple([values[x[t]] for t in positions]) for x in elements]
+
+
 @lru_cache(maxsize=None)
 def class_action(lam: CycleType) -> ClassAction:
     """Build one class's index maps by breadth-first conjugation from base
     point 0, the only base point ``character_basis`` runs at.
 
-    Along every (base point, s) edge, each element of the base point's
-    centralizer is conjugated by s once.  Sorting the conjugates gives the
-    target's domain and, with it, one index map for the edge; every
-    character of the base point's basis is moved by permuting its value
-    tuple through that map, which is what ``act`` does to it.  Along the
-    first edge into a base point, the moved characters become its basis.
-    Along every other edge, the conjugates must be exactly the target's
-    domain, and along every edge, each moved character is looked up by its
-    value table in the target's basis; a mismatch or a miss raises
-    ``AssertionError``.  So the maps record what conjugation does; none is
-    assumed to be the identity.
+    Along every (base point, s) edge, the base point and each element of its
+    centralizer are conjugated by s once, as image tuples
+    (``_conjugate_images``).  Sorting the conjugates gives the target's
+    domain and one index map for the edge; every character of the basis is
+    moved by permuting its value tuple through that map, which is what
+    ``act`` does to it.  Along the first edge into a base point, the moved
+    characters become its basis, wrapped as permutations once.  Along every
+    other edge, the conjugates must be exactly the target's domain, and
+    along every edge, each moved character is looked up by its value table
+    in the target's basis; a mismatch or a miss raises ``AssertionError``.
+    So the maps record what conjugation does; none is assumed to be the
+    identity.
     """
     base_points = conjugacy_class(lam)
-    index = {u: b for b, u in enumerate(base_points)}
-    swaps = [Permutation.from_cycles(lam.n, [(i, i + 1)]) for i in range(1, lam.n)]
+    index = {u.images: b for b, u in enumerate(base_points)}
+    # s_k = (k+1 k+2) as 0-based positions and as a value map with slot 0 unused
+    swaps = [
+        (tuple([v - 1 for v in s.images]), (0, *s.images))
+        for s in (Permutation.from_cycles(lam.n, [(i, i + 1)]) for i in range(1, lam.n))
+    ]
     size = len(base_points)
     bases: list[tuple[Character, ...] | None] = [None] * size
     bases[0] = character_basis(base_points[0])
+    modulus = bases[0][0].modulus
+    # carried[b]: b's sorted domain as image tuples, and its basis's value tables by index
+    carried: list = [None] * size
+    elements = [h.images for h in bases[0][0].domain]
+    carried[0] = (elements, {chi.values: c for c, chi in enumerate(bases[0])})
     base_maps = [[0] * size for _ in swaps]
     character_maps: list[list[tuple[int, ...]]] = [[()] * size for _ in swaps]
     frontier = [0]
     while frontier:
         fresh: list[int] = []
         for b in frontier:
-            u, basis = base_points[b], bases[b]
-            for k, s in enumerate(swaps):
-                target = index[conjugate(s, u)]
-                moved = [conjugate(s, h) for h in basis[0].domain]
-                # order[j] is the position, in u's domain, of the element
+            elements, by_values = carried[b]
+            for k, swap in enumerate(swaps):
+                conjugates = _conjugate_images(swap, [base_points[b].images, *elements])
+                target = index[conjugates[0]]
+                moved = conjugates[1:]
+                # order[j] is the position, in b's domain, of the element
                 # whose conjugate is the j-th of the target's sorted domain
-                order = sorted(range(len(moved)), key=lambda i: moved[i].images)
-                domain = tuple([moved[i] for i in order])
-                images = [tuple([chi.values[i] for i in order]) for chi in basis]
+                order = sorted(range(len(moved)), key=moved.__getitem__)
+                domain = [moved[i] for i in order]
+                images = [tuple([values[i] for i in order]) for values in by_values]
                 if bases[target] is None:
-                    bases[target] = tuple(
-                        Character(chi.modulus, domain, values)
-                        for chi, values in zip(basis, images)
-                    )
+                    wrapped = tuple(map(_trusted_permutation, domain))
+                    bases[target] = tuple([Character(modulus, wrapped, v) for v in images])
+                    carried[target] = (domain, {values: c for c, values in enumerate(images)})
                     fresh.append(target)
-                elif domain != bases[target][0].domain:
+                elif domain != carried[target][0]:
                     raise AssertionError(
-                        f"{s} does not carry the centralizer of {u} onto that of {base_points[target]}"
+                        f"({k + 1} {k + 2}) does not carry the centralizer of {base_points[b]} onto that of {base_points[target]}"
                     )
-                by_values = {chi.values: c for c, chi in enumerate(bases[target])}
-                row = tuple(by_values.get(values) for values in images)
+                target_values = carried[target][1]
+                row = tuple([target_values.get(values) for values in images])
                 if None in row:
                     raise AssertionError(
-                        f"{s} moves a character at {u} off the basis at {base_points[target]}"
+                        f"({k + 1} {k + 2}) moves a character at {base_points[b]} off the basis at {base_points[target]}"
                     )
                 base_maps[k][b] = target
                 character_maps[k][b] = row
         frontier = fresh
     return ClassAction(
-        base_points,
-        tuple(bases),
-        tuple(map(tuple, base_maps)),
-        tuple(map(tuple, character_maps)),
+        base_points, tuple(bases), tuple(map(tuple, base_maps)), tuple(map(tuple, character_maps))
     )
+
+
+def _point_count(lam: CycleType, r: int) -> int:
+    """The oracle's own count of one class's points, base points times basis
+    size to the r; OracleBudgetError past ORBIT_POINT_BUDGET."""
+    _ensure_scale(lam.n)
+    if r < 0:
+        raise ValueError(f"r must be non-negative, got {r}")
+    action = class_action(lam)
+    points = len(action.base_points) * len(action.bases[0]) ** r
+    if points > ORBIT_POINT_BUDGET:
+        raise OracleBudgetError(
+            f"class {lam} with r = {r} needs {points} points, over the budget of {ORBIT_POINT_BUDGET}"
+        )
+    return points
 
 
 @lru_cache(maxsize=None)
@@ -382,16 +412,8 @@ def class_points(lam: CycleType, r: int) -> tuple[RSCPoint, ...]:
     factor of the full RSC space.  The point at position b·γ^r + Σ c_i·γ^(r-i)
     (i = 1..r) carries base point b and characters c_1..c_r of its basis in
     ``class_action(lam)``; ``index_moves`` works on these positions."""
-    _ensure_scale(lam.n)
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
+    _point_count(lam, r)
     action = class_action(lam)
-    # the oracle's own count: base points times basis size to the r
-    points = len(action.base_points) * len(action.bases[0]) ** r
-    if points > ORBIT_POINT_BUDGET:
-        raise OracleBudgetError(
-            f"class {lam} with r = {r} needs {points} points, over the budget of {ORBIT_POINT_BUDGET}"
-        )
     return tuple(
         RSCPoint(u, chars)
         for u, basis in zip(action.base_points, action.bases)
@@ -428,37 +450,39 @@ def index_moves(lam: CycleType, r: int) -> list[list[int]]:
     return moves
 
 
-def _partition(size: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Orbits of range(size) under the group the index maps generate, by
-    union-find on an integer parent array with path halving (Tarjan 1975)."""
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for image in maps:
-        for x, y in enumerate(image):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-    orbits: dict[int, list[int]] = {}
-    for x in range(size):
-        orbits.setdefault(find(x), []).append(x)
-    return list(orbits.values())
+def _partition(size: int, maps: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Orbits of range(size) under the group the index maps generate; each
+    map must be a permutation of range(size).  Then what the maps reach from
+    a point is its whole orbit, so a walk from each point not yet seen, over
+    an orbit list that grows as it goes, labels one orbit.  Each orbit is a
+    tuple in ascending order; orbits are ordered by their smallest point."""
+    seen = [False] * size
+    orbits = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:
+            for image in maps:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        orbit.sort()
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
 
 
 @lru_cache(maxsize=None)
 def orbit_partition_class(lam: CycleType, r: int) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the relabelling action on one class's point set.  Each orbit
-    is a tuple of positions into ``class_points(lam, r)`` in ascending order;
-    orbits are ordered by their smallest position."""
+    """Orbits of the relabelling action on one class's point set, as tuples
+    of positions into ``class_points(lam, r)`` (see ``_partition``).  Only
+    the point count is taken, never the points: the walk runs on the
+    positions under ``index_moves``."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    points = class_points(lam, r)
-    return tuple(map(tuple, _partition(len(points), index_moves(lam, r))))
+    return _partition(_point_count(lam, r), index_moves(lam, r))
 
 
 def orbit_count_class(lam: CycleType, r: int) -> int:
@@ -483,9 +507,7 @@ def beta(g: Permutation, lam: CycleType) -> int:
     """|Z_g ∩ C|: how many members of the class commute with g."""
     if g.n != lam.n:
         raise ValueError(f"size mismatch: {g.n} vs {lam.n}")
-    return sum(
-        1 for h in conjugacy_class(lam) if compose(g, h) == compose(h, g)
-    )
+    return sum(1 for h in conjugacy_class(lam) if _commutes(g, h))
 
 
 def fixed_point_count(g: Permutation, pi: Permutation, lam: CycleType) -> int:

@@ -192,6 +192,27 @@ class TestReps:
         assert count == count_rsc(parse_ramification("all:1", 25))
         assert digit_limit() == limit
 
+    def test_line_past_the_bound_is_refused(self, capsys):
+        # S_40 all:1 has 242,145,032 parts per line, about 5 GB to print one
+        code, out, err = run(capsys, "reps", "40", "--ramification", "all:1", "--limit", "1")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: a reps line of S_40 with this ramification has 242145032 parts "
+            "(gamma summed over the support), over the limit of 4194304\n"
+        )
+
+    @pytest.mark.parametrize(
+        "bound, limit, code, lines",
+        [(7, "1", 0, 4), (6, "1", 2, 0), (6, "0", 0, 3)],
+    )
+    def test_line_bound_counts_every_part(self, capsys, monkeypatch, bound, limit, code, lines):
+        # S_3 all:1 has 3 + 2 + 2 = 7 parts per line; --limit 0 prints no line
+        monkeypatch.setattr(ramsys.cli, "MAX_LINE_PARTS", bound)
+        result, out, err = run(capsys, "reps", "3", "--ramification", "all:1", "--limit", limit)
+        assert result == code
+        assert len(out.splitlines()) == lines
+        assert ("7 parts" in err) == (code == 2)
+
     def test_vectors_match_library_order(self, capsys):
         from ramsys.counting import enumerate_types
 

@@ -14,6 +14,7 @@ from ramsys.oracle import (
     Character,
     OracleBudgetError,
     RSCPoint,
+    _partition,
     abelian_quotient,
     act,
     beta,
@@ -38,7 +39,6 @@ from ramsys.perm import (
     centralizer_order,
     class_size,
     compose,
-    conjugate,
     cycle_count,
     cycle_type,
     enumerate_cycle_types,
@@ -116,8 +116,8 @@ def point_type(point):
 
 def find_orbits(points, moves):
     """Orbit partition of hashable points under the group the moves
-    generate, by breadth-first search; independent of the oracle's
-    union-find on positions."""
+    generate, by breadth-first search over sets; independent of the
+    oracle's walk over positions."""
     orbits, seen = [], set()
     for start in points:
         if start in seen:
@@ -404,13 +404,17 @@ class TestClassAction:
         # one centralizer onto another
         lam = CycleType.parse("1^1 2^1")
         character_basis(conjugacy_class(lam)[0])  # built with the true conjugation
-        three_cycle = Permutation.from_cycles(3, [(1, 2, 3)])
+        identity, three_cycle = (1, 2, 3), (2, 3, 1)
+        true_conjugates = ramsys.oracle._conjugate_images
 
-        def wrong(g, x):
-            return three_cycle if x == Permutation.identity(3) else conjugate(g, x)
+        def wrong(swap, elements):
+            return [
+                three_cycle if x == identity else x
+                for x in true_conjugates(swap, elements)
+            ]
 
         class_action.cache_clear()
-        monkeypatch.setattr(ramsys.oracle, "conjugate", wrong)
+        monkeypatch.setattr(ramsys.oracle, "_conjugate_images", wrong)
         with pytest.raises(AssertionError, match="does not carry the centralizer"):
             class_action(lam)
 
@@ -419,15 +423,15 @@ class TestClassAction:
         # with a 3-cycle moves the sign character off the basis
         lam = CycleType.parse("1^3")
         character_basis(Permutation.identity(3))  # built with the true conjugation
-        pair = (Permutation.from_cycles(3, [(1, 2)]), Permutation.from_cycles(3, [(1, 2, 3)]))
-        swapped = {pair[0]: pair[1], pair[1]: pair[0]}
+        transposition, three_cycle = (2, 1, 3), (2, 3, 1)
+        swapped = {transposition: three_cycle, three_cycle: transposition}
+        true_conjugates = ramsys.oracle._conjugate_images
 
-        def wrong(g, x):
-            image = conjugate(g, x)
-            return swapped.get(image, image)
+        def wrong(swap, elements):
+            return [swapped.get(x, x) for x in true_conjugates(swap, elements)]
 
         class_action.cache_clear()
-        monkeypatch.setattr(ramsys.oracle, "conjugate", wrong)
+        monkeypatch.setattr(ramsys.oracle, "_conjugate_images", wrong)
         with pytest.raises(AssertionError, match="off the basis"):
             class_action(lam)
 
@@ -463,6 +467,8 @@ class TestOrbitCounts:
         assert class_size(lam) * gamma(lam) ** 6 > ORBIT_POINT_BUDGET
         with pytest.raises(OracleBudgetError):
             class_points(lam, 6)
+        with pytest.raises(OracleBudgetError):
+            orbit_count_class(lam, 6)
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
@@ -476,6 +482,39 @@ class TestOrbitCounts:
         point_orbits = [{points[x] for x in orbit} for orbit in orbits]
         assert sum(len(orbit) for orbit in point_orbits) == len(points)
         assert set().union(*point_orbits) == set(points)
+
+    def test_orbit_counts_build_no_points(self, monkeypatch):
+        cases = [
+            (lam, r) for n in range(2, 6) for lam in enumerate_cycle_types(n) for r in (1, 2)
+        ]
+        recorded = {case: orbit_count_class(*case) for case in cases}
+
+        def refuse(lam, r):
+            raise AssertionError("the orbit count built RSCPoints")
+
+        orbit_partition_class.cache_clear()
+        monkeypatch.setattr(ramsys.oracle, "class_points", refuse)
+        for case in cases:
+            assert orbit_count_class(*case) == recorded[case]
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 40, 300])
+    def test_partition_matches_a_set_reference(self, size):
+        # sparse random permutations (each moves a random subset of points
+        # among themselves) leave many orbits; 0..3 maps, the empty list too
+        rng = random.Random(size)
+        for count in [0, 1, 2, 3] * 5:
+            maps = []
+            for _ in range(count):
+                image = list(range(size))
+                moved = rng.sample(range(size), rng.randrange(size + 1))
+                for x, y in zip(moved, rng.sample(moved, len(moved))):
+                    image[x] = y
+                maps.append(image)
+            moves = [image.__getitem__ for image in maps]
+            reference = tuple(
+                tuple(sorted(orbit)) for orbit in find_orbits(range(size), moves)
+            )
+            assert _partition(size, maps) == reference
 
     def test_s5_classes_at_r2_match_multiset_coefficients(self):
         from ramsys.combinat import multiset_coefficient
