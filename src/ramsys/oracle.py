@@ -8,9 +8,10 @@ their full character groups.  A subgroup is a plain ``frozenset`` of
 permutations.
 
 Orbits of the relabelling action are counted on integer-coded points.  Per
-class, the character basis is built once, at the first base point u0, and
-carried to the rest of the class along a breadth-first tree of conjugations
-by adjacent transpositions, done as index arithmetic on image tuples.  Each
+class, one breadth-first tree of conjugations by adjacent transpositions,
+done as index arithmetic on image tuples, finds the class from its
+canonical representative u0 and carries the character basis, built once at
+u0, to the rest of it.  Each
 (base point, transposition) edge gives one index map on the centralizer's
 domain and on the characters, which are looked up in the target's basis.
 The orbits of the maps on ``range(|C|·γ^r)`` are found by a walk over
@@ -32,8 +33,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Container, Iterable, Sequence
 
-from .perm import CycleType, Permutation, compose, conjugate, cycle_type, inverse
-from .perm import _trusted_permutation
+from .perm import CycleType, Permutation, canonical_representative, compose, conjugate
+from .perm import _trusted_permutation, cycle_type, inverse
 
 ORACLE_MAX_N = 5
 
@@ -66,7 +67,6 @@ def _commutes(g: Permutation, x: Permutation) -> bool:
     return conjugate(g, x) == x
 
 
-@lru_cache(maxsize=None)
 def centralizer(sigma: Permutation) -> frozenset[Permutation]:
     """{g : g·sigma = sigma·g}, by exhaustive commutation test."""
     _ensure_scale(sigma.n)
@@ -136,7 +136,6 @@ class FiniteAbelianGroup:
         return lcm(*(order for _, order in self.generators)) if self.generators else 1
 
 
-@lru_cache(maxsize=None)
 def abelian_quotient(H: frozenset[Permutation]) -> FiniteAbelianGroup:
     """Explicit H/H' with a greedy cyclic decomposition.
 
@@ -149,15 +148,13 @@ def abelian_quotient(H: frozenset[Permutation]) -> FiniteAbelianGroup:
     """
     derived = commutator_subgroup(H)
     elements = sorted(H, key=_key)
+    # in sorted order, a coset's first unseen member is its smallest
     rep_of: dict[Permutation, Permutation] = {}
+    reps: list[Permutation] = []
     for h in elements:
-        if h in rep_of:
-            continue
-        coset = [compose(h, d) for d in derived]
-        rep = min(coset, key=_key)
-        for member in coset:
-            rep_of[member] = rep
-    reps = sorted(set(rep_of.values()), key=_key)
+        if h not in rep_of:
+            reps.append(h)
+            rep_of.update((compose(h, d), h) for d in derived)
     identity_rep = rep_of[Permutation.identity(elements[0].n)]
 
     def qmul(a: Permutation, b: Permutation) -> Permutation:
@@ -274,16 +271,10 @@ def act(g: Permutation, pi: Permutation, point: RSCPoint) -> RSCPoint:
     return RSCPoint(conjugate(g, point.base_point), new_chars)
 
 
-@lru_cache(maxsize=None)
 def conjugacy_class(lam: CycleType) -> tuple[Permutation, ...]:
-    """All permutations of the given cycle type, sorted."""
-    _ensure_scale(lam.n)
-    return tuple(
-        sorted(
-            (p for p in symmetric_group(lam.n) if cycle_type(p) == lam),
-            key=_key,
-        )
-    )
+    """All permutations of the given cycle type, sorted: the base points the
+    walk of ``class_action`` reaches."""
+    return class_action(lam).base_points
 
 
 @lru_cache(maxsize=None)
@@ -297,7 +288,7 @@ class ClassAction:
     """The adjacent transpositions s_k = (k+1 k+2) of S_n acting on one
     class's (base point, character) pairs, as index maps.
 
-    base_points     ``conjugacy_class(lam)``; base point b is base_points[b]
+    base_points     the class, sorted; base point b is base_points[b]
     bases           bases[b] is the character group of the centralizer of
                     base point b, carried from base point 0 by conjugation
     base_maps       base_maps[k][b]: index of s_k·u_b·s_k⁻¹
@@ -321,8 +312,11 @@ def _conjugate_images(swap: tuple, elements: list) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def class_action(lam: CycleType) -> ClassAction:
-    """Build one class's index maps by breadth-first conjugation from base
-    point 0, the only base point ``character_basis`` runs at.
+    """Find one class and build its index maps in one breadth-first walk of
+    conjugations from u0 = ``canonical_representative(lam)``, the only base
+    point ``character_basis`` runs at.  Base points are numbered as the walk
+    reaches them, each new one checked for cycle type ``lam``, then sorted;
+    u0, the smallest member of its class, stays base point 0.
 
     Along every (base point, s) edge, the base point and each element of its
     centralizer are conjugated by s once, as image tuples
@@ -337,64 +331,65 @@ def class_action(lam: CycleType) -> ClassAction:
     So the maps record what conjugation does; none is assumed to be the
     identity.
     """
-    base_points = conjugacy_class(lam)
-    index = {u.images: b for b, u in enumerate(base_points)}
+    _ensure_scale(lam.n)
     # s_k = (k+1 k+2) as 0-based positions and as a value map with slot 0 unused
     swaps = [
         (tuple([v - 1 for v in s.images]), (0, *s.images))
         for s in (Permutation.from_cycles(lam.n, [(i, i + 1)]) for i in range(1, lam.n))
     ]
-    size = len(base_points)
-    bases: list[tuple[Character, ...] | None] = [None] * size
-    bases[0] = character_basis(base_points[0])
+    found = [canonical_representative(lam)]
+    index = {found[0].images: 0}
+    bases = [character_basis(found[0])]
     modulus = bases[0][0].modulus
     # carried[b]: b's sorted domain as image tuples, and its basis's value tables by index
-    carried: list = [None] * size
-    elements = [h.images for h in bases[0][0].domain]
-    carried[0] = (elements, {chi.values: c for c, chi in enumerate(bases[0])})
-    base_maps = [[0] * size for _ in swaps]
-    character_maps: list[list[tuple[int, ...]]] = [[()] * size for _ in swaps]
-    frontier = [0]
-    while frontier:
-        fresh: list[int] = []
-        for b in frontier:
-            elements, by_values = carried[b]
-            for k, swap in enumerate(swaps):
-                conjugates = _conjugate_images(swap, [base_points[b].images, *elements])
-                target = index[conjugates[0]]
-                moved = conjugates[1:]
-                # order[j] is the position, in b's domain, of the element
-                # whose conjugate is the j-th of the target's sorted domain
-                order = sorted(range(len(moved)), key=moved.__getitem__)
-                domain = [moved[i] for i in order]
-                images = [tuple([values[i] for i in order]) for values in by_values]
-                if bases[target] is None:
-                    wrapped = tuple(map(_trusted_permutation, domain))
-                    bases[target] = tuple([Character(modulus, wrapped, v) for v in images])
-                    carried[target] = (domain, {values: c for c, values in enumerate(images)})
-                    fresh.append(target)
-                elif domain != carried[target][0]:
-                    raise AssertionError(
-                        f"({k + 1} {k + 2}) does not carry the centralizer of {base_points[b]} onto that of {base_points[target]}"
-                    )
-                target_values = carried[target][1]
-                row = tuple([target_values.get(values) for values in images])
-                if None in row:
-                    raise AssertionError(
-                        f"({k + 1} {k + 2}) moves a character at {base_points[b]} off the basis at {base_points[target]}"
-                    )
-                base_maps[k][b] = target
-                character_maps[k][b] = row
-        frontier = fresh
+    carried = [([h.images for h in bases[0][0].domain], {chi.values: c for c, chi in enumerate(bases[0])})]
+    base_maps: list[list[int]] = [[] for _ in swaps]
+    character_maps: list[list[tuple[int, ...]]] = [[] for _ in swaps]
+    for b, u in enumerate(found):
+        elements, by_values = carried[b]
+        for k, swap in enumerate(swaps):
+            conjugates = _conjugate_images(swap, [u.images, *elements])
+            target = index.get(conjugates[0])
+            moved = conjugates[1:]
+            # order[j] is the position, in b's domain, of the element
+            # whose conjugate is the j-th of the target's sorted domain
+            order = sorted(range(len(moved)), key=moved.__getitem__)
+            domain = [moved[i] for i in order]
+            images = [tuple([values[i] for i in order]) for values in by_values]
+            if target is None:
+                w = _trusted_permutation(conjugates[0])
+                if cycle_type(w) != lam:
+                    raise AssertionError(f"({k + 1} {k + 2}) moves {u} out of the class {lam} to {w}")
+                target = index[w.images] = len(found)
+                found.append(w)
+                wrapped = tuple(map(_trusted_permutation, domain))
+                bases.append(tuple([Character(modulus, wrapped, v) for v in images]))
+                carried.append((domain, {values: c for c, values in enumerate(images)}))
+            elif domain != carried[target][0]:
+                raise AssertionError(
+                    f"({k + 1} {k + 2}) does not carry the centralizer of {u} onto that of {found[target]}"
+                )
+            target_values = carried[target][1]
+            row = tuple([target_values.get(values) for values in images])
+            if None in row:
+                raise AssertionError(
+                    f"({k + 1} {k + 2}) moves a character at {u} off the basis at {found[target]}"
+                )
+            base_maps[k].append(target)
+            character_maps[k].append(row)
+    sort = sorted(range(len(found)), key=lambda b: _key(found[b]))  # sort[i]: walk number of base point i
+    rank = {b: i for i, b in enumerate(sort)}
     return ClassAction(
-        base_points, tuple(bases), tuple(map(tuple, base_maps)), tuple(map(tuple, character_maps))
+        tuple([found[b] for b in sort]),
+        tuple([bases[b] for b in sort]),
+        tuple(tuple([rank[targets[b]] for b in sort]) for targets in base_maps),
+        tuple(tuple([rows[b] for b in sort]) for rows in character_maps),
     )
 
 
 def _point_count(lam: CycleType, r: int) -> int:
     """The oracle's own count of one class's points, base points times basis
     size to the r; OracleBudgetError past ORBIT_POINT_BUDGET."""
-    _ensure_scale(lam.n)
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
     action = class_action(lam)

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import importlib
 import itertools
 import random
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -363,11 +365,13 @@ class TestAct:
 
 class TestClassAction:
     def test_transported_bases_match_character_basis(self):
-        # S_4 and S_5, every base point of every class
-        for n in (4, 5):
+        # S_1..S_5, every base point of every class; the walk's class is held
+        # to a filter of S_n by cycle type
+        for n in range(1, 6):
             for lam in enumerate_cycle_types(n):
                 action = class_action(lam)
-                assert action.base_points == conjugacy_class(lam)
+                members = (p for p in symmetric_group(n) if cycle_type(p) == lam)
+                assert action.base_points == tuple(sorted(members, key=lambda p: p.images))
                 for u, basis in zip(action.base_points, action.bases):
                     assert len(basis) == gamma(lam)
                     assert len(set(basis)) == len(basis)
@@ -417,6 +421,43 @@ class TestClassAction:
         monkeypatch.setattr(ramsys.oracle, "_conjugate_images", wrong)
         with pytest.raises(AssertionError, match="does not carry the centralizer"):
             class_action(lam)
+
+    def test_base_point_moved_out_of_the_class_is_caught(self, monkeypatch):
+        # a "conjugation" that sends the transposition (1 2), as a base point
+        # only, to a 3-cycle leaves the class
+        lam = CycleType.parse("1^1 2^1")
+        transposition, three_cycle = (2, 1, 3), (2, 3, 1)
+        true_conjugates = ramsys.oracle._conjugate_images
+
+        def wrong(swap, elements):
+            conjugates = true_conjugates(swap, elements)
+            if conjugates[0] == transposition:
+                conjugates[0] = three_cycle
+            return conjugates
+
+        class_action.cache_clear()
+        monkeypatch.setattr(ramsys.oracle, "_conjugate_images", wrong)
+        with pytest.raises(AssertionError, match="out of the class"):
+            class_action(lam)
+
+    def test_class_is_found_without_scanning_the_group(self, monkeypatch):
+        # one cycle type test per base point the walk reaches, not one per
+        # element of S_n
+        calls = []
+        true_cycle_type = ramsys.oracle.cycle_type
+
+        def counting(p):
+            calls.append(p)
+            return true_cycle_type(p)
+
+        monkeypatch.setattr(ramsys.oracle, "cycle_type", counting)
+        for lam in enumerate_cycle_types(5):
+            for value in vars(ramsys.oracle).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+            calls.clear()
+            assert len(conjugacy_class(lam)) == class_size(lam)
+            assert len(calls) <= class_size(lam)
 
     def test_character_moved_off_the_basis_is_caught(self, monkeypatch):
         # a "conjugation" that keeps S_3 as a set but swaps a transposition
@@ -686,6 +727,18 @@ class TestIndependenceFromTheClosedForm:
                 value.cache_clear()
         for case in cases:
             assert orbit_count_class(*case) == recorded[case]
+
+    def test_oracle_imports_only_perm_from_the_package(self):
+        tree = ast.parse(Path(ramsys.oracle.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(alias.name.split(".")[0] == "ramsys" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ramsys")):
+                assert (node.level, node.module) in [(1, "perm"), (0, "ramsys.perm")]
+                imported += [alias.name for alias in node.names]
+        assert imported
+        assert not set(imported) & set(self.CLOSED_FORM)
 
 
 class TestCharacterNumbering:

@@ -382,6 +382,17 @@ class TestCanonicalRepresentative:
             for lam in enumerate_cycle_types(n):
                 assert cycle_type(canonical_representative(lam)) == lam
 
+    def test_is_the_smallest_member_of_its_class(self):
+        # the oracle walks each class from here and keeps it as base point 0
+        # of the sorted class, which pins the character numbering
+        for n in range(1, 8):
+            smallest = {}
+            for images in itertools.permutations(range(1, n + 1)):
+                lam = cycle_type(Permutation(images))
+                smallest[lam] = min(smallest.get(lam, images), images)
+            for lam in enumerate_cycle_types(n):
+                assert canonical_representative(lam).images == smallest[lam]
+
 
 class TestCycleString:
     def test_formats(self):
