@@ -12,18 +12,15 @@ from typing import Sequence
 from .centralizer import AbelianInvariants, gamma
 from .combinat import multiset_coefficient
 from .counting import (
-    Ramification,
-    RamificationParseError,
-    UnsupportedGroupError,
+    _listed_ramification,
     count_report,
     count_rsc,
     decimal_string,
     enumerate_types,
     parse_ramification,
 )
-from .oracle import ORACLE_MAX_N, OracleBudgetError, oracle_count
 from .perm import (
-    ClassListTooLargeError,
+    InputError,
     canonical_representative,
     class_invariants,
     cycle_string,
@@ -106,16 +103,12 @@ def cmd_count(args: argparse.Namespace) -> int:
 MAX_LINE_PARTS = 2**22
 
 
-class LineTooLongError(ValueError):
-    """A reps line would have more than MAX_LINE_PARTS parts."""
-
-
 def cmd_reps(args: argparse.Namespace) -> int:
     ram = parse_ramification(args.ramification, args.n)
     gammas = [gamma(lam) for lam, _ in ram.entries]
     parts = sum(gammas)
     if args.limit != 0 and parts > MAX_LINE_PARTS:
-        raise LineTooLongError(
+        raise InputError(
             f"a reps line of S_{ram.n} with this ramification has {parts} parts "
             f"(gamma summed over the support), over the limit of {MAX_LINE_PARTS}"
         )
@@ -134,16 +127,15 @@ def cmd_reps(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the only command that needs the oracle, so the others never load it
+    from .oracle import ORACLE_MAX_N, oracle_count
+
     if not 2 <= args.n <= ORACLE_MAX_N:
-        print(
-            f"error: verify needs 2 <= n <= {ORACLE_MAX_N}, got n = {args.n}",
-            file=sys.stderr,
-        )
-        return 2
+        raise InputError(f"verify needs 2 <= n <= {ORACLE_MAX_N}, got n = {args.n}")
     classes = enumerate_cycle_types(args.n)
     cases = failures = 0
     for multiplicities in itertools.product(range(args.max_r + 1), repeat=len(classes)):
-        ram = Ramification(args.n, tuple(zip(classes, multiplicities)))
+        ram = _listed_ramification(args.n, classes, multiplicities)
         expected = count_rsc(ram)
         observed = oracle_count(ram)
         cases += 1
@@ -204,13 +196,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        RamificationParseError,
-        UnsupportedGroupError,
-        ClassListTooLargeError,
-        OracleBudgetError,
-        LineTooLongError,
-    ) as exc:
+    except InputError as exc:
         # input errors exit 2; an internal failure keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,15 +12,16 @@ composition of r_C into γ_C parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import factorial, prod
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .centralizer import gamma
 from .combinat import multiset_coefficient, stirling_first, weak_compositions
-from .perm import CycleType, enumerate_cycle_types
+from .perm import CycleType, InputError, enumerate_cycle_types
 
 
-class UnsupportedGroupError(ValueError):
+class UnsupportedGroupError(InputError, ValueError):
     """Raised for n = 6, where the counting hypothesis fails."""
 
 
@@ -35,7 +36,7 @@ def ensure_countable(n: int) -> None:
         )
 
 
-class RamificationParseError(ValueError):
+class RamificationParseError(InputError, ValueError):
     """Malformed ramification spec; carries the character offset of the bad entry."""
 
     def __init__(self, message: str, position: int):
@@ -81,7 +82,7 @@ class Ramification:
     @classmethod
     def all_ones(cls, n: int) -> "Ramification":
         """r_C = 1 for every class of S_n."""
-        return _uniform_ramification(n, 1)
+        return _listed_ramification(n, enumerate_cycle_types(n), repeat(1))
 
     def multiplicity(self, lam: CycleType) -> int:
         for entry_lam, mult in self.entries:
@@ -97,14 +98,16 @@ class Ramification:
         return self.spec_string() or "(empty)"
 
 
-def _uniform_ramification(n: int, count: int) -> Ramification:
-    """r_C = count on every class of S_n, built without __post_init__: the
-    classes enumerate_cycle_types lists are distinct, of degree n and in
-    canonical order.  count = 0 gives the empty support without listing them."""
+def _listed_ramification(
+    n: int, classes: Iterable[CycleType], counts: Iterable[int]
+) -> Ramification:
+    """r_C = counts[i] on C = classes[i], built without __post_init__.  The
+    classes come in the order enumerate_cycle_types(n) lists them, so they
+    are distinct, of degree n and in canonical order; the counts are
+    non-negative, and only the zeros are dropped."""
     ram = object.__new__(Ramification)
     object.__setattr__(ram, "n", n)
-    entries = tuple((lam, count) for lam in enumerate_cycle_types(n)) if count else ()
-    object.__setattr__(ram, "entries", entries)
+    object.__setattr__(ram, "entries", tuple([(lam, r) for lam, r in zip(classes, counts) if r]))
     return ram
 
 
@@ -255,7 +258,8 @@ def parse_ramification(text: str, n: int) -> Ramification:
                 raise RamificationParseError(
                     "'all' cannot be combined with other entries", position
                 )
-            return _uniform_ramification(n, count)
+            classes = enumerate_cycle_types(n) if count else ()
+            return _listed_ramification(n, classes, repeat(count))
         try:
             lam = CycleType.parse(type_text)
         except ValueError as exc:

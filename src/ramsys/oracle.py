@@ -34,7 +34,7 @@ from math import lcm
 from typing import Container, Iterable, Sequence
 
 from .perm import CycleType, Permutation, canonical_representative, compose, conjugate
-from .perm import _trusted_permutation, cycle_type, inverse
+from .perm import InputError, _trusted_permutation, cycle_type, inverse
 
 ORACLE_MAX_N = 5
 
@@ -42,7 +42,7 @@ ORACLE_MAX_N = 5
 ORBIT_POINT_BUDGET = 250_000
 
 
-class OracleBudgetError(RuntimeError):
+class OracleBudgetError(InputError, RuntimeError):
     """Raised when a brute-force orbit computation would exceed the point budget."""
 
 
@@ -169,20 +169,16 @@ def abelian_quotient(H: frozenset[Permutation]) -> FiniteAbelianGroup:
                 raise AssertionError("order computation did not terminate")
         return steps
 
+    own_orders = {q: order_modulo(q, {identity_rep}) for q in reps}
     chosen: list[tuple[Permutation, int]] = []
     coordinates: dict[Permutation, tuple[int, ...]] = {identity_rep: ()}
     while len(coordinates) < len(reps):
         orders_mod = {q: order_modulo(q, coordinates) for q in reps}
         largest = max(orders_mod.values())
-        candidates = [
-            q
-            for q in reps
-            if orders_mod[q] == largest
-            and order_modulo(q, {identity_rep}) == largest
-        ]
-        if not candidates:
+        # reps is sorted, so the first pure lift is the smallest
+        generator = next((q for q in reps if orders_mod[q] == largest == own_orders[q]), None)
+        if generator is None:
             raise AssertionError("no pure lift found; quotient is not abelian?")
-        generator = min(candidates, key=_key)
         chosen.append((generator, largest))
         grown: dict[Permutation, tuple[int, ...]] = {}
         for member, coords in coordinates.items():

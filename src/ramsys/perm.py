@@ -18,6 +18,13 @@ from math import factorial
 from typing import Iterable
 
 
+class InputError(Exception):
+    """Base of every refusal of input the library cannot serve: a class list
+    too long, S_6, a malformed spec, oracle work past its budget.  The CLI
+    turns exactly these into exit 2; any other exception is an internal
+    failure and keeps its traceback."""
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of {1..n}; ``images[i - 1]`` is the image of point ``i``."""
@@ -253,7 +260,7 @@ def class_invariants(lam: CycleType) -> tuple[int, tuple[int, ...]]:
 MAX_CLASS_LIST_N = 45
 
 
-class ClassListTooLargeError(ValueError):
+class ClassListTooLargeError(InputError, ValueError):
     """n is past MAX_CLASS_LIST_N: S_n has too many classes to list."""
 
 

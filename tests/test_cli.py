@@ -1,14 +1,26 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import ramsys
 import ramsys.cli
+import ramsys.oracle
 from ramsys.cli import main
-from ramsys.counting import Ramification, count_rsc, parse_ramification
-from ramsys.perm import CycleType
+from ramsys.counting import (
+    Ramification,
+    RamificationParseError,
+    UnsupportedGroupError,
+    count_rsc,
+    parse_ramification,
+)
+from ramsys.oracle import OracleBudgetError
+from ramsys.perm import ClassListTooLargeError, CycleType, InputError
 
 
 def digit_limit():
@@ -247,6 +259,33 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "1")
         assert code == 2
 
+    def test_cases_build_no_validated_object(self, capsys, monkeypatch):
+        # the cases come from enumerate_cycle_types, so none is checked again
+        calls = []
+        original = Ramification.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(Ramification, "__post_init__", counting)
+        code, out, _ = run(capsys, "verify", "4", "--max-r", "1")
+        assert code == 0
+        assert out.endswith("S_4, r_C <= 1: 32 cases, 32 passed, 0 failed\n")
+        assert calls == []
+
+    def test_oracle_budget_exits_2(self, capsys, monkeypatch):
+        for value in vars(ramsys.oracle).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        monkeypatch.setattr(ramsys.oracle, "ORBIT_POINT_BUDGET", 10)
+        code, out, err = run(capsys, "verify", "3", "--max-r", "2")
+        assert code == 2
+        assert err == "error: class 1^1 2^1 with r = 2 needs 12 points, over the budget of 10\n"
+        # the cases before the first one over the budget have been printed
+        lines = out.splitlines()
+        assert len(lines) == 6 and all(line.startswith("PASS") for line in lines)
+
     @pytest.mark.parametrize(
         "argv, prefix",
         [
@@ -354,6 +393,20 @@ class TestParserReuse:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "error, base",
+        [
+            (ClassListTooLargeError, ValueError),
+            (UnsupportedGroupError, ValueError),
+            (RamificationParseError, ValueError),
+            (OracleBudgetError, RuntimeError),
+        ],
+    )
+    def test_refusals_are_input_errors(self, error, base):
+        assert issubclass(error, InputError)
+        assert issubclass(error, base)
+        assert issubclass(error, ValueError) == (base is ValueError)
+
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(ram):
             raise ValueError("internal failure")
@@ -361,3 +414,33 @@ class TestErrors:
         monkeypatch.setattr(ramsys.cli, "count_rsc", broken)
         with pytest.raises(ValueError, match="internal failure"):
             main(["count", "3", "--ramification", "all:1"])
+
+
+def fresh_python(*args):
+    """Run a new interpreter that imports this checkout's ramsys."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ramsys.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+class TestFreshProcess:
+    def test_only_verify_loads_the_oracle(self):
+        script = (
+            "import sys\n"
+            "from ramsys.cli import main\n"
+            "for argv in (['classes', '3'], ['count', '3', '--ramification', 'all:1'],\n"
+            "             ['reps', '3', '--ramification', 'all:1', '--limit', '1']):\n"
+            "    assert main(argv) == 0\n"
+            "print('ramsys.oracle' in sys.modules, file=sys.stderr)\n"
+        )
+        result = fresh_python("-c", script)
+        assert result.returncode == 0
+        assert result.stderr == "False\n"
+        assert result.stdout.endswith("# count = 12\n(1,0,0) (1,0) (1,0)\n")
+
+    def test_verify_range_exits_2(self):
+        result = fresh_python("-m", "ramsys", "verify", "6")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: verify needs 2 <= n <= 5, got n = 6\n"

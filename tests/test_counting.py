@@ -12,6 +12,7 @@ from ramsys.counting import (
     RamificationParseError,
     RSCTypeVector,
     UnsupportedGroupError,
+    _listed_ramification,
     count_report,
     count_rsc,
     count_rsc_stirling,
@@ -352,16 +353,26 @@ class TestParseRamification:
             parse_ramification("all:1", 6)
 
     def test_all_r_equals_validated_ramification(self):
+        def same(ram, expected):
+            assert ram == expected
+            assert ram.entries == expected.entries
+            assert hash(ram) == hash(expected)
+            assert str(ram) == str(expected)
+
         for n in (1, 2, 3, 4, 5, 7, 8):
             for r in (0, 1, 3):
                 expected = Ramification(n, tuple((lam, r) for lam in enumerate_cycle_types(n)))
-                ram = parse_ramification(f"all:{r}", n)
-                assert ram == expected
-                assert ram.entries == expected.entries
-                assert hash(ram) == hash(expected)
-                assert str(ram) == str(expected)
+                same(parse_ramification(f"all:{r}", n), expected)
             assert parse_ramification("all:0", n).entries == ()
             assert Ramification.all_ones(n) == parse_ramification("all:1", n)
+        # the cases verify builds: one count per listed class, zeros included
+        rng = random.Random(11)
+        for n in range(1, 6):
+            classes = enumerate_cycle_types(n)
+            for _ in range(30):
+                counts = tuple(rng.choice((0, 0, 1, 2, 4)) for _ in classes)
+                expected = Ramification(n, tuple(zip(classes, counts)))
+                same(_listed_ramification(n, classes, counts), expected)
 
     def test_all_r_builds_no_validated_object(self, monkeypatch):
         calls = []
