@@ -128,11 +128,15 @@ def cmd_reps(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # the only command that needs the oracle, so the others never load it
-    from .oracle import ORACLE_MAX_N, oracle_count
+    from .oracle import ORACLE_MAX_N, oracle_count, orbit_count_class
 
     if not 2 <= args.n <= ORACLE_MAX_N:
         raise InputError(f"verify needs 2 <= n <= {ORACLE_MAX_N}, got n = {args.n}")
     classes = enumerate_cycle_types(args.n)
+    # a class's point count grows with r, so a case over the point budget
+    # shows at max_r: refuse it before the first line
+    for lam in classes:
+        orbit_count_class(lam, args.max_r)
     cases = failures = 0
     for multiplicities in itertools.product(range(args.max_r + 1), repeat=len(classes)):
         ram = _listed_ramification(args.n, classes, multiplicities)

@@ -18,11 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .centralizer import gamma
 from .combinat import multiset_coefficient, stirling_first, weak_compositions
-from .perm import CycleType, InputError, enumerate_cycle_types
-
-
-class UnsupportedGroupError(InputError, ValueError):
-    """Raised for n = 6, where the counting hypothesis fails."""
+from .perm import CycleType, InputError, UnsupportedGroupError, enumerate_cycle_types
 
 
 def ensure_countable(n: int) -> None:

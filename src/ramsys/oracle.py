@@ -34,7 +34,7 @@ from math import lcm
 from typing import Container, Iterable, Sequence
 
 from .perm import CycleType, Permutation, canonical_representative, compose, conjugate
-from .perm import InputError, _trusted_permutation, cycle_type, inverse
+from .perm import InputError, UnsupportedGroupError, _trusted_permutation, cycle_type, inverse
 
 ORACLE_MAX_N = 5
 
@@ -48,7 +48,7 @@ class OracleBudgetError(InputError, RuntimeError):
 
 def _ensure_scale(n: int) -> None:
     if not 1 <= n <= ORACLE_MAX_N:
-        raise ValueError(f"oracle supports 1 <= n <= {ORACLE_MAX_N}, got n = {n}")
+        raise UnsupportedGroupError(f"oracle supports 1 <= n <= {ORACLE_MAX_N}, got n = {n}")
 
 
 def _key(p: Permutation) -> tuple[int, ...]:
@@ -57,7 +57,9 @@ def _key(p: Permutation) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> frozenset[Permutation]:
-    """All n! permutations of {1..n}; hard-capped at n = 5."""
+    """All n! permutations of {1..n}, for n <= ORACLE_MAX_N.  The scale check
+    here is the one that ``centralizer``, ``character_basis`` and
+    ``class_action`` rely on: each reaches this call before any n!-sized work."""
     _ensure_scale(n)
     return frozenset(map(_trusted_permutation, itertools.permutations(range(1, n + 1))))
 
@@ -69,7 +71,6 @@ def _commutes(g: Permutation, x: Permutation) -> bool:
 
 def centralizer(sigma: Permutation) -> frozenset[Permutation]:
     """{g : g·sigma = sigma·g}, by exhaustive commutation test."""
-    _ensure_scale(sigma.n)
     return frozenset(g for g in symmetric_group(sigma.n) if _commutes(g, sigma))
 
 
@@ -273,7 +274,6 @@ def conjugacy_class(lam: CycleType) -> tuple[Permutation, ...]:
     return class_action(lam).base_points
 
 
-@lru_cache(maxsize=None)
 def character_basis(u: Permutation) -> tuple[Character, ...]:
     """The indexed character group of the centralizer of u."""
     return tuple(dual_characters(abelian_quotient(centralizer(u))))
@@ -327,7 +327,6 @@ def class_action(lam: CycleType) -> ClassAction:
     So the maps record what conjugation does; none is assumed to be the
     identity.
     """
-    _ensure_scale(lam.n)
     # s_k = (k+1 k+2) as 0-based positions and as a value map with slot 0 unused
     swaps = [
         (tuple([v - 1 for v in s.images]), (0, *s.images))
@@ -397,7 +396,6 @@ def _point_count(lam: CycleType, r: int) -> int:
     return points
 
 
-@lru_cache(maxsize=None)
 def class_points(lam: CycleType, r: int) -> tuple[RSCPoint, ...]:
     """Every (base point, r characters) pair for one class: the per-class
     factor of the full RSC space.  The point at position b·γ^r + Σ c_i·γ^(r-i)

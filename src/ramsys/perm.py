@@ -25,6 +25,11 @@ class InputError(Exception):
     failure and keeps its traceback."""
 
 
+class UnsupportedGroupError(InputError, ValueError):
+    """Raised for a group a path does not serve: S_6 for the count, where the
+    counting hypothesis fails, and S_n past ``ORACLE_MAX_N`` for the oracle."""
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of {1..n}; ``images[i - 1]`` is the image of point ``i``."""

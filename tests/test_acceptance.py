@@ -13,13 +13,7 @@ import sys
 from collections import Counter
 from math import factorial, gcd, lcm, prod
 
-from ramsys.centralizer import (
-    abelianization_invariants,
-    gamma,
-    wreath_compose,
-    wreath_decompose,
-    wreath_multiply,
-)
+from ramsys.centralizer import abelianization_invariants, gamma
 from ramsys.counting import (
     Ramification,
     count_rsc,
@@ -42,6 +36,7 @@ from ramsys.perm import (
     centralizer_order,
     compose,
     cycle_count,
+    cycle_decomposition,
     cycle_type,
     enumerate_cycle_types,
 )
@@ -238,17 +233,45 @@ def check_representatives():
 # criterion 8: the wreath isomorphism, exhaustively
 
 
+# tau is a product of m disjoint l-cycles; its grid row i is the i-th of them,
+# grid[i][j] = tau^j(a_i) for the cycle's smallest point a_i.  A permutation
+# rho centralizing tau (and fixing every other point) sends grid[i][0] to
+# grid[theta[i]][f[i]], and then grid[i][j] to grid[theta[i]][f[i] + j mod l]; its
+# coordinates are the pair (f, theta) of plain tuples in C_l wr S_m.
+
+
+def _wreath_decompose(rho, grid):
+    where = {point: (i, j) for i, row in enumerate(grid) for j, point in enumerate(row)}
+    theta, f = zip(*(where[rho(row[0])] for row in grid))
+    return f, theta
+
+
+def _wreath_multiply(a, b, base_order):
+    # rho·pi sends grid[i][0] to rho(grid[theta'[i]][f'[i]]), which is
+    # grid[theta[theta'[i]]][f[theta'[i]] + f'[i]]
+    (f, theta), (f2, theta2) = a, b
+    return tuple((f[t] + x) % base_order for t, x in zip(theta2, f2)), tuple(theta[t] for t in theta2)
+
+
+def _wreath_compose(coordinates, grid, n):
+    f, theta = coordinates
+    images = list(range(1, n + 1))
+    for i, row in enumerate(grid):
+        for j, point in enumerate(row):
+            images[point - 1] = grid[theta[i]][(f[i] + j) % len(row)]
+    return Permutation(tuple(images))
+
+
 def _check_wreath_isomorphism(tau, centralizing, base_order, degree):
-    images = {}
-    for rho in centralizing:
-        images[wreath_decompose(rho, tau)] = rho
-    assert len(images) == base_order**degree * factorial(degree)
+    grid = [cycle for cycle in cycle_decomposition(tau) if len(cycle) > 1]
+    coordinates = {rho: _wreath_decompose(rho, grid) for rho in centralizing}
+    assert len(set(coordinates.values())) == base_order**degree * factorial(degree)
     for rho, pi in itertools.product(centralizing, repeat=2):
-        assert wreath_decompose(compose(rho, pi), tau) == wreath_multiply(
-            wreath_decompose(rho, tau), wreath_decompose(pi, tau)
+        assert _wreath_decompose(compose(rho, pi), grid) == _wreath_multiply(
+            coordinates[rho], coordinates[pi], base_order
         )
     for rho in centralizing:
-        assert wreath_compose(wreath_decompose(rho, tau), tau) == rho
+        assert _wreath_compose(coordinates[rho], grid, tau.n) == rho
 
 
 def check_wreath_isomorphism():

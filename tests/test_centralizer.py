@@ -1,22 +1,11 @@
 import itertools
-import random
 import re
 from collections import Counter
 from math import factorial, gcd, lcm, prod
 
 import pytest
 
-from ramsys.centralizer import (
-    AbelianInvariants,
-    WreathElement,
-    abelianization_invariants,
-    gamma,
-    wreath_compose,
-    wreath_decompose,
-    wreath_identity,
-    wreath_inverse,
-    wreath_multiply,
-)
+from ramsys.centralizer import AbelianInvariants, abelianization_invariants, gamma
 from ramsys.cli import main
 from ramsys.perm import (
     CycleType,
@@ -29,138 +18,6 @@ from ramsys.perm import (
     enumerate_cycle_types,
 )
 from ramsys import oracle
-
-
-def random_wreath(rng, base_order, degree):
-    return WreathElement(
-        base_order,
-        degree,
-        tuple(rng.randrange(base_order) for _ in range(degree)),
-        Permutation(tuple(rng.sample(range(1, degree + 1), degree))),
-    )
-
-
-class TestWreathGroupLaws:
-    def test_identity_is_neutral(self):
-        rng = random.Random(1)
-        e = wreath_identity(4, 3)
-        for _ in range(50):
-            a = random_wreath(rng, 4, 3)
-            assert wreath_multiply(a, e) == a
-            assert wreath_multiply(e, a) == a
-
-    def test_inverse(self):
-        rng = random.Random(2)
-        e = wreath_identity(4, 3)
-        for _ in range(100):
-            a = random_wreath(rng, 4, 3)
-            assert wreath_multiply(a, wreath_inverse(a)) == e
-            assert wreath_multiply(wreath_inverse(a), a) == e
-
-    def test_associativity_random_triples(self):
-        rng = random.Random(3)
-        for _ in range(1000):
-            a = random_wreath(rng, 4, 3)
-            b = random_wreath(rng, 4, 3)
-            c = random_wreath(rng, 4, 3)
-            assert wreath_multiply(wreath_multiply(a, b), c) == wreath_multiply(
-                a, wreath_multiply(b, c)
-            )
-
-    def test_parameter_mismatch(self):
-        with pytest.raises(ValueError):
-            wreath_multiply(wreath_identity(2, 2), wreath_identity(3, 2))
-        with pytest.raises(ValueError):
-            wreath_multiply(wreath_identity(2, 2), wreath_identity(2, 3))
-
-    def test_element_validation(self):
-        with pytest.raises(ValueError):
-            WreathElement(2, 2, (0, 2), Permutation.identity(2))
-        with pytest.raises(ValueError):
-            WreathElement(2, 2, (0,), Permutation.identity(2))
-        with pytest.raises(ValueError):
-            WreathElement(2, 2, (0, 0), Permutation.identity(3))
-
-
-class TestWreathDecompose:
-    def test_identity_maps_to_identity(self):
-        tau = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        w = wreath_decompose(Permutation.identity(4), tau)
-        assert w == wreath_identity(2, 2)
-
-    def test_tau_itself(self):
-        tau = Permutation.from_cycles(3, [(1, 2, 3)])
-        w = wreath_decompose(tau, tau)
-        assert w.base == (2,)
-        assert w.top == Permutation.identity(1)
-
-    def test_homomorphism_exhaustive(self):
-        tau = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        Z = list(oracle.centralizer(tau))
-        assert len(Z) == 8
-        for rho, pi in itertools.product(Z, repeat=2):
-            assert wreath_decompose(compose(rho, pi), tau) == wreath_multiply(
-                wreath_decompose(rho, tau), wreath_decompose(pi, tau)
-            )
-
-    def test_bijective_onto_wreath_product(self):
-        tau = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        images = {wreath_decompose(rho, tau) for rho in oracle.centralizer(tau)}
-        assert len(images) == 2**2 * factorial(2)
-
-    def test_rejects_non_centralizing(self):
-        tau = Permutation.from_cycles(3, [(1, 2, 3)])
-        with pytest.raises(ValueError):
-            wreath_decompose(Permutation.from_cycles(3, [(1, 2)]), tau)
-
-    def test_rejects_motion_off_support(self):
-        tau = Permutation.from_cycles(4, [(1, 2)])
-        rho = Permutation.from_cycles(4, [(3, 4)])  # centralizes but moves 3, 4
-        with pytest.raises(ValueError):
-            wreath_decompose(rho, tau)
-
-    def test_rejects_mixed_cycle_lengths(self):
-        tau = Permutation.from_cycles(5, [(1, 2), (3, 4, 5)])
-        with pytest.raises(ValueError):
-            wreath_decompose(Permutation.identity(5), tau)
-
-    def test_rejects_empty_support(self):
-        with pytest.raises(ValueError):
-            wreath_decompose(Permutation.identity(3), Permutation.identity(3))
-
-
-class TestWreathCompose:
-    def test_identity_element(self):
-        tau = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        assert wreath_compose(wreath_identity(2, 2), tau) == Permutation.identity(4)
-
-    def test_roundtrip_exhaustive(self):
-        tau = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        for rho in oracle.centralizer(tau):
-            assert wreath_compose(wreath_decompose(rho, tau), tau) == rho
-        # and the other direction, over all of C_2 wr S_2
-        for base in itertools.product(range(2), repeat=2):
-            for top_images in itertools.permutations((1, 2)):
-                w = WreathElement(2, 2, base, Permutation(top_images))
-                assert wreath_decompose(wreath_compose(w, tau), tau) == w
-
-    def test_inverse_of_decompose_example(self):
-        tau = Permutation.from_cycles(3, [(1, 2, 3)])
-        w = WreathElement(3, 1, (2,), Permutation.identity(1))
-        assert wreath_compose(w, tau) == tau
-
-    def test_result_commutes_with_tau(self):
-        rng = random.Random(9)
-        tau = Permutation.from_cycles(7, [(1, 2, 3), (4, 5, 6)])
-        for _ in range(100):
-            w = random_wreath(rng, 3, 2)
-            rho = wreath_compose(w, tau)
-            assert compose(rho, tau) == compose(tau, rho)
-
-    def test_parameter_mismatch(self):
-        tau = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        with pytest.raises(ValueError):
-            wreath_compose(wreath_identity(2, 3), tau)
 
 
 class TestAbelianization:

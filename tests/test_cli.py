@@ -281,10 +281,21 @@ class TestVerify:
         monkeypatch.setattr(ramsys.oracle, "ORBIT_POINT_BUDGET", 10)
         code, out, err = run(capsys, "verify", "3", "--max-r", "2")
         assert code == 2
-        assert err == "error: class 1^1 2^1 with r = 2 needs 12 points, over the budget of 10\n"
-        # the cases before the first one over the budget have been printed
-        lines = out.splitlines()
-        assert len(lines) == 6 and all(line.startswith("PASS") for line in lines)
+        assert err == "error: class 3^1 with r = 2 needs 18 points, over the budget of 10\n"
+        # every class is checked at max_r before the first case is printed
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "n, max_r, refused",
+        [("3", "11", "class 3^1 with r = 11 needs 354294"), ("5", "6", "class 5^1 with r = 6 needs 375000")],
+        ids=["S3-r11", "S5-r6"],
+    )
+    def test_real_budget_refuses_before_the_first_line(self, capsys, n, max_r, refused):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", n, "--max-r", max_r)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: {refused} points, over the budget of 250000\n"
 
     @pytest.mark.parametrize(
         "argv, prefix",

@@ -36,6 +36,7 @@ from ramsys.oracle import (
 )
 from ramsys.perm import (
     CycleType,
+    InputError,
     Permutation,
     canonical_representative,
     centralizer_order,
@@ -159,6 +160,12 @@ class TestSymmetricGroup:
             symmetric_group(0)
         with pytest.raises(ValueError):
             symmetric_group(6)
+
+    def test_out_of_scale_class_is_an_input_error(self):
+        # refused by symmetric_group, which every class path reaches first
+        with pytest.raises(InputError, match="got n = 7") as info:
+            orbit_count_class(CycleType.parse("1^7"), 1)
+        assert isinstance(info.value, ValueError)
 
     def test_closure(self):
         assert is_closed(symmetric_group(3))
@@ -476,14 +483,20 @@ class TestClassAction:
         with pytest.raises(AssertionError, match="off the basis"):
             class_action(lam)
 
-    def test_character_basis_built_once_per_class(self):
+    def test_character_basis_built_once_per_class(self, monkeypatch):
         lam = CycleType.parse("1^2 3^1")
+        calls = []
+        true_basis = ramsys.oracle.character_basis
+
+        def counting(u):
+            calls.append(u)
+            return true_basis(u)
+
         class_action.cache_clear()
-        character_basis.cache_clear()
         orbit_partition_class.cache_clear()
-        class_points.cache_clear()
+        monkeypatch.setattr(ramsys.oracle, "character_basis", counting)
         orbit_count_class(lam, 2)
-        assert character_basis.cache_info().misses == 1
+        assert len(calls) == 1
 
 
 class TestOrbitCounts:
