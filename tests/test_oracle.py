@@ -269,6 +269,19 @@ class TestAbelianQuotient:
             for sigma in symmetric_group(n):
                 self.check_coordinatewise_homomorphism(abelian_quotient(centralizer(sigma)))
 
+    def test_decomposition_is_pinned(self):
+        # sha256 over the quotient of the centralizer of every element of
+        # S_1..S_5: carrier, (generator, order) pairs and projection, by
+        # images; the greedy generator choice fixes the character numbering
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for sigma in sorted(symmetric_group(n), key=lambda p: p.images):
+                quotient = abelian_quotient(centralizer(sigma))
+                digest.update(repr([q.images for q in quotient.carrier]).encode())
+                digest.update(repr([(g.images, order) for g, order in quotient.generators]).encode())
+                digest.update(repr(sorted((h.images, x) for h, x in quotient.projection.items())).encode())
+        assert digest.hexdigest()[:16] == "c29d054fa5682b8d"
+
     @staticmethod
     def check_coordinatewise_homomorphism(quotient):
         orders = [order for _, order in quotient.generators]
