@@ -1,28 +1,29 @@
 """Brute-force verification engine over explicit small symmetric groups.
 
 Everything here is computed from first principles at desk scale (n <= 5):
-explicit group elements, centralizers by exhaustive commutation test,
-commutator subgroups generated from the commutators [a, s] with s in a
-generating set, abelian quotients with a greedy cyclic decomposition, and
-their full character groups.  A subgroup is a plain ``frozenset`` of
-permutations.
+centralizers by exhaustive commutation test over S_n, commutator subgroups
+generated from the commutators [a, s] with s in a generating set, abelian
+quotients with a greedy cyclic decomposition, and their full character
+groups.  That work runs on padded image tuples (0, p(1), ..., p(n)), which
+sort by images and multiply in one C-level call, a·b = ``itemgetter(*b)(a)``.
+``Permutation``s are made only at the API edge, for the domain that
+``character_basis`` returns and the frozensets of the public group functions.
 
 Orbits of the relabelling action are counted on integer-coded points.  Per
-class, one breadth-first tree of conjugations by adjacent transpositions,
-done as index arithmetic on image tuples, finds the class from its
-canonical representative u0 and carries the character basis, built once at
-u0, to the rest of it.  Each
-(base point, transposition) edge gives one index map on the centralizer's
-domain and on the characters, which are looked up in the target's basis.
-The orbits of the maps on ``range(|C|·γ^r)`` are found by a walk over
-positions that builds no point objects.  The maps are observed, never
-assumed: that moving a character around a loop of conjugations brings it
-back to itself is what the closed form relies on.  ``act``, which moves one
-point at a time on explicit objects, is the independent reference the test
-suite holds the maps to.  Nothing here uses the closed form: the only import
-from the package is the permutation primitives of ``perm``, and the point
-budget is the oracle's own class size times its own basis size to the r, so
-agreement between the two paths is evidence, not circularity.
+class, one breadth-first walk of conjugations by adjacent transpositions
+finds the class from its canonical representative u0 and carries the
+character basis, built once at u0, to the rest of it as index maps
+(``class_action``); the orbits of the maps on ``range(|C|·γ^r)`` are found
+by a walk over positions.  The maps are observed, never assumed: that moving
+a character around a loop of conjugations brings it back to itself is what
+the closed form relies on.  ``act``, which moves one point at a time on
+explicit objects, is the independent reference the test suite holds the
+maps to.  ``support_orbit_count`` counts the orbits of S_n on a support's
+tuples of class members under simultaneous conjugation.  Nothing here uses
+the closed form: the only import from the package is the permutation
+primitives of ``perm``, and the point budget is the oracle's own class size
+times its own basis size to the r, so agreement between the two paths is
+evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -30,16 +31,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
-from typing import Container, Iterable, Sequence
+from math import lcm, prod
+from operator import attrgetter, itemgetter, mul
+from typing import Container, Iterable, Iterator, Sequence
 
-from .perm import CycleType, Permutation, canonical_representative, compose, conjugate
+from .perm import CycleType, Permutation, canonical_representative, conjugate
 from .perm import InputError, UnsupportedGroupError, _trusted_permutation, cycle_type, inverse
 
 ORACLE_MAX_N = 5
 
 # Largest per-class point set (|C| · γ^r) the orbit machinery will materialize.
 ORBIT_POINT_BUDGET = 250_000
+
+Images = tuple[int, ...]  # a padded image tuple (0, p(1), ..., p(n))
+_key = attrgetter("images")  # sorts permutations by images
 
 
 class OracleBudgetError(InputError, RuntimeError):
@@ -51,52 +56,75 @@ def _ensure_scale(n: int) -> None:
         raise UnsupportedGroupError(f"oracle supports 1 <= n <= {ORACLE_MAX_N}, got n = {n}")
 
 
-def _key(p: Permutation) -> tuple[int, ...]:
-    return p.images
+def _padded(p: Permutation) -> Images:
+    return (0, *p.images)
+
+
+def _permutation(x: Images) -> Permutation:
+    return _trusted_permutation(x[1:])
+
+
+def _commutes(a: Images, b: Images) -> bool:
+    return itemgetter(*b)(a) == itemgetter(*a)(b)
+
+
+def _group(n: int) -> Iterator[Images]:
+    """S_n in sorted order.  The oracle's scale check runs here, before the
+    first element, and every path to n!-sized work starts here."""
+    _ensure_scale(n)
+    return map((0,).__add__, itertools.permutations(range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> frozenset[Permutation]:
-    """All n! permutations of {1..n}, for n <= ORACLE_MAX_N.  The scale check
-    here is the one that ``centralizer``, ``character_basis`` and
-    ``class_action`` rely on: each reaches this call before any n!-sized work."""
-    _ensure_scale(n)
-    return frozenset(map(_trusted_permutation, itertools.permutations(range(1, n + 1))))
+    """All n! permutations of {1..n}, for n <= ORACLE_MAX_N."""
+    return frozenset(map(_permutation, _group(n)))
 
 
-def _commutes(g: Permutation, x: Permutation) -> bool:
-    """g·x = x·g, tested as g·x·g⁻¹ = x."""
-    return conjugate(g, x) == x
+def _centralizer(s: Images) -> list[Images]:
+    return [g for g in _group(len(s) - 1) if _commutes(g, s)]
 
 
 def centralizer(sigma: Permutation) -> frozenset[Permutation]:
     """{g : g·sigma = sigma·g}, by exhaustive commutation test."""
-    return frozenset(g for g in symmetric_group(sigma.n) if _commutes(g, sigma))
+    return frozenset(map(_permutation, _centralizer(_padded(sigma))))
 
 
-def _generate(
-    n: int, candidates: Iterable[Permutation]
-) -> tuple[set[Permutation], list[Permutation]]:
+def _generate(identity: Images, candidates: Iterable[Images]) -> tuple[set[Images], list[Images]]:
     """The subgroup generated by ``candidates`` and the candidates kept as its
     generators.  The span grows by breadth-first right multiplication with
     the generators; a candidate is kept only if it is not yet in the span."""
-    span = {Permutation.identity(n)}
-    generators: list[Permutation] = []
+    span = {identity}
+    generators: list[Images] = []
+    times = []  # times[i](a) = a·generators[i]
     for candidate in candidates:
         if candidate in span:
             continue
         generators.append(candidate)
+        times.append(itemgetter(*candidate))
         frontier = list(span)
         while frontier:
-            fresh: list[Permutation] = []
+            fresh: list[Images] = []
             for a in frontier:
-                for s in generators:
-                    product = compose(a, s)
+                for times_s in times:
+                    product = times_s(a)
                     if product not in span:
                         span.add(product)
                         fresh.append(product)
             frontier = fresh
     return span, generators
+
+
+def _derived(elements: list[Images]) -> set[Images]:
+    """H' for H given as its sorted elements; see ``commutator_subgroup``."""
+    identity = tuple(range(len(elements[0])))
+    _, generators = _generate(identity, elements)
+    # [a, s] = a·s·a⁻¹·s⁻¹ is a·s·a⁻¹, the map a(i) -> a(s(i)), read at s⁻¹(x)
+    at_inverse = [itemgetter(*sorted(range(len(s)), key=s.__getitem__)) for s in generators]
+    commutators = (
+        at(dict(zip(a, itemgetter(*s)(a)))) for s, at in zip(generators, at_inverse) for a in elements
+    )
+    return _generate(identity, commutators)[0]
 
 
 def commutator_subgroup(H: frozenset[Permutation]) -> frozenset[Permutation]:
@@ -107,16 +135,7 @@ def commutator_subgroup(H: frozenset[Permutation]) -> frozenset[Permutation]:
     Since [ab, s] = a·[b, s]·a⁻¹·[a, s], these commutators generate a normal
     subgroup N of H; every s is central modulo N, so H/N is abelian and N = H'.
     """
-    elements = sorted(H, key=_key)
-    n = elements[0].n
-    _, generators = _generate(n, elements)
-    commutators = (
-        compose(conjugate(a, s), s_inverse)
-        for s, s_inverse in [(s, inverse(s)) for s in generators]
-        for a in elements
-    )
-    derived, _ = _generate(n, commutators)
-    return frozenset(derived)
+    return frozenset(map(_permutation, _derived(sorted(map(_padded, H)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +153,56 @@ class FiniteAbelianGroup:
     projection: dict[Permutation, tuple[int, ...]]
 
     def exponent(self) -> int:
-        return lcm(*(order for _, order in self.generators)) if self.generators else 1
+        return lcm(*(order for _, order in self.generators))
+
+
+def _abelian_quotient(elements: list[Images]) -> tuple[list, list, dict]:
+    """Carrier, (generator, order) pairs and projection of H/H' for H given as
+    its sorted elements; see ``abelian_quotient``."""
+    times_derived = [itemgetter(*d) for d in _derived(elements)]
+    # in sorted order, a coset's first unseen member is its smallest
+    rep_of: dict[Images, Images] = {}
+    reps: list[Images] = []
+    for h in elements:
+        if h not in rep_of:
+            reps.append(h)
+            rep_of.update((times_d(h), h) for times_d in times_derived)
+    identity_rep = rep_of[tuple(range(len(elements[0])))]
+
+    def qmul(a: Images, b: Images) -> Images:
+        return rep_of[itemgetter(*b)(a)]
+
+    def order_modulo(q: Images, span: Container[Images]) -> int:
+        power, steps = q, 1
+        while power not in span:
+            power = qmul(power, q)
+            steps += 1
+            if steps > len(reps):
+                raise AssertionError("order computation did not terminate")
+        return steps
+
+    own_orders = {q: order_modulo(q, {identity_rep}) for q in reps}
+    chosen: list[tuple[Images, int]] = []
+    coordinates: dict[Images, tuple[int, ...]] = {identity_rep: ()}
+    while len(coordinates) < len(reps):
+        orders_mod = {q: order_modulo(q, coordinates) for q in reps}
+        largest = max(orders_mod.values())
+        # reps is sorted, so the first pure lift is the smallest
+        generator = next((q for q in reps if orders_mod[q] == largest == own_orders[q]), None)
+        if generator is None:
+            raise AssertionError("no pure lift found; quotient is not abelian?")
+        chosen.append((generator, largest))
+        grown: dict[Images, tuple[int, ...]] = {}
+        for member, coords in coordinates.items():
+            power = member
+            for k in range(largest):
+                grown[power] = coords + (k,)
+                power = qmul(power, generator)
+        if len(grown) != len(coordinates) * largest:
+            raise AssertionError("cyclic decomposition is not a direct sum")
+        coordinates = grown
+
+    return reps, chosen, {h: coordinates[rep_of[h]] for h in elements}
 
 
 def abelian_quotient(H: frozenset[Permutation]) -> FiniteAbelianGroup:
@@ -147,52 +215,21 @@ def abelian_quotient(H: frozenset[Permutation]) -> FiniteAbelianGroup:
     g^k (k below the order) of a new generator g extend every old element's
     coordinates by k, and they must all be new, or the sum is not direct.
     """
-    derived = commutator_subgroup(H)
-    elements = sorted(H, key=_key)
-    # in sorted order, a coset's first unseen member is its smallest
-    rep_of: dict[Permutation, Permutation] = {}
-    reps: list[Permutation] = []
-    for h in elements:
-        if h not in rep_of:
-            reps.append(h)
-            rep_of.update((compose(h, d), h) for d in derived)
-    identity_rep = rep_of[Permutation.identity(elements[0].n)]
+    reps, chosen, projection = _abelian_quotient(sorted(map(_padded, H)))
+    generators = tuple([(_permutation(g), order) for g, order in chosen])
+    projection = {_permutation(h): coords for h, coords in projection.items()}
+    return FiniteAbelianGroup(tuple(map(_permutation, reps)), generators, projection)
 
-    def qmul(a: Permutation, b: Permutation) -> Permutation:
-        return rep_of[compose(a, b)]
 
-    def order_modulo(q: Permutation, span: Container[Permutation]) -> int:
-        power, steps = q, 1
-        while power not in span:
-            power = qmul(power, q)
-            steps += 1
-            if steps > len(reps):
-                raise AssertionError("order computation did not terminate")
-        return steps
-
-    own_orders = {q: order_modulo(q, {identity_rep}) for q in reps}
-    chosen: list[tuple[Permutation, int]] = []
-    coordinates: dict[Permutation, tuple[int, ...]] = {identity_rep: ()}
-    while len(coordinates) < len(reps):
-        orders_mod = {q: order_modulo(q, coordinates) for q in reps}
-        largest = max(orders_mod.values())
-        # reps is sorted, so the first pure lift is the smallest
-        generator = next((q for q in reps if orders_mod[q] == largest == own_orders[q]), None)
-        if generator is None:
-            raise AssertionError("no pure lift found; quotient is not abelian?")
-        chosen.append((generator, largest))
-        grown: dict[Permutation, tuple[int, ...]] = {}
-        for member, coords in coordinates.items():
-            power = member
-            for k in range(largest):
-                grown[power] = coords + (k,)
-                power = qmul(power, generator)
-        if len(grown) != len(coordinates) * largest:
-            raise AssertionError("cyclic decomposition is not a direct sum")
-        coordinates = grown
-
-    projection = {h: coordinates[rep_of[h]] for h in elements}
-    return FiniteAbelianGroup(tuple(reps), tuple(chosen), projection)
+def _character_tables(generators: Sequence[tuple], coordinates: Iterable[tuple]) -> tuple[int, list]:
+    """The modulus and the value tables, at the given coordinate tuples, of
+    every character of the direct sum of cyclic groups of the generators'
+    orders, in lexicographic order of their coefficient tuples."""
+    orders = [order for _, order in generators]
+    modulus = lcm(*orders)
+    weighted = [tuple([x * modulus // order for x, order in zip(coords, orders)]) for coords in coordinates]
+    coefficients = itertools.product(*map(range, orders))
+    return modulus, [tuple([sum(map(mul, c, w)) % modulus for w in weighted]) for c in coefficients]
 
 
 @dataclass(frozen=True)
@@ -217,17 +254,9 @@ def dual_characters(A: FiniteAbelianGroup) -> list[Character]:
     Characters are indexed by their coordinate tuples in lexicographic order,
     which fixes the character numbering used by type vectors.
     """
-    modulus = A.exponent()
     domain = tuple(sorted(A.projection, key=_key))
-    scaled = [modulus // order for _, order in A.generators]
-    characters: list[Character] = []
-    for coeffs in itertools.product(*(range(order) for _, order in A.generators)):
-        values = tuple(
-            sum(c * x * s for c, x, s in zip(coeffs, A.projection[h], scaled)) % modulus
-            for h in domain
-        )
-        characters.append(Character(modulus, domain, values))
-    return characters
+    modulus, tables = _character_tables(A.generators, map(A.projection.__getitem__, domain))
+    return [Character(modulus, domain, values) for values in tables]
 
 
 @dataclass(frozen=True)
@@ -275,8 +304,14 @@ def conjugacy_class(lam: CycleType) -> tuple[Permutation, ...]:
 
 
 def character_basis(u: Permutation) -> tuple[Character, ...]:
-    """The indexed character group of the centralizer of u."""
-    return tuple(dual_characters(abelian_quotient(centralizer(u))))
+    """The indexed character group of the centralizer of u, as
+    ``dual_characters(abelian_quotient(centralizer(u)))`` gives it, built on
+    image tuples; its sorted domain is the only thing made a permutation."""
+    elements = _centralizer(_padded(u))
+    _, chosen, projection = _abelian_quotient(elements)
+    modulus, tables = _character_tables(chosen, map(projection.__getitem__, elements))
+    domain = tuple(map(_permutation, elements))
+    return tuple([Character(modulus, domain, values) for values in tables])
 
 
 @dataclass(frozen=True)
@@ -299,11 +334,11 @@ class ClassAction:
 
 
 def _conjugate_images(swap: tuple, elements: list) -> list[tuple[int, ...]]:
-    """s·x·s⁻¹ for each image tuple x, where ``swap = (positions, values)``
-    prepares the transposition s: the conjugate sends point j + 1 to
-    s(x(s(j + 1))), which is ``values[x[positions[j]]]``."""
-    positions, values = swap
-    return [tuple([values[x[t]] for t in positions]) for x in elements]
+    """s·x·s⁻¹ for each image tuple x, where ``swap = (pick, values)`` prepares
+    the transposition s: the conjugate sends point j + 1 to s(x(s(j + 1))),
+    ``values`` is s padded and ``pick(x)`` is x at the positions s(j + 1) - 1."""
+    pick, values = swap
+    return [itemgetter(*picked)(values) for picked in map(pick, elements)]
 
 
 @lru_cache(maxsize=None)
@@ -327,17 +362,18 @@ def class_action(lam: CycleType) -> ClassAction:
     So the maps record what conjugation does; none is assumed to be the
     identity.
     """
-    # s_k = (k+1 k+2) as 0-based positions and as a value map with slot 0 unused
-    swaps = [
-        (tuple([v - 1 for v in s.images]), (0, *s.images))
-        for s in (Permutation.from_cycles(lam.n, [(i, i + 1)]) for i in range(1, lam.n))
-    ]
     found = [canonical_representative(lam)]
     index = {found[0].images: 0}
     bases = [character_basis(found[0])]
     modulus = bases[0][0].modulus
+    # s_k = (k+1 k+2) as a getter of the positions s_k(j) - 1 and as padded images; for
+    # n >= 2 every domain has two or more elements, so each itemgetter returns a tuple
+    swaps = [
+        (itemgetter(*[v - 1 for v in s.images]), _padded(s))
+        for s in (Permutation.from_cycles(lam.n, [(i, i + 1)]) for i in range(1, lam.n))
+    ]
     # carried[b]: b's sorted domain as image tuples, and its basis's value tables by index
-    carried = [([h.images for h in bases[0][0].domain], {chi.values: c for c, chi in enumerate(bases[0])})]
+    carried = [(tuple(map(_key, bases[0][0].domain)), {chi.values: c for c, chi in enumerate(bases[0])})]
     base_maps: list[list[int]] = [[] for _ in swaps]
     character_maps: list[list[tuple[int, ...]]] = [[] for _ in swaps]
     for b, u in enumerate(found):
@@ -346,11 +382,11 @@ def class_action(lam: CycleType) -> ClassAction:
             conjugates = _conjugate_images(swap, [u.images, *elements])
             target = index.get(conjugates[0])
             moved = conjugates[1:]
-            # order[j] is the position, in b's domain, of the element
-            # whose conjugate is the j-th of the target's sorted domain
-            order = sorted(range(len(moved)), key=moved.__getitem__)
-            domain = [moved[i] for i in order]
-            images = [tuple([values[i] for i in order]) for values in by_values]
+            # the j-th index of reorder is the position, in b's domain, of the
+            # element whose conjugate is the j-th of the target's sorted domain
+            reorder = itemgetter(*sorted(range(len(moved)), key=moved.__getitem__))
+            domain = reorder(moved)
+            images = list(map(reorder, by_values))
             if target is None:
                 w = _trusted_permutation(conjugates[0])
                 if cycle_type(w) != lam:
@@ -364,8 +400,7 @@ def class_action(lam: CycleType) -> ClassAction:
                 raise AssertionError(
                     f"({k + 1} {k + 2}) does not carry the centralizer of {u} onto that of {found[target]}"
                 )
-            target_values = carried[target][1]
-            row = tuple([target_values.get(values) for values in images])
+            row = tuple(map(carried[target][1].get, images))
             if None in row:
                 raise AssertionError(
                     f"({k + 1} {k + 2}) moves a character at {u} off the basis at {found[target]}"
@@ -430,12 +465,8 @@ def index_moves(lam: CycleType, r: int) -> list[list[int]]:
         moves.append(image)
     for i in range(r - 1):
         high, low = gam ** (r - 1 - i), gam ** (r - 2 - i)
-        swap = [
-            x + (x // low % gam - x // high % gam) * (high - low) for x in range(width)
-        ]
-        moves.append(
-            [b * width + x for b in range(len(action.base_points)) for x in swap]
-        )
+        swap = [x + (x // low % gam - x // high % gam) * (high - low) for x in range(width)]
+        moves.append([b * width + x for b in range(len(action.base_points)) for x in swap])
     return moves
 
 
@@ -486,17 +517,36 @@ def oracle_count(ram) -> int:
     One conjugation applied to every class at once is a different, joint
     reading, which this count does not test."""
     _ensure_scale(ram.n)
-    total = 1
-    for lam, mult in ram.entries:
-        total *= orbit_count_class(lam, mult)
-    return total
+    return prod(orbit_count_class(lam, mult) for lam, mult in ram.entries)
+
+
+def _beta_table(group: Sequence[Images], lam: CycleType) -> list[int]:
+    """β(g, C) = |Z_g ∩ C| for each g of ``group``, by commutation tests."""
+    members = [_padded(h) for h in conjugacy_class(lam)]
+    return [sum([_commutes(g, h) for h in members]) for g in group]
 
 
 def beta(g: Permutation, lam: CycleType) -> int:
     """|Z_g ∩ C|: how many members of the class commute with g."""
     if g.n != lam.n:
         raise ValueError(f"size mismatch: {g.n} vs {lam.n}")
-    return sum(1 for h in conjugacy_class(lam) if _commutes(g, h))
+    return _beta_table([_padded(g)], lam)[0]
+
+
+def support_orbit_count(classes: Sequence[CycleType]) -> int:
+    """ω(supp) = (1/n!) Σ_{g ∈ S_n} Π_{C ∈ supp} β(g, C): by Burnside's lemma,
+    the number of orbits of S_n on the tuples (one member of each class)
+    under simultaneous conjugation, from one β table per class over S_n; a
+    sum that n! does not divide raises ``AssertionError``."""
+    sizes = {lam.n for lam in classes}
+    if len(sizes) != 1:
+        raise ValueError(f"a support is one or more classes of one S_n, got sizes {sorted(sizes)}")
+    group = list(_group(sizes.pop()))
+    total = sum(map(prod, zip(*[_beta_table(group, lam) for lam in classes])))
+    orbits, remainder = divmod(total, len(group))
+    if remainder:
+        raise AssertionError(f"the fixed-point sum {total} is not divisible by |S_n| = {len(group)}")
+    return orbits
 
 
 def fixed_point_count(g: Permutation, pi: Permutation, lam: CycleType) -> int:

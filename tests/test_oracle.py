@@ -3,7 +3,7 @@ import hashlib
 import importlib
 import itertools
 import random
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -32,16 +32,19 @@ from ramsys.oracle import (
     oracle_count,
     orbit_count_class,
     orbit_partition_class,
+    support_orbit_count,
     symmetric_group,
 )
 from ramsys.perm import (
     CycleType,
     InputError,
     Permutation,
+    UnsupportedGroupError,
     canonical_representative,
     centralizer_order,
     class_size,
     compose,
+    conjugate,
     cycle_count,
     cycle_type,
     enumerate_cycle_types,
@@ -162,7 +165,7 @@ class TestSymmetricGroup:
             symmetric_group(6)
 
     def test_out_of_scale_class_is_an_input_error(self):
-        # refused by symmetric_group, which every class path reaches first
+        # refused by the scale check that runs before S_n is enumerated
         with pytest.raises(InputError, match="got n = 7") as info:
             orbit_count_class(CycleType.parse("1^7"), 1)
         assert isinstance(info.value, ValueError)
@@ -170,6 +173,36 @@ class TestSymmetricGroup:
     def test_closure(self):
         assert is_closed(symmetric_group(3))
         assert not is_closed(frozenset({Permutation.from_cycles(3, [(1, 2)])}))
+
+    @pytest.mark.parametrize("text", ["2^1 4^1", "1^7"])
+    def test_out_of_scale_input_is_refused_before_enumeration(self, monkeypatch, text):
+        # every path to n!-sized work meets the scale check before the first
+        # element of S_n is listed and before any permutation is made
+        made = []
+        true_permutations = itertools.permutations
+        true_trusted = ramsys.oracle._trusted_permutation
+
+        def counting_permutations(*args):
+            for images in true_permutations(*args):
+                made.append(images)
+                yield images
+
+        def counting_trusted(images):
+            made.append(images)
+            return true_trusted(images)
+
+        lam = CycleType.parse(text)
+        u = canonical_representative(lam)
+        class_action.cache_clear()
+        monkeypatch.setattr(itertools, "permutations", counting_permutations)
+        monkeypatch.setattr(ramsys.oracle, "_trusted_permutation", counting_trusted)
+        for call in (centralizer, character_basis):
+            with pytest.raises(UnsupportedGroupError, match=f"got n = {lam.n}"):
+                call(u)
+        for call in (class_action, lambda lam: support_orbit_count([lam])):
+            with pytest.raises(UnsupportedGroupError, match=f"got n = {lam.n}"):
+                call(lam)
+        assert made == []
 
 
 class TestCentralizer:
@@ -320,6 +353,27 @@ class TestDualCharacters:
             characters = character_basis(sigma)
             assert len(characters) == gamma(cycle_type(sigma))
             assert len(set(characters)) == len(characters)
+
+    def test_character_basis_makes_permutations_only_for_its_domain(self, monkeypatch):
+        # the group work runs on image tuples: at the canonical representative
+        # of every class of S_1..S_5, at most |Z_u| permutations are made, the
+        # returned domain, counted through both names of the trusted builder
+        made = []
+        true_trusted = ramsys.perm._trusted_permutation
+
+        def counting(images):
+            made.append(images)
+            return true_trusted(images)
+
+        symmetric_group.cache_clear()
+        monkeypatch.setattr(ramsys.perm, "_trusted_permutation", counting)
+        monkeypatch.setattr(ramsys.oracle, "_trusted_permutation", counting)
+        for n in range(1, 6):
+            for lam in enumerate_cycle_types(n):
+                made.clear()
+                basis = character_basis(canonical_representative(lam))
+                assert len(basis[0].domain) == centralizer_order(lam)
+                assert len(made) <= centralizer_order(lam)
 
     def test_characters_are_homomorphisms(self):
         for lam in enumerate_cycle_types(4):
@@ -607,6 +661,49 @@ class TestBeta:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             beta(Permutation.identity(3), CycleType.parse("1^4"))
+
+
+class TestSupportOrbitCount:
+    # four supports and their ω; the Burnside sums over S_n are 48, 600, 600 and 6
+    SUPPORTS = [
+        (("2^2", "1^2 2^1"), 2),
+        (("1^2 3^1", "2^1 3^1"), 5),
+        (("1^1 2^2", "1^1 4^1"), 5),
+        (("1^3", "1^1 2^1", "3^1"), 1),
+    ]
+
+    @pytest.mark.parametrize("support, omega", SUPPORTS)
+    def test_pinned_supports(self, support, omega):
+        classes = [CycleType.parse(text) for text in support]
+        assert support_orbit_count(classes) == omega
+        n = classes[0].n
+        # the Burnside sum with β from permutations, not from the oracle's tables
+        members = [conjugacy_class(lam) for lam in classes]
+        total = sum(
+            prod(sum(1 for h in cls if compose(g, h) == compose(h, g)) for cls in members)
+            for g in symmetric_group(n)
+        )
+        assert total == omega * factorial(n)
+        # and ω as the orbits of simultaneous conjugation on the tuples themselves
+        moves = [
+            lambda point, s=s: tuple(conjugate(s, h) for h in point) for s in adjacent_transpositions(n)
+        ]
+        assert len(find_orbits(itertools.product(*members), moves)) == omega
+
+    def test_indivisible_sum_is_caught(self, monkeypatch):
+        # a "commutation test" that knows only equality gives β(g, C) = [g in C],
+        # so the 3 transpositions of S_3 sum to 3, which 3! does not divide
+        lam = CycleType.parse("1^1 2^1")
+        conjugacy_class(lam)  # built with the true test
+        monkeypatch.setattr(ramsys.oracle, "_commutes", lambda a, b: a == b)
+        with pytest.raises(AssertionError, match="not divisible"):
+            support_orbit_count([lam])
+
+    def test_rejects_empty_and_mixed_supports(self):
+        with pytest.raises(ValueError):
+            support_orbit_count([])
+        with pytest.raises(ValueError):
+            support_orbit_count([CycleType.parse("1^3"), CycleType.parse("1^4")])
 
 
 class TestFixedPointCount:
