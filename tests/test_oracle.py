@@ -672,7 +672,7 @@ class TestSupportOrbitCount:
         (("1^3", "1^1 2^1", "3^1"), 1),
     ]
 
-    @pytest.mark.parametrize("support, omega", SUPPORTS)
+    @pytest.mark.parametrize("support, omega", SUPPORTS, ids=[" + ".join(s) for s, _ in SUPPORTS])
     def test_pinned_supports(self, support, omega):
         classes = [CycleType.parse(text) for text in support]
         assert support_orbit_count(classes) == omega
