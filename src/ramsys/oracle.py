@@ -6,8 +6,9 @@ generated from the commutators [a, s] with s in a generating set, abelian
 quotients with a greedy cyclic decomposition, and their full character
 groups.  That work runs on padded image tuples (0, p(1), ..., p(n)), which
 sort by images and multiply in one C-level call, a·b = ``itemgetter(*b)(a)``.
-``Permutation``s are made only at the API edge, for the domain that
-``character_basis`` returns and the frozensets of the public group functions.
+``Permutation``s are made only at the API edge: the domain that
+``character_basis`` returns, the frozensets of the public group functions,
+the base points of a class and the points ``class_points`` builds.
 
 Orbits of the relabelling action are counted on integer-coded points.  Per
 class, one breadth-first walk of conjugations by adjacent transpositions
@@ -73,12 +74,6 @@ def _group(n: int) -> Iterator[Images]:
     first element, and every path to n!-sized work starts here."""
     _ensure_scale(n)
     return map((0,).__add__, itertools.permutations(range(1, n + 1)))
-
-
-@lru_cache(maxsize=None)
-def symmetric_group(n: int) -> frozenset[Permutation]:
-    """All n! permutations of {1..n}, for n <= ORACLE_MAX_N."""
-    return frozenset(map(_permutation, _group(n)))
 
 
 def _centralizer(s: Images) -> list[Images]:
@@ -247,18 +242,6 @@ class Character:
             raise ValueError("domain and values differ in length")
 
 
-def dual_characters(A: FiniteAbelianGroup) -> list[Character]:
-    """All |A| characters of A, lifted to the original group through the
-    projection (the derived subgroup lands in every kernel).
-
-    Characters are indexed by their coordinate tuples in lexicographic order,
-    which fixes the character numbering used by type vectors.
-    """
-    domain = tuple(sorted(A.projection, key=_key))
-    modulus, tables = _character_tables(A.generators, map(A.projection.__getitem__, domain))
-    return [Character(modulus, domain, values) for values in tables]
-
-
 @dataclass(frozen=True)
 class RSCPoint:
     """One per-class constituent of a ramification system: a base point u in
@@ -304,9 +287,11 @@ def conjugacy_class(lam: CycleType) -> tuple[Permutation, ...]:
 
 
 def character_basis(u: Permutation) -> tuple[Character, ...]:
-    """The indexed character group of the centralizer of u, as
-    ``dual_characters(abelian_quotient(centralizer(u)))`` gives it, built on
-    image tuples; its sorted domain is the only thing made a permutation."""
+    """The indexed character group of the centralizer of u, built on image
+    tuples: the characters of ``abelian_quotient(centralizer(u))`` lifted
+    through its projection, indexed by their coordinate tuples in
+    lexicographic order, which fixes the character numbering used by type
+    vectors.  Its sorted domain is the only thing made a permutation."""
     elements = _centralizer(_padded(u))
     _, chosen, projection = _abelian_quotient(elements)
     modulus, tables = _character_tables(chosen, map(projection.__getitem__, elements))
@@ -320,15 +305,19 @@ class ClassAction:
     class's (base point, character) pairs, as index maps.
 
     base_points     the class, sorted; base point b is base_points[b]
-    bases           bases[b] is the character group of the centralizer of
-                    base point b, carried from base point 0 by conjugation
+    modulus         the modulus of every character's values
+    domains         domains[b]: base point b's centralizer, sorted images
+    tables          tables[b][c]: character c's values on domains[b], carried
+                    from base point 0 by conjugation
     base_maps       base_maps[k][b]: index of s_k·u_b·s_k⁻¹
     character_maps  character_maps[k][b][c]: index, in the target's basis,
-                    of the character that s_k moves bases[b][c] to
+                    of the character that s_k moves character c of b to
     """
 
     base_points: tuple[Permutation, ...]
-    bases: tuple[tuple[Character, ...], ...]
+    modulus: int
+    domains: tuple[tuple[tuple[int, ...], ...], ...]
+    tables: tuple[tuple[tuple[int, ...], ...], ...]
     base_maps: tuple[tuple[int, ...], ...]
     character_maps: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -354,53 +343,53 @@ def class_action(lam: CycleType) -> ClassAction:
     (``_conjugate_images``).  Sorting the conjugates gives the target's
     domain and one index map for the edge; every character of the basis is
     moved by permuting its value tuple through that map, which is what
-    ``act`` does to it.  Along the first edge into a base point, the moved
-    characters become its basis, wrapped as permutations once.  Along every
-    other edge, the conjugates must be exactly the target's domain, and
-    along every edge, each moved character is looked up by its value table
-    in the target's basis; a mismatch or a miss raises ``AssertionError``.
+    ``act`` does to it.  Along the first edge into a base point, the
+    conjugates and the moved tables become its domain and basis, and only
+    the base point is made a permutation.  Along every other edge, the
+    conjugates must be exactly the target's domain, and along every edge,
+    each moved character is looked up by its value table in the target's
+    basis; a mismatch or a miss raises ``AssertionError``.
     So the maps record what conjugation does; none is assumed to be the
     identity.
     """
     found = [canonical_representative(lam)]
     index = {found[0].images: 0}
-    bases = [character_basis(found[0])]
-    modulus = bases[0][0].modulus
+    basis = character_basis(found[0])
     # s_k = (k+1 k+2) as a getter of the positions s_k(j) - 1 and as padded images; for
     # n >= 2 every domain has two or more elements, so each itemgetter returns a tuple
     swaps = [
         (itemgetter(*[v - 1 for v in s.images]), _padded(s))
         for s in (Permutation.from_cycles(lam.n, [(i, i + 1)]) for i in range(1, lam.n))
     ]
-    # carried[b]: b's sorted domain as image tuples, and its basis's value tables by index
-    carried = [(tuple(map(_key, bases[0][0].domain)), {chi.values: c for c, chi in enumerate(bases[0])})]
+    domains = [tuple(map(_key, basis[0].domain))]
+    tables = [tuple([chi.values for chi in basis])]
+    lookups = [{values: c for c, values in enumerate(tables[0])}]  # lookups[b][values]: c
     base_maps: list[list[int]] = [[] for _ in swaps]
     character_maps: list[list[tuple[int, ...]]] = [[] for _ in swaps]
     for b, u in enumerate(found):
-        elements, by_values = carried[b]
         for k, swap in enumerate(swaps):
-            conjugates = _conjugate_images(swap, [u.images, *elements])
+            conjugates = _conjugate_images(swap, [u.images, *domains[b]])
             target = index.get(conjugates[0])
             moved = conjugates[1:]
             # the j-th index of reorder is the position, in b's domain, of the
             # element whose conjugate is the j-th of the target's sorted domain
             reorder = itemgetter(*sorted(range(len(moved)), key=moved.__getitem__))
             domain = reorder(moved)
-            images = list(map(reorder, by_values))
+            images = tuple(map(reorder, tables[b]))
             if target is None:
                 w = _trusted_permutation(conjugates[0])
                 if cycle_type(w) != lam:
                     raise AssertionError(f"({k + 1} {k + 2}) moves {u} out of the class {lam} to {w}")
                 target = index[w.images] = len(found)
                 found.append(w)
-                wrapped = tuple(map(_trusted_permutation, domain))
-                bases.append(tuple([Character(modulus, wrapped, v) for v in images]))
-                carried.append((domain, {values: c for c, values in enumerate(images)}))
-            elif domain != carried[target][0]:
+                domains.append(domain)
+                tables.append(images)
+                lookups.append({values: c for c, values in enumerate(images)})
+            elif domain != domains[target]:
                 raise AssertionError(
                     f"({k + 1} {k + 2}) does not carry the centralizer of {u} onto that of {found[target]}"
                 )
-            row = tuple(map(carried[target][1].get, images))
+            row = tuple(map(lookups[target].get, images))
             if None in row:
                 raise AssertionError(
                     f"({k + 1} {k + 2}) moves a character at {u} off the basis at {found[target]}"
@@ -411,7 +400,9 @@ def class_action(lam: CycleType) -> ClassAction:
     rank = {b: i for i, b in enumerate(sort)}
     return ClassAction(
         tuple([found[b] for b in sort]),
-        tuple([bases[b] for b in sort]),
+        basis[0].modulus,
+        tuple([domains[b] for b in sort]),
+        tuple([tables[b] for b in sort]),
         tuple(tuple([rank[targets[b]] for b in sort]) for targets in base_maps),
         tuple(tuple([rows[b] for b in sort]) for rows in character_maps),
     )
@@ -423,7 +414,7 @@ def _point_count(lam: CycleType, r: int) -> int:
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
     action = class_action(lam)
-    points = len(action.base_points) * len(action.bases[0]) ** r
+    points = len(action.base_points) * len(action.tables[0]) ** r
     if points > ORBIT_POINT_BUDGET:
         raise OracleBudgetError(
             f"class {lam} with r = {r} needs {points} points, over the budget of {ORBIT_POINT_BUDGET}"
@@ -435,14 +426,16 @@ def class_points(lam: CycleType, r: int) -> tuple[RSCPoint, ...]:
     """Every (base point, r characters) pair for one class: the per-class
     factor of the full RSC space.  The point at position b·γ^r + Σ c_i·γ^(r-i)
     (i = 1..r) carries base point b and characters c_1..c_r of its basis in
-    ``class_action(lam)``; ``index_moves`` works on these positions."""
+    ``class_action(lam)``, whose domains are made permutations here, once
+    per base point; ``index_moves`` works on these positions."""
     _point_count(lam, r)
     action = class_action(lam)
-    return tuple(
-        RSCPoint(u, chars)
-        for u, basis in zip(action.base_points, action.bases)
-        for chars in itertools.product(basis, repeat=r)
-    )
+    points = []
+    for u, domain, tables in zip(action.base_points, action.domains, action.tables):
+        wrapped = tuple(map(_trusted_permutation, domain))
+        basis = [Character(action.modulus, wrapped, values) for values in tables]
+        points += [RSCPoint(u, chars) for chars in itertools.product(basis, repeat=r)]
+    return tuple(points)
 
 
 def index_moves(lam: CycleType, r: int) -> list[list[int]]:
@@ -450,7 +443,7 @@ def index_moves(lam: CycleType, r: int) -> list[list[int]]:
     ``class_points(lam, r)``: first the adjacent transpositions of S_n with
     the slots fixed, then the adjacent transpositions of the r slots."""
     action = class_action(lam)
-    gam = len(action.bases[0])
+    gam = len(action.tables[0])
     width = gam**r
     moves: list[list[int]] = []
     for targets, maps in zip(action.base_maps, action.character_maps):

@@ -28,7 +28,6 @@ from ramsys.oracle import (
     fixed_point_count,
     oracle_count,
     orbit_count_class,
-    symmetric_group,
 )
 from ramsys.perm import (
     CycleType,
@@ -40,6 +39,13 @@ from ramsys.perm import (
     cycle_type,
     enumerate_cycle_types,
 )
+
+
+def _symmetric_group(n):
+    """S_n listed here, not by the oracle, so the checks hold the oracle to a
+    group it did not enumerate."""
+    return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+
 
 # ---------------------------------------------------------------------------
 # criterion 1: headline counts
@@ -97,7 +103,7 @@ def check_oracle_equivalence():
 
 
 def check_fixed_point_law():
-    group = list(symmetric_group(3))
+    group = _symmetric_group(3)
     for lam in enumerate_cycle_types(3):
         for r in (1, 2, 3):
             index_group = [
@@ -141,8 +147,8 @@ def _cyclic_product_order_histogram(factors):
 
 def check_structure_theorems():
     for n in range(1, 6):
-        group = symmetric_group(n)
-        derived = commutator_subgroup(group)
+        group = _symmetric_group(n)
+        derived = commutator_subgroup(frozenset(group))
         evens = frozenset(p for p in group if _is_even(p))
         assert derived == evens
         if n >= 2:
@@ -281,7 +287,7 @@ def check_wreath_isomorphism():
     _check_wreath_isomorphism(tau, Z, base_order=2, degree=2)
 
     # (1 2 3)(4 5 6) inside S_7: the centralizer restricted to the support,
-    # computed directly (no symmetric_group(6) anywhere)
+    # computed directly (the oracle is never asked for S_6)
     tau7 = Permutation.from_cycles(7, [(1, 2, 3), (4, 5, 6)])
     centralizing = []
     for images in itertools.permutations(range(1, 7)):

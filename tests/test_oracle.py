@@ -16,6 +16,7 @@ from ramsys.oracle import (
     Character,
     OracleBudgetError,
     RSCPoint,
+    _group,
     _partition,
     abelian_quotient,
     act,
@@ -26,14 +27,12 @@ from ramsys.oracle import (
     class_points,
     commutator_subgroup,
     conjugacy_class,
-    dual_characters,
     fixed_point_count,
     index_moves,
     oracle_count,
     orbit_count_class,
     orbit_partition_class,
     support_orbit_count,
-    symmetric_group,
 )
 from ramsys.perm import (
     CycleType,
@@ -50,6 +49,11 @@ from ramsys.perm import (
     enumerate_cycle_types,
     inverse,
 )
+
+
+def symmetric_group(n):
+    """S_n listed by the test itself, in sorted order, not by the oracle."""
+    return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
 
 
 def is_even(p):
@@ -152,17 +156,20 @@ def positions_cover(orbits, size):
 
 class TestSymmetricGroup:
     def test_orders(self):
+        # n! distinct padded image tuples, in sorted order
         for n in range(1, 6):
-            assert len(symmetric_group(n)) == factorial(n)
+            group = list(_group(n))
+            assert len(set(group)) == len(group) == factorial(n)
+            assert group == sorted(group)
 
     def test_n1_is_trivial(self):
-        assert set(symmetric_group(1)) == {Permutation.identity(1)}
+        assert list(_group(1)) == [(0, 1)]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            symmetric_group(0)
-        with pytest.raises(ValueError):
-            symmetric_group(6)
+        with pytest.raises(UnsupportedGroupError):
+            _group(0)
+        with pytest.raises(UnsupportedGroupError):
+            _group(6)
 
     def test_out_of_scale_class_is_an_input_error(self):
         # refused by the scale check that runs before S_n is enumerated
@@ -171,7 +178,7 @@ class TestSymmetricGroup:
         assert isinstance(info.value, ValueError)
 
     def test_closure(self):
-        assert is_closed(symmetric_group(3))
+        assert is_closed(frozenset(Permutation(x[1:]) for x in _group(3)))
         assert not is_closed(frozenset({Permutation.from_cycles(3, [(1, 2)])}))
 
     @pytest.mark.parametrize("text", ["2^1 4^1", "1^7"])
@@ -207,7 +214,7 @@ class TestSymmetricGroup:
 
 class TestCentralizer:
     def test_identity_centralizer_is_whole_group(self):
-        assert centralizer(Permutation.identity(3)) == symmetric_group(3)
+        assert centralizer(Permutation.identity(3)) == frozenset(symmetric_group(3))
 
     def test_three_cycle(self):
         sigma = Permutation.from_cycles(3, [(1, 2, 3)])
@@ -230,7 +237,7 @@ class TestCentralizer:
 
 class TestCommutatorSubgroup:
     def test_s3_gives_a3(self):
-        derived = commutator_subgroup(symmetric_group(3))
+        derived = commutator_subgroup(frozenset(symmetric_group(3)))
         assert len(derived) == 3
         assert all(is_even(p) for p in derived)
 
@@ -245,7 +252,7 @@ class TestCommutatorSubgroup:
 
     def test_alternating_groups(self):
         for n in range(1, 6):
-            derived = commutator_subgroup(symmetric_group(n))
+            derived = commutator_subgroup(frozenset(symmetric_group(n)))
             evens = frozenset(p for p in symmetric_group(n) if is_even(p))
             assert derived == evens
             if n >= 2:
@@ -253,11 +260,11 @@ class TestCommutatorSubgroup:
 
     def test_result_is_closed(self):
         for n in range(1, 5):
-            assert is_closed(commutator_subgroup(symmetric_group(n)))
+            assert is_closed(commutator_subgroup(frozenset(symmetric_group(n))))
 
     def test_matches_all_pairs_closure(self):
         for n in range(1, 6):
-            groups = [symmetric_group(n)] + [
+            groups = [frozenset(symmetric_group(n))] + [
                 centralizer(canonical_representative(lam))
                 for lam in enumerate_cycle_types(n)
             ]
@@ -267,7 +274,7 @@ class TestCommutatorSubgroup:
 
 class TestAbelianQuotient:
     def test_s3_quotient_is_c2(self):
-        quotient = abelian_quotient(symmetric_group(3))
+        quotient = abelian_quotient(frozenset(symmetric_group(3)))
         assert len(quotient.carrier) == 2
         assert [order for _, order in quotient.generators] == [2]
 
@@ -308,7 +315,7 @@ class TestAbelianQuotient:
         # images; the greedy generator choice fixes the character numbering
         digest = hashlib.sha256()
         for n in range(1, 6):
-            for sigma in sorted(symmetric_group(n), key=lambda p: p.images):
+            for sigma in symmetric_group(n):
                 quotient = abelian_quotient(centralizer(sigma))
                 digest.update(repr([q.images for q in quotient.carrier]).encode())
                 digest.update(repr([(g.images, order) for g, order in quotient.generators]).encode())
@@ -332,13 +339,13 @@ class TestAbelianQuotient:
 
 class TestDualCharacters:
     def test_trivial_group(self):
-        quotient = abelian_quotient(frozenset({Permutation.identity(1)}))
-        characters = dual_characters(quotient)
+        characters = character_basis(Permutation.identity(1))
         assert len(characters) == 1
         assert set(characters[0].values) == {0}
 
     def test_sign_character_of_s3(self):
-        characters = dual_characters(abelian_quotient(symmetric_group(3)))
+        # the centralizer of the identity is the whole of S_3
+        characters = character_basis(Permutation.identity(3))
         assert len(characters) == 2
         assert len(set(characters)) == 2
         # one is trivial, the other separates even from odd
@@ -365,7 +372,6 @@ class TestDualCharacters:
             made.append(images)
             return true_trusted(images)
 
-        symmetric_group.cache_clear()
         monkeypatch.setattr(ramsys.perm, "_trusted_permutation", counting)
         monkeypatch.setattr(ramsys.oracle, "_trusted_permutation", counting)
         for n in range(1, 6):
@@ -385,7 +391,7 @@ class TestDualCharacters:
         sigma = Permutation.from_cycles(4, [(1, 2), (3, 4)])
         H = centralizer(sigma)
         derived = commutator_subgroup(H)
-        for chi in dual_characters(abelian_quotient(H)):
+        for chi in character_basis(sigma):
             assert all(character_value(chi, d) == 0 for d in derived)
 
     def test_domain_errors(self):
@@ -401,8 +407,8 @@ class TestAct:
 
     def test_action_axiom_random_s4(self):
         rng = random.Random(71)
-        group = sorted(symmetric_group(4), key=lambda p: p.images)
-        index_group = list(symmetric_group(2))
+        group = symmetric_group(4)
+        index_group = symmetric_group(2)
         points = class_points(CycleType.parse("1^2 2^1"), 2)
         for _ in range(1000):
             point = rng.choice(points)
@@ -440,16 +446,43 @@ class TestAct:
 class TestClassAction:
     def test_transported_bases_match_character_basis(self):
         # S_1..S_5, every base point of every class; the walk's class is held
-        # to a filter of S_n by cycle type
+        # to a filter of S_n by cycle type, and each carried basis is read
+        # off the r = 1 points
         for n in range(1, 6):
             for lam in enumerate_cycle_types(n):
                 action = class_action(lam)
                 members = (p for p in symmetric_group(n) if cycle_type(p) == lam)
                 assert action.base_points == tuple(sorted(members, key=lambda p: p.images))
-                for u, basis in zip(action.base_points, action.bases):
+                bases = {u: [] for u in action.base_points}
+                for point in class_points(lam, 1):
+                    bases[point.base_point].append(point.characters[0])
+                for u, basis in bases.items():
                     assert len(basis) == gamma(lam)
                     assert len(set(basis)) == len(basis)
                     assert set(basis) == set(character_basis(u))
+
+    def test_walk_makes_permutations_only_for_base_points_and_u0(self, monkeypatch):
+        # the carried groups stay image tuples: a cold walk over every class of
+        # S_1..S_5 makes one permutation per new base point and the domain of
+        # character_basis at u0, counted through both names of the trusted
+        # builder
+        made = []
+        true_trusted = ramsys.perm._trusted_permutation
+
+        def counting(images):
+            made.append(images)
+            return true_trusted(images)
+
+        monkeypatch.setattr(ramsys.perm, "_trusted_permutation", counting)
+        monkeypatch.setattr(ramsys.oracle, "_trusted_permutation", counting)
+        for n in range(1, 6):
+            for lam in enumerate_cycle_types(n):
+                for value in vars(ramsys.oracle).values():
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+                made.clear()
+                class_action(lam)
+                assert len(made) <= class_size(lam) + centralizer_order(lam)
 
     def test_observed_character_maps_are_identity(self):
         # conjugating around a loop in the class lands in the centralizer,
@@ -723,8 +756,8 @@ class TestFixedPointCount:
     def test_matches_closed_form_spot(self):
         lam = CycleType.parse("1^2 2^1")
         rng = random.Random(19)
-        group = sorted(symmetric_group(4), key=lambda p: p.images)
-        index_group = list(symmetric_group(2))
+        group = symmetric_group(4)
+        index_group = symmetric_group(2)
         for _ in range(25):
             g = rng.choice(group)
             pi = rng.choice(index_group)
@@ -874,7 +907,7 @@ class TestCharacterNumbering:
             for lam in enumerate_cycle_types(n):
                 action = class_action(lam)
                 digest.update(str(lam).encode())
-                digest.update(repr([[chi.values for chi in basis] for basis in action.bases]).encode())
+                digest.update(repr([list(t) for t in action.tables]).encode())
                 digest.update(repr(action.character_maps).encode())
                 for r in range(1, (2 if n == 5 else 3) + 1):
                     digest.update(repr(orbit_partition_class(lam, r)).encode())
