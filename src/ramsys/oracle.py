@@ -6,9 +6,8 @@ generated from the commutators [a, s] with s in a generating set, abelian
 quotients with a greedy cyclic decomposition, and their full character
 groups.  That work runs on padded image tuples (0, p(1), ..., p(n)), which
 sort by images and multiply in one C-level call, a·b = ``itemgetter(*b)(a)``.
-``Permutation``s are made only at the API edge: the domain that
-``character_basis`` returns, the frozensets of the public group functions,
-the base points of a class and the points ``class_points`` builds.
+``character_basis`` returns tuples too: ``Permutation``s are made only for
+each base point the class walk newly reaches and for ``class_points``.
 
 Orbits of the relabelling action are counted on integer-coded points.  Per
 class, one breadth-first walk of conjugations by adjacent transpositions
@@ -17,9 +16,10 @@ character basis, built once at u0, to the rest of it as index maps
 (``class_action``); the orbits of the maps on ``range(|C|·γ^r)`` are found
 by a walk over positions.  The maps are observed, never assumed: that moving
 a character around a loop of conjugations brings it back to itself is what
-the closed form relies on.  ``act``, which moves one point at a time on
-explicit objects, is the independent reference the test suite holds the
-maps to.  ``support_orbit_count`` counts the orbits of S_n on a support's
+the closed form relies on.  The test suite holds the maps to ``act`` in
+``tests/reference.py``, which moves one point at a time on explicit
+objects; the frozenset views of the group work live there too.
+``support_orbit_count`` counts the orbits of S_n on a support's
 tuples of class members under simultaneous conjugation.  Nothing here uses
 the closed form: the only import from the package is the permutation
 primitives of ``perm``, and the point budget is the oracle's own class size
@@ -33,11 +33,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
-from operator import attrgetter, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Container, Iterable, Iterator, Sequence
 
-from .perm import CycleType, Permutation, canonical_representative, conjugate
-from .perm import InputError, UnsupportedGroupError, _trusted_permutation, cycle_type, inverse
+from .perm import CycleType, InputError, Permutation, UnsupportedGroupError
+from .perm import _trusted_permutation, canonical_representative, cycle_type
 
 ORACLE_MAX_N = 5
 
@@ -45,7 +45,6 @@ ORACLE_MAX_N = 5
 ORBIT_POINT_BUDGET = 250_000
 
 Images = tuple[int, ...]  # a padded image tuple (0, p(1), ..., p(n))
-_key = attrgetter("images")  # sorts permutations by images
 
 
 class OracleBudgetError(InputError, RuntimeError):
@@ -61,10 +60,6 @@ def _padded(p: Permutation) -> Images:
     return (0, *p.images)
 
 
-def _permutation(x: Images) -> Permutation:
-    return _trusted_permutation(x[1:])
-
-
 def _commutes(a: Images, b: Images) -> bool:
     return itemgetter(*b)(a) == itemgetter(*a)(b)
 
@@ -78,11 +73,6 @@ def _group(n: int) -> Iterator[Images]:
 
 def _centralizer(s: Images) -> list[Images]:
     return [g for g in _group(len(s) - 1) if _commutes(g, s)]
-
-
-def centralizer(sigma: Permutation) -> frozenset[Permutation]:
-    """{g : g·sigma = sigma·g}, by exhaustive commutation test."""
-    return frozenset(map(_permutation, _centralizer(_padded(sigma))))
 
 
 def _generate(identity: Images, candidates: Iterable[Images]) -> tuple[set[Images], list[Images]]:
@@ -111,7 +101,10 @@ def _generate(identity: Images, candidates: Iterable[Images]) -> tuple[set[Image
 
 
 def _derived(elements: list[Images]) -> set[Images]:
-    """H' for H given as its sorted elements; see ``commutator_subgroup``."""
+    """H' for H given as its sorted elements: the closure of the commutators
+    [a, s] for a in H and s in a generating set of H chosen greedily in sorted
+    order.  [ab, s] = a·[b, s]·a⁻¹·[a, s], so they generate a normal N with
+    every s central modulo N; H/N is abelian and N = H'."""
     identity = tuple(range(len(elements[0])))
     _, generators = _generate(identity, elements)
     # [a, s] = a·s·a⁻¹·s⁻¹ is a·s·a⁻¹, the map a(i) -> a(s(i)), read at s⁻¹(x)
@@ -122,38 +115,14 @@ def _derived(elements: list[Images]) -> set[Images]:
     return _generate(identity, commutators)[0]
 
 
-def commutator_subgroup(H: frozenset[Permutation]) -> frozenset[Permutation]:
-    """H' as the closure of the commutators [a, s] = a·s·a⁻¹·s⁻¹ for a in H
-    and s in a greedily chosen generating set of H.  Candidates are taken in
-    sorted order, so the generating set does not depend on set iteration.
-
-    Since [ab, s] = a·[b, s]·a⁻¹·[a, s], these commutators generate a normal
-    subgroup N of H; every s is central modulo N, so H/N is abelian and N = H'.
-    """
-    return frozenset(map(_permutation, _derived(sorted(map(_padded, H)))))
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteAbelianGroup:
-    """The quotient H/H' realized concretely.
-
-    carrier     one canonical representative per coset of H'
-    generators  (representative, order) pairs of an internal direct-sum
-                cyclic decomposition, orders weakly decreasing
-    projection  every element of H mapped to its coordinate tuple
-    """
-
-    carrier: tuple[Permutation, ...]
-    generators: tuple[tuple[Permutation, int], ...]
-    projection: dict[Permutation, tuple[int, ...]]
-
-    def exponent(self) -> int:
-        return lcm(*(order for _, order in self.generators))
-
-
 def _abelian_quotient(elements: list[Images]) -> tuple[list, list, dict]:
-    """Carrier, (generator, order) pairs and projection of H/H' for H given as
-    its sorted elements; see ``abelian_quotient``."""
+    """H/H' for H given as its sorted elements: the carrier (each coset's
+    smallest member), (generator, order) pairs with orders weakly decreasing,
+    and each element's coordinates.  Each generator has maximal coset order
+    modulo the span so far and is a pure lift (its own order is that order;
+    one exists because the span stays a direct summand).  Its powers g^k
+    extend every old span element's coordinates by k, and must all be new,
+    or the sum is not direct."""
     times_derived = [itemgetter(*d) for d in _derived(elements)]
     # in sorted order, a coset's first unseen member is its smallest
     rep_of: dict[Images, Images] = {}
@@ -200,22 +169,6 @@ def _abelian_quotient(elements: list[Images]) -> tuple[list, list, dict]:
     return reps, chosen, {h: coordinates[rep_of[h]] for h in elements}
 
 
-def abelian_quotient(H: frozenset[Permutation]) -> FiniteAbelianGroup:
-    """Explicit H/H' with a greedy cyclic decomposition.
-
-    Repeatedly extract an element whose coset order modulo the span so far is
-    maximal, restricted to elements whose own order equals that coset order
-    (such a lift always exists because the span stays a direct summand).
-    Each span element records its coordinates as the span grows: the powers
-    g^k (k below the order) of a new generator g extend every old element's
-    coordinates by k, and they must all be new, or the sum is not direct.
-    """
-    reps, chosen, projection = _abelian_quotient(sorted(map(_padded, H)))
-    generators = tuple([(_permutation(g), order) for g, order in chosen])
-    projection = {_permutation(h): coords for h, coords in projection.items()}
-    return FiniteAbelianGroup(tuple(map(_permutation, reps)), generators, projection)
-
-
 def _character_tables(generators: Sequence[tuple], coordinates: Iterable[tuple]) -> tuple[int, list]:
     """The modulus and the value tables, at the given coordinate tuples, of
     every character of the direct sum of cyclic groups of the generators'
@@ -251,52 +204,17 @@ class RSCPoint:
     characters: tuple[Character, ...]
 
 
-def _transport(chi: Character, g: Permutation) -> Character:
-    """Precompose chi with conjugation by g⁻¹; lives on g·Z·g⁻¹."""
-    pairs = sorted(
-        ((conjugate(g, h), value) for h, value in zip(chi.domain, chi.values)),
-        key=lambda item: _key(item[0]),
-    )
-    return Character(
-        chi.modulus,
-        tuple(h for h, _ in pairs),
-        tuple(value for _, value in pairs),
-    )
-
-
-def act(g: Permutation, pi: Permutation, point: RSCPoint) -> RSCPoint:
-    """Relabelling action: the base point is conjugated by g and character
-    slot i receives the old slot π⁻¹(i) precomposed with conjugation by g⁻¹.
-    This is a left action: act(g2, p2, act(g1, p1, x)) = act(g2·g1, p2·p1, x).
-    """
-    if g.n != point.base_point.n:
-        raise ValueError(f"size mismatch: g acts on 1..{g.n}, point lives in S_{point.base_point.n}")
-    if pi.n != len(point.characters):
-        raise ValueError(f"index permutation has degree {pi.n}, point has {len(point.characters)} characters")
-    pi_inv = inverse(pi)
-    new_chars = tuple(
-        _transport(point.characters[pi_inv(i) - 1], g) for i in range(1, pi.n + 1)
-    )
-    return RSCPoint(conjugate(g, point.base_point), new_chars)
-
-
-def conjugacy_class(lam: CycleType) -> tuple[Permutation, ...]:
-    """All permutations of the given cycle type, sorted: the base points the
-    walk of ``class_action`` reaches."""
-    return class_action(lam).base_points
-
-
-def character_basis(u: Permutation) -> tuple[Character, ...]:
-    """The indexed character group of the centralizer of u, built on image
-    tuples: the characters of ``abelian_quotient(centralizer(u))`` lifted
-    through its projection, indexed by their coordinate tuples in
-    lexicographic order, which fixes the character numbering used by type
-    vectors.  Its sorted domain is the only thing made a permutation."""
+def character_basis(u: Permutation) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The indexed character group of Z_u as tuple data ``(modulus, domain,
+    tables)``: ``domain`` is Z_u as sorted unpadded image tuples, the format
+    of ``ClassAction.domains``, and ``tables[c]`` is character c's values on
+    it mod ``modulus``.  Characters are numbered by their coordinate tuples
+    in ``_abelian_quotient``, in lexicographic order, which fixes the type
+    vectors' character numbering.  No permutation is made."""
     elements = _centralizer(_padded(u))
     _, chosen, projection = _abelian_quotient(elements)
     modulus, tables = _character_tables(chosen, map(projection.__getitem__, elements))
-    domain = tuple(map(_permutation, elements))
-    return tuple([Character(modulus, domain, values) for values in tables])
+    return modulus, tuple([x[1:] for x in elements]), tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -342,28 +260,26 @@ def class_action(lam: CycleType) -> ClassAction:
     centralizer are conjugated by s once, as image tuples
     (``_conjugate_images``).  Sorting the conjugates gives the target's
     domain and one index map for the edge; every character of the basis is
-    moved by permuting its value tuple through that map, which is what
-    ``act`` does to it.  Along the first edge into a base point, the
+    moved by permuting its value tuple through that map, as the test
+    reference ``act`` moves it.  Along the first edge into a base point, the
     conjugates and the moved tables become its domain and basis, and only
     the base point is made a permutation.  Along every other edge, the
     conjugates must be exactly the target's domain, and along every edge,
     each moved character is looked up by its value table in the target's
-    basis; a mismatch or a miss raises ``AssertionError``.
-    So the maps record what conjugation does; none is assumed to be the
-    identity.
+    basis; a mismatch or a miss raises ``AssertionError``.  So the maps
+    record what conjugation does; none is assumed to be the identity.
     """
     found = [canonical_representative(lam)]
     index = {found[0].images: 0}
-    basis = character_basis(found[0])
+    modulus, domain, table = character_basis(found[0])
     # s_k = (k+1 k+2) as a getter of the positions s_k(j) - 1 and as padded images; for
     # n >= 2 every domain has two or more elements, so each itemgetter returns a tuple
     swaps = [
         (itemgetter(*[v - 1 for v in s.images]), _padded(s))
         for s in (Permutation.from_cycles(lam.n, [(i, i + 1)]) for i in range(1, lam.n))
     ]
-    domains = [tuple(map(_key, basis[0].domain))]
-    tables = [tuple([chi.values for chi in basis])]
-    lookups = [{values: c for c, values in enumerate(tables[0])}]  # lookups[b][values]: c
+    domains, tables = [domain], [table]
+    lookups = [{values: c for c, values in enumerate(table)}]  # lookups[b][values]: c
     base_maps: list[list[int]] = [[] for _ in swaps]
     character_maps: list[list[tuple[int, ...]]] = [[] for _ in swaps]
     for b, u in enumerate(found):
@@ -396,11 +312,11 @@ def class_action(lam: CycleType) -> ClassAction:
                 )
             base_maps[k].append(target)
             character_maps[k].append(row)
-    sort = sorted(range(len(found)), key=lambda b: _key(found[b]))  # sort[i]: walk number of base point i
+    sort = sorted(range(len(found)), key=lambda b: found[b].images)  # sort[i]: walk number of base point i
     rank = {b: i for i, b in enumerate(sort)}
     return ClassAction(
         tuple([found[b] for b in sort]),
-        basis[0].modulus,
+        modulus,
         tuple([domains[b] for b in sort]),
         tuple([tables[b] for b in sort]),
         tuple(tuple([rank[targets[b]] for b in sort]) for targets in base_maps),
@@ -426,8 +342,7 @@ def class_points(lam: CycleType, r: int) -> tuple[RSCPoint, ...]:
     """Every (base point, r characters) pair for one class: the per-class
     factor of the full RSC space.  The point at position b·γ^r + Σ c_i·γ^(r-i)
     (i = 1..r) carries base point b and characters c_1..c_r of its basis in
-    ``class_action(lam)``, whose domains are made permutations here, once
-    per base point; ``index_moves`` works on these positions."""
+    ``class_action(lam)``; ``index_moves`` works on these positions."""
     _point_count(lam, r)
     action = class_action(lam)
     points = []
@@ -515,15 +430,8 @@ def oracle_count(ram) -> int:
 
 def _beta_table(group: Sequence[Images], lam: CycleType) -> list[int]:
     """β(g, C) = |Z_g ∩ C| for each g of ``group``, by commutation tests."""
-    members = [_padded(h) for h in conjugacy_class(lam)]
+    members = [_padded(h) for h in class_action(lam).base_points]
     return [sum([_commutes(g, h) for h in members]) for g in group]
-
-
-def beta(g: Permutation, lam: CycleType) -> int:
-    """|Z_g ∩ C|: how many members of the class commute with g."""
-    if g.n != lam.n:
-        raise ValueError(f"size mismatch: {g.n} vs {lam.n}")
-    return _beta_table([_padded(g)], lam)[0]
 
 
 def support_orbit_count(classes: Sequence[CycleType]) -> int:
@@ -540,13 +448,3 @@ def support_orbit_count(classes: Sequence[CycleType]) -> int:
     if remainder:
         raise AssertionError(f"the fixed-point sum {total} is not divisible by |S_n| = {len(group)}")
     return orbits
-
-
-def fixed_point_count(g: Permutation, pi: Permutation, lam: CycleType) -> int:
-    """Brute-force count of class points fixed by act(g, pi, ·).
-
-    The closed form is γ^k(pi) · beta(g, lam) with k(pi) the number of cycles
-    of pi; the test suite checks the two against each other.
-    """
-    points = class_points(lam, pi.n)
-    return sum(1 for point in points if act(g, pi, point) == point)

@@ -20,15 +20,7 @@ from ramsys.counting import (
     count_rsc_stirling,
     enumerate_types,
 )
-from ramsys.oracle import (
-    beta,
-    centralizer,
-    character_basis,
-    commutator_subgroup,
-    fixed_point_count,
-    oracle_count,
-    orbit_count_class,
-)
+from ramsys.oracle import oracle_count, orbit_count_class
 from ramsys.perm import (
     CycleType,
     Permutation,
@@ -38,6 +30,13 @@ from ramsys.perm import (
     cycle_decomposition,
     cycle_type,
     enumerate_cycle_types,
+)
+from reference import (
+    beta,
+    centralizer,
+    character_basis,
+    commutator_subgroup,
+    fixed_point_count,
 )
 
 

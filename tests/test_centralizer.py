@@ -17,7 +17,7 @@ from ramsys.perm import (
     cycle_type,
     enumerate_cycle_types,
 )
-from ramsys import oracle
+import reference
 
 
 def symmetric_group(n):
@@ -111,13 +111,13 @@ class TestOracleAgreement:
     def test_quotient_order_is_gamma_small_n(self):
         for n in range(1, 5):
             for sigma in symmetric_group(n):
-                quotient = oracle.abelian_quotient(oracle.centralizer(sigma))
+                quotient = reference.abelian_quotient(reference.centralizer(sigma))
                 assert len(quotient.carrier) == gamma(cycle_type(sigma))
 
     def test_commutator_of_double_transposition_centralizer(self):
         # C_2 wr S_2 has derived subgroup of order |B-bar| * |A_2| = 2 * 1
         tau = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        derived = oracle.commutator_subgroup(oracle.centralizer(tau))
+        derived = reference.commutator_subgroup(reference.centralizer(tau))
         assert len(derived) == 2
 
     def test_quotient_structure_matches_invariants_small_n(self):
@@ -125,9 +125,9 @@ class TestOracleAgreement:
         # predicted direct product of cyclic groups
         for n in range(1, 5):
             for sigma in symmetric_group(n):
-                H = oracle.centralizer(sigma)
-                derived = oracle.commutator_subgroup(H)
-                quotient = oracle.abelian_quotient(H)
+                H = reference.centralizer(sigma)
+                derived = reference.commutator_subgroup(H)
+                quotient = reference.abelian_quotient(H)
                 observed = Counter(
                     _coset_order(rep, derived) for rep in quotient.carrier
                 )

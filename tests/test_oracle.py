@@ -10,7 +10,7 @@ import pytest
 
 import ramsys.oracle
 from ramsys.centralizer import gamma
-from ramsys.counting import Ramification
+from ramsys.counting import Ramification, enumerate_types
 from ramsys.oracle import (
     ORBIT_POINT_BUDGET,
     Character,
@@ -18,16 +18,8 @@ from ramsys.oracle import (
     RSCPoint,
     _group,
     _partition,
-    abelian_quotient,
-    act,
-    beta,
-    centralizer,
-    character_basis,
     class_action,
     class_points,
-    commutator_subgroup,
-    conjugacy_class,
-    fixed_point_count,
     index_moves,
     oracle_count,
     orbit_count_class,
@@ -48,6 +40,16 @@ from ramsys.perm import (
     cycle_type,
     enumerate_cycle_types,
     inverse,
+)
+from reference import (
+    abelian_quotient,
+    act,
+    beta,
+    centralizer,
+    character_basis,
+    commutator_subgroup,
+    conjugacy_class,
+    fixed_point_count,
 )
 
 
@@ -154,6 +156,16 @@ def positions_cover(orbits, size):
     return sorted(flat) == list(range(size))
 
 
+def digit_counts(x, base, r):
+    """How often each digit occurs among the r lowest base-``base`` digits
+    of x: the multiset of character indices at position x, as a composition."""
+    counts = [0] * base
+    for _ in range(r):
+        x, digit = divmod(x, base)
+        counts[digit] += 1
+    return tuple(counts)
+
+
 class TestSymmetricGroup:
     def test_orders(self):
         # n! distinct padded image tuples, in sorted order
@@ -203,7 +215,7 @@ class TestSymmetricGroup:
         class_action.cache_clear()
         monkeypatch.setattr(itertools, "permutations", counting_permutations)
         monkeypatch.setattr(ramsys.oracle, "_trusted_permutation", counting_trusted)
-        for call in (centralizer, character_basis):
+        for call in (centralizer, ramsys.oracle.character_basis):
             with pytest.raises(UnsupportedGroupError, match=f"got n = {lam.n}"):
                 call(u)
         for call in (class_action, lambda lam: support_orbit_count([lam])):
@@ -361,25 +373,37 @@ class TestDualCharacters:
             assert len(characters) == gamma(cycle_type(sigma))
             assert len(set(characters)) == len(characters)
 
-    def test_character_basis_makes_permutations_only_for_its_domain(self, monkeypatch):
-        # the group work runs on image tuples: at the canonical representative
-        # of every class of S_1..S_5, at most |Z_u| permutations are made, the
-        # returned domain, counted through both names of the trusted builder
+    def test_character_basis_makes_no_permutations(self, monkeypatch):
+        # the group work and the result stay image tuples: at the canonical
+        # representative of every class of S_1..S_5 the library's basis makes
+        # no permutation, counted through both names of the trusted builder
+        # and the validating constructor, and its domain is all of Z_u
         made = []
         true_trusted = ramsys.perm._trusted_permutation
+        true_check = Permutation.__post_init__
 
         def counting(images):
             made.append(images)
             return true_trusted(images)
 
+        def counting_check(p):
+            made.append(p.images)
+            true_check(p)
+
         monkeypatch.setattr(ramsys.perm, "_trusted_permutation", counting)
         monkeypatch.setattr(ramsys.oracle, "_trusted_permutation", counting)
+        monkeypatch.setattr(Permutation, "__post_init__", counting_check)
         for n in range(1, 6):
             for lam in enumerate_cycle_types(n):
+                u = canonical_representative(lam)
                 made.clear()
-                basis = character_basis(canonical_representative(lam))
-                assert len(basis[0].domain) == centralizer_order(lam)
-                assert len(made) <= centralizer_order(lam)
+                modulus, domain, tables = ramsys.oracle.character_basis(u)
+                assert made == []
+                assert len(domain) == centralizer_order(lam)
+                assert domain == tuple(sorted(domain))
+                assert len(tables) == len(set(tables))
+                assert all(len(values) == len(domain) for values in tables)
+                assert all(0 <= value < modulus for values in tables for value in values)
 
     def test_characters_are_homomorphisms(self):
         for lam in enumerate_cycle_types(4):
@@ -461,11 +485,11 @@ class TestClassAction:
                     assert len(set(basis)) == len(basis)
                     assert set(basis) == set(character_basis(u))
 
-    def test_walk_makes_permutations_only_for_base_points_and_u0(self, monkeypatch):
-        # the carried groups stay image tuples: a cold walk over every class of
-        # S_1..S_5 makes one permutation per new base point and the domain of
-        # character_basis at u0, counted through both names of the trusted
-        # builder
+    def test_walk_makes_permutations_only_for_new_base_points(self, monkeypatch):
+        # the carried groups stay image tuples from character_basis on: a cold
+        # walk over every class of S_1..S_5 makes one permutation per base
+        # point it newly reaches, |C| - 1 in all, counted through both names
+        # of the trusted builder
         made = []
         true_trusted = ramsys.perm._trusted_permutation
 
@@ -482,7 +506,7 @@ class TestClassAction:
                         value.cache_clear()
                 made.clear()
                 class_action(lam)
-                assert len(made) <= class_size(lam) + centralizer_order(lam)
+                assert len(made) <= class_size(lam) - 1
 
     def test_observed_character_maps_are_identity(self):
         # conjugating around a loop in the class lands in the centralizer,
@@ -799,6 +823,27 @@ class TestTypeVectorsVsOrbits:
                 anchored = [p for p in class_points(lam, r) if p.base_point == u0]
                 types = {point_type(p) for p in anchored}
                 assert len(types) == orbit_count_class(lam, r)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_orbits_at_base_point_zero_are_the_type_vectors(self, n):
+        # on positions, not points: base point 0 holds the positions below
+        # γ^r, and position x carries the characters of its r base-γ digits.
+        # Every orbit meets them in exactly one multiset of character
+        # indices, different orbits in different ones, and those multisets,
+        # read as compositions, are the type vectors enumerate_types writes
+        for lam in enumerate_cycle_types(n):
+            for r in (1, 2, 3):
+                if class_size(lam) * gamma(lam) ** r > ORBIT_POINT_BUDGET:
+                    continue
+                gam = len(class_action(lam).tables[0])
+                orbit_types = []
+                for orbit in orbit_partition_class(lam, r):
+                    met = {digit_counts(x, gam, r) for x in orbit if x < gam**r}
+                    assert len(met) == 1, (str(lam), r, orbit)
+                    orbit_types += met
+                assert len(set(orbit_types)) == len(orbit_types)
+                written = [v.entries[0][1] for v in enumerate_types(Ramification(n, ((lam, r),)))]
+                assert sorted(orbit_types) == sorted(written), (str(lam), r)
 
 
 class TestMonolithicOrbitCount:
