@@ -29,14 +29,10 @@ from .perm import (
     canonical_representative,
     centralizer_order,
     class_size,
-    compose,
-    conjugate,
-    cycle_count,
     cycle_decomposition,
     cycle_string,
     cycle_type,
     enumerate_cycle_types,
-    inverse,
 )
 
 __all__ = [
@@ -54,12 +50,9 @@ __all__ = [
     "canonical_representative",
     "centralizer_order",
     "class_size",
-    "compose",
-    "conjugate",
     "count_report",
     "count_rsc",
     "count_rsc_stirling",
-    "cycle_count",
     "cycle_decomposition",
     "cycle_string",
     "cycle_type",
@@ -67,7 +60,6 @@ __all__ = [
     "enumerate_cycle_types",
     "enumerate_types",
     "gamma",
-    "inverse",
     "multiset_coefficient",
     "parse_ramification",
     "stirling_first",

@@ -98,9 +98,9 @@ def _listed_ramification(
     n: int, classes: Iterable[CycleType], counts: Iterable[int]
 ) -> Ramification:
     """r_C = counts[i] on C = classes[i], built without __post_init__.  The
-    classes come in the order enumerate_cycle_types(n) lists them, so they
-    are distinct, of degree n and in canonical order; the counts are
-    non-negative, and only the zeros are dropped."""
+    classes are distinct, of degree n and in canonical order, as
+    enumerate_cycle_types(n) lists them or parse_ramification sorts them;
+    the counts are non-negative, and only the zeros are dropped."""
     ram = object.__new__(Ramification)
     object.__setattr__(ram, "n", n)
     object.__setattr__(ram, "entries", tuple([(lam, r) for lam, r in zip(classes, counts) if r]))
@@ -267,7 +267,9 @@ def parse_ramification(text: str, n: int) -> Ramification:
         if lam in entries:
             raise RamificationParseError(f"class {lam} listed twice", position)
         entries[lam] = count
-    return Ramification.from_mapping(n, entries)
+    # each entry is checked above, so only the sort of __post_init__ is left
+    classes = sorted(entries, key=CycleType.parts, reverse=True)
+    return _listed_ramification(n, classes, map(entries.__getitem__, classes))
 
 
 # Digits per piece that decimal_string hands to str(): below 640, the smallest

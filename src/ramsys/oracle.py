@@ -6,8 +6,9 @@ generated from the commutators [a, s] with s in a generating set, abelian
 quotients with a greedy cyclic decomposition, and their full character
 groups.  That work runs on padded image tuples (0, p(1), ..., p(n)), which
 sort by images and multiply in one C-level call, a·b = ``itemgetter(*b)(a)``.
-``character_basis`` returns tuples too: ``Permutation``s are made only for
-each base point the class walk newly reaches and for ``class_points``.
+``character_basis`` returns tuples too.  ``Permutation``s are made only by
+``class_action`` (u0, the n - 1 adjacent transpositions it conjugates by,
+and each base point it newly reaches) and by ``class_points``.
 
 Orbits of the relabelling action are counted on integer-coded points.  Per
 class, one breadth-first walk of conjugations by adjacent transpositions

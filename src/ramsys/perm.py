@@ -151,37 +151,12 @@ class CycleType:
 
 
 def _trusted_permutation(images: tuple[int, ...]) -> Permutation:
-    """A Permutation built without __post_init__, for products of permutations
-    that are already valid: compose, inverse and conjugate."""
+    """A Permutation built without __post_init__, for image tuples already
+    known to be bijections: the base points the oracle's class walk reaches
+    and the points ``oracle.class_points`` builds."""
     p = object.__new__(Permutation)
     object.__setattr__(p, "images", images)
     return p
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """The product p·q acting as x -> p(q(x))."""
-    images = p.images
-    if len(images) != len(q.images):
-        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    return _trusted_permutation(tuple([images[j - 1] for j in q.images]))
-
-
-def inverse(p: Permutation) -> Permutation:
-    images = [0] * len(p.images)
-    for i, j in enumerate(p.images, start=1):
-        images[j - 1] = i
-    return _trusted_permutation(tuple(images))
-
-
-def conjugate(g: Permutation, x: Permutation) -> Permutation:
-    """g·x·g⁻¹; preserves cycle type."""
-    g_images = g.images
-    if len(g_images) != len(x.images):
-        raise ValueError(f"size mismatch: {g.n} vs {x.n}")
-    images = [0] * len(g_images)
-    for i, j in zip(g_images, x.images):
-        images[i - 1] = g_images[j - 1]
-    return _trusted_permutation(tuple(images))
 
 
 def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
@@ -221,11 +196,6 @@ def cycle_type(p: Permutation) -> CycleType:
     for cycle in cycle_decomposition(p):
         counts[len(cycle) - 1] += 1
     return _trusted_cycle_type(p.n, tuple(counts))
-
-
-def cycle_count(p: Permutation) -> int:
-    """Number of cycles, counting fixed points as 1-cycles."""
-    return len(cycle_decomposition(p))
 
 
 def class_size(lam: CycleType) -> int:

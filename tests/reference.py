@@ -1,4 +1,12 @@
-"""Reference views of the oracle's group work, for the test suite only.
+"""Reference code for the test suite, and the one home of every helper that
+more than one test file uses.
+
+The permutation products (``compose``, ``inverse``, ``conjugate``) and
+``cycle_count`` live here because only the tests multiply ``Permutation``s:
+the closed form needs conjugacy classes, centralizer invariants and
+multiset coefficients, and the oracle multiplies image tuples.
+``symmetric_group`` lists S_n by the tests themselves, so they hold the
+oracle to a group it did not enumerate.
 
 ``ramsys.oracle`` works on image tuples end to end.  The tests hold it to
 explicit objects instead: frozensets of ``Permutation``s for centralizers,
@@ -10,8 +18,10 @@ character at a time, and are the independent reference that the oracle's
 index maps are checked against.
 """
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 import ramsys.oracle
 from ramsys.oracle import (
@@ -25,7 +35,81 @@ from ramsys.oracle import (
     class_action,
     class_points,
 )
-from ramsys.perm import CycleType, Permutation, _trusted_permutation, conjugate, inverse
+from ramsys.perm import CycleType, Permutation, _trusted_permutation, cycle_decomposition
+
+
+# The products of valid permutations are bijections by construction, so they
+# skip the check that Permutation.__post_init__ makes.
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """The product p·q acting as x -> p(q(x))."""
+    images = p.images
+    if len(images) != len(q.images):
+        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
+    return _trusted_permutation(tuple([images[j - 1] for j in q.images]))
+
+
+def inverse(p: Permutation) -> Permutation:
+    images = [0] * len(p.images)
+    for i, j in enumerate(p.images, start=1):
+        images[j - 1] = i
+    return _trusted_permutation(tuple(images))
+
+
+def conjugate(g: Permutation, x: Permutation) -> Permutation:
+    """g·x·g⁻¹; preserves cycle type."""
+    g_images = g.images
+    if len(g_images) != len(x.images):
+        raise ValueError(f"size mismatch: {g.n} vs {x.n}")
+    images = [0] * len(g_images)
+    for i, j in zip(g_images, x.images):
+        images[i - 1] = g_images[j - 1]
+    return _trusted_permutation(tuple(images))
+
+
+def cycle_count(p: Permutation) -> int:
+    """Number of cycles, counting fixed points as 1-cycles."""
+    return len(cycle_decomposition(p))
+
+
+def symmetric_group(n):
+    """S_n listed by the tests themselves, not by the oracle, in sorted
+    order, so seeded tests draw the same elements."""
+    return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+
+
+def is_even(p):
+    return (p.n - cycle_count(p)) % 2 == 0
+
+
+def coset_order(rep, derived_elements):
+    """The order of rep's coset in a quotient by derived_elements."""
+    power, steps = rep, 1
+    while power not in derived_elements:
+        power = compose(power, rep)
+        steps += 1
+    return steps
+
+
+def cyclic_product_order_histogram(factors):
+    """How many elements of each order the product of the cyclic groups
+    C_d (d in factors) has."""
+    # lcm() of no arguments is 1, so the empty product contributes one
+    # element of order 1
+    counts = Counter()
+    for combo in itertools.product(*(range(d) for d in factors)):
+        counts[lcm(*(d // gcd(x, d) for x, d in zip(combo, factors)))] += 1
+    return counts
+
+
+def parse_decimal(text):
+    """int(text) at any length, 1,000 digits at a time."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def _permutation(x):

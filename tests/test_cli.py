@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -21,19 +22,11 @@ from ramsys.counting import (
 )
 from ramsys.oracle import OracleBudgetError
 from ramsys.perm import ClassListTooLargeError, CycleType, InputError
+from reference import parse_decimal
 
 
 def digit_limit():
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-
-
-def parse_decimal(text):
-    """int(text) at any length, 1,000 digits at a time."""
-    value = 0
-    for start in range(0, len(text), 1000):
-        chunk = text[start:start + 1000]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
 
 
 def run(capsys, *argv):
@@ -193,6 +186,22 @@ class TestReps:
             assert len(compositions) == 1002
             assert all(c.startswith("(") and c.endswith(")") for c in compositions)
 
+    def test_explicit_spec_builds_no_validated_ramification(self, capsys, monkeypatch):
+        # parse_ramification checks each entry once, so the Ramification it
+        # returns is not checked again
+        calls = []
+        original = Ramification.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(Ramification, "__post_init__", counting)
+        code, out, _ = run(capsys, "reps", "9", "--ramification", "[4,3,2]:6;1^9:8", "--limit", "1")
+        assert code == 0
+        assert out.startswith("# n = 9, ramification: 2^1 3^1 4^1:6;1^9:8\n")
+        assert calls == []
+
     def test_count_header_past_the_digit_limit(self, capsys):
         limit = digit_limit()
         code, out, err = run(capsys, "reps", "25", "--ramification", "all:1", "--limit", "1")
@@ -273,6 +282,19 @@ class TestVerify:
         assert code == 0
         assert out.endswith("S_4, r_C <= 1: 32 cases, 32 passed, 0 failed\n")
         assert calls == []
+
+    def test_mismatch_fails_the_case_and_exits_1(self, capsys, monkeypatch):
+        # a closed form one too high on one case fails that case alone
+        def off_by_one(ram):
+            return count_rsc(ram) + (str(ram) == "3^1:1;1^1 2^1:1;1^3:1")
+
+        monkeypatch.setattr(ramsys.cli, "count_rsc", off_by_one)
+        code, out, _ = run(capsys, "verify", "3")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL  3^1:1;1^1 2^1:1;1^3:1  formula=13 oracle=12"
+        ]
+        assert out.endswith("S_3, r_C <= 1: 8 cases, 7 passed, 1 failed\n")
 
     def test_oracle_budget_exits_2(self, capsys, monkeypatch):
         for value in vars(ramsys.oracle).values():
@@ -401,6 +423,25 @@ class TestParserReuse:
             2, "", "error: bad count 'x' (at position 0)\n",
         )
         assert run(capsys, *reps_argv) == (0, self.S3_REPS, "")
+
+
+class TestReadme:
+    def test_command_line_examples_match(self, capsys):
+        # every `$ ramsys ...` example in README's "Command line" section,
+        # with the output shown under it; `| tail -k` keeps its last k lines
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```text\n", 1)[1].split("```", 1)[0]
+        examples = block.split("$ ramsys ")[1:]
+        assert len(examples) == 5
+        for example in examples:
+            command, _, shown = example.partition("\n")
+            command, _, pipe = command.partition(" | tail -")
+            code, out, err = run(capsys, *shlex.split(command))
+            assert code == 0 and err == "", command
+            if pipe:
+                out = "".join(out.splitlines(keepends=True)[-int(pipe):])
+            assert out == shown.rstrip("\n") + "\n", command
 
 
 class TestErrors:

@@ -11,7 +11,8 @@ from ramsys.combinat import (
     stirling_first,
     weak_compositions,
 )
-from ramsys.perm import Permutation, cycle_count
+from ramsys.perm import Permutation
+from reference import cycle_count
 
 
 def falling_factorial_coefficients(n):

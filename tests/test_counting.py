@@ -21,6 +21,7 @@ from ramsys.counting import (
     parse_ramification,
 )
 from ramsys.perm import ClassListTooLargeError, CycleType, enumerate_cycle_types
+from reference import parse_decimal
 
 
 def identity_only(n, r):
@@ -62,6 +63,8 @@ class TestRamification:
     def test_rejects_foreign_class(self):
         with pytest.raises(ValueError):
             Ramification(3, ((CycleType.parse("2^2"), 1),))
+        with pytest.raises(ValueError, match="n must be positive"):
+            Ramification(0, ())
 
     def test_rejects_negative_and_duplicates(self):
         lam = CycleType.parse("3^1")
@@ -351,6 +354,8 @@ class TestParseRamification:
     def test_rejects_s6(self):
         with pytest.raises(UnsupportedGroupError):
             parse_ramification("all:1", 6)
+        with pytest.raises(ValueError, match="n must be positive"):
+            parse_ramification("1^1:1", 0)
 
     def test_all_r_equals_validated_ramification(self):
         def same(ram, expected):
@@ -373,6 +378,14 @@ class TestParseRamification:
                 counts = tuple(rng.choice((0, 0, 1, 2, 4)) for _ in classes)
                 expected = Ramification(n, tuple(zip(classes, counts)))
                 same(_listed_ramification(n, classes, counts), expected)
+        # explicit specs, in any entry order and either class notation
+        for n in (1, 2, 3, 4, 5, 7, 8):
+            classes = enumerate_cycle_types(n)
+            for _ in range(20):
+                counts = [(lam, rng.choice((0, 1, 3))) for lam in classes]
+                entries = rng.sample(counts, rng.randint(1, len(classes)))
+                spec = ";".join(f"{rng.choice((lam, list(lam.parts())))}:{r}" for lam, r in entries)
+                same(parse_ramification(spec, n), Ramification(n, tuple(entries)))
 
     def test_all_r_builds_no_validated_object(self, monkeypatch):
         calls = []
@@ -449,12 +462,3 @@ class TestDecimalString:
         decimal_string(7**20_000)
         after = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         assert after == before
-
-
-def parse_decimal(text):
-    """int(text) at any length, 1,000 digits at a time."""
-    value = 0
-    for start in range(0, len(text), 1000):
-        chunk = text[start:start + 1000]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value

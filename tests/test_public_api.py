@@ -6,6 +6,14 @@ from pathlib import Path
 import ramsys
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+LIBRARY = Path(ramsys.__file__).resolve().parent
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_every_exported_name_resolves_and_is_public():
@@ -19,9 +27,7 @@ def test_every_name_the_benchmark_traces_resolves():
     # bench/tracing.py looks each (module, attribute) up by name when it
     # installs its spans, as its install step does: a method on its class,
     # anything else on the module
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     assert tracing.TRACED
     for module_name, path, _ in tracing.TRACED:
         module = importlib.import_module(f"ramsys.{module_name}")
@@ -70,3 +76,48 @@ def test_every_name_the_benchmark_worker_imports_exists():
                 value = getattr(value, name)
             read += 1
     assert read
+
+
+def _library_names():
+    """Every name the library's own modules read, bare or as an attribute;
+    __init__.py only re-exports, so it does not count."""
+    names = set()
+    for path in LIBRARY.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _benchmark_names():
+    """The names bench/worker.py imports from ramsys or reads off what it
+    imported, and every part of the paths bench/tracing.py traces."""
+    tree = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    roots, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ramsys":
+                    roots.add(alias.asname or "ramsys")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ramsys":
+            for alias in node.names:
+                names.add(alias.name)
+                roots.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        root, dotted = _dotted(node)
+        if root in roots:
+            names.update(dotted)
+    for _, path, _ in _tracing().TRACED:
+        names.update(path.split("."))
+    return names
+
+
+def test_every_exported_name_is_used_by_the_library_or_the_benchmark():
+    # a name that only the tests use belongs in tests/reference.py, not in
+    # the public API
+    unused = set(ramsys.__all__) - _library_names() - _benchmark_names()
+    assert not unused, sorted(unused)
