@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from math import factorial
 from typing import Sequence
 
-from .centralizer import AbelianInvariants, gamma
+from .centralizer import AbelianInvariants
 from .combinat import multiset_coefficient
 from .counting import (
     _listed_ramification,
@@ -18,6 +18,7 @@ from .counting import (
     decimal_string,
     enumerate_types,
     parse_ramification,
+    printable_gammas,
 )
 from .perm import (
     InputError,
@@ -86,8 +87,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         print(_report_json(count_report(ram)))
         return 0
     rows = []
-    for lam, mult in ram.entries:
-        g = gamma(lam)
+    for (lam, mult), g in zip(ram.entries, printable_gammas(ram)):
         rows.append([str(lam), str(mult), str(g), decimal_string(multiset_coefficient(g, mult))])
     _print_table(["class", "r", "gamma", "factor"], rows)
     print(f"count = {decimal_string(count_rsc(ram))}")
@@ -105,7 +105,7 @@ MAX_LINE_PARTS = 2**22
 
 def cmd_reps(args: argparse.Namespace) -> int:
     ram = parse_ramification(args.ramification, args.n)
-    gammas = [gamma(lam) for lam, _ in ram.entries]
+    gammas = printable_gammas(ram)
     parts = sum(gammas)
     if args.limit != 0 and parts > MAX_LINE_PARTS:
         raise InputError(

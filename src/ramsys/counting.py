@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from math import factorial, prod
+from math import factorial, log10, prod
 from typing import Iterable, Iterator, Mapping
 
 from .centralizer import gamma
@@ -307,14 +307,46 @@ def _decimal_digits(value: int, powers: list[int], k: int) -> str:
     return _decimal_digits(high, powers, k - 1) + low_text.zfill(_CHUNK_DIGITS << k)
 
 
+# Most decimal digits a printed count may have.  decimal_string took 0.7 s on
+# 250,000 digits, 2.9 s on 500,000, 11 s on 1,000,000 and 43 s on 2,000,000
+# on a 2-core Xeon VM (the time grows with the square of the length), so
+# 10^6 digits keep a count near ten seconds.  S_45 all:2 (641,479 digits,
+# bounded by 668,340) prints; S_45 all:3 (933,151, bounded by 1,002,599)
+# does not.
+MAX_COUNT_DIGITS = 10**6
+
+
+class CountTooLargeError(InputError, ValueError):
+    """The count of a ramification may have more than MAX_COUNT_DIGITS digits."""
+
+
+def printable_gammas(ram: Ramification) -> list[int]:
+    """γ of each support class, in order, once the count of ram is known to
+    have at most MAX_COUNT_DIGITS decimal digits; CountTooLargeError, before
+    any factor is built, otherwise.  C(γ + r - 1, r) is at most
+    (γ + r - 1)^min(r, γ - 1), so the count has at most
+    ⌊Σ min(r, γ - 1)·log10(γ + r - 1)⌋ + 1 digits, one term per support
+    class; math.log10 takes an int of any size."""
+    gammas = [gamma(lam) for lam, _ in ram.entries]
+    # (r if r < g else g - 1) is min(r, g - 1) at well under half the cost of the call
+    bound = sum([(r if r < g else g - 1) * log10(g + r - 1) for (_, r), g in zip(ram.entries, gammas)])
+    digits = int(bound) + 1
+    if digits > MAX_COUNT_DIGITS:
+        raise CountTooLargeError(
+            f"the count of S_{ram.n} with this ramification may have up to {digits} digits, "
+            f"over the limit of {MAX_COUNT_DIGITS}"
+        )
+    return gammas
+
+
 def count_report(ram: Ramification) -> dict:
     """JSON-ready report: n, the support with γ per class, and the count as a
-    decimal string (exact at any magnitude)."""
+    decimal string (exact; CountTooLargeError past MAX_COUNT_DIGITS digits)."""
     return {
         "n": ram.n,
         "ramification": [
-            {"class": str(lam), "r": mult, "gamma": gamma(lam)}
-            for lam, mult in ram.entries
+            {"class": str(lam), "r": mult, "gamma": g}
+            for (lam, mult), g in zip(ram.entries, printable_gammas(ram))
         ],
         "count": decimal_string(count_rsc(ram)),
     }

@@ -20,20 +20,21 @@ a character around a loop of conjugations brings it back to itself is what
 the closed form relies on.  The test suite holds the maps to ``act`` in
 ``tests/reference.py``, which moves one point at a time on explicit
 objects; the frozenset views of the group work live there too.
-``support_orbit_count`` counts the orbits of S_n on a support's
-tuples of class members under simultaneous conjugation.  Nothing here uses
-the closed form: the only import from the package is the permutation
-primitives of ``perm``, and the point budget is the oracle's own class size
-times its own basis size to the r, so agreement between the two paths is
-evidence, not circularity.
+``support_orbit_count`` counts the orbits of S_n on a support's tuples of
+class members under simultaneous conjugation, by Burnside's lemma over the
+centralizers the walk carried.  Nothing here uses the closed form: the only
+import from the package is the permutation primitives of ``perm``, and the
+point budget is the oracle's own class size times its own basis size to the
+r, so agreement between the two paths is evidence, not circularity.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import itemgetter, mul
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -429,23 +430,20 @@ def oracle_count(ram) -> int:
     return prod(orbit_count_class(lam, mult) for lam, mult in ram.entries)
 
 
-def _beta_table(group: Sequence[Images], lam: CycleType) -> list[int]:
-    """β(g, C) = |Z_g ∩ C| for each g of ``group``, by commutation tests."""
-    members = [_padded(h) for h in class_action(lam).base_points]
-    return [sum([_commutes(g, h) for h in members]) for g in group]
-
-
 def support_orbit_count(classes: Sequence[CycleType]) -> int:
     """ω(supp) = (1/n!) Σ_{g ∈ S_n} Π_{C ∈ supp} β(g, C): by Burnside's lemma,
     the number of orbits of S_n on the tuples (one member of each class)
-    under simultaneous conjugation, from one β table per class over S_n; a
-    sum that n! does not divide raises ``AssertionError``."""
+    under simultaneous conjugation.  β(g, C) = |Z_g ∩ C| counts the members
+    v of C with g in Z_v, read off the centralizers ``class_action`` carried,
+    so no commutation test is made; a sum that n! does not divide raises
+    ``AssertionError``."""
     sizes = {lam.n for lam in classes}
     if len(sizes) != 1:
         raise ValueError(f"a support is one or more classes of one S_n, got sizes {sorted(sizes)}")
-    group = list(_group(sizes.pop()))
-    total = sum(map(prod, zip(*[_beta_table(group, lam) for lam in classes])))
-    orbits, remainder = divmod(total, len(group))
+    betas = [Counter(itertools.chain.from_iterable(class_action(lam).domains)) for lam in classes]
+    total = sum(prod(beta[g] for beta in betas) for g in betas[0])
+    order = factorial(sizes.pop())
+    orbits, remainder = divmod(total, order)
     if remainder:
-        raise AssertionError(f"the fixed-point sum {total} is not divisible by |S_n| = {len(group)}")
+        raise AssertionError(f"the fixed-point sum {total} is not divisible by |S_n| = {order}")
     return orbits

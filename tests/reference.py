@@ -15,7 +15,10 @@ commutator subgroups and abelian quotients, ``Character``s over a domain of
 a time.  The group views are thin converters over the oracle's private
 tuple core; ``act`` and ``fixed_point_count`` move explicit points, one
 character at a time, and are the independent reference that the oracle's
-index maps are checked against.
+index maps are checked against.  ``beta`` counts the class members that
+commute with g by multiplying ``Permutation``s, so the fixed-point law and
+the Burnside sums hold ``support_orbit_count``, which reads β off the
+centralizers the class walk carried, to products it did not make.
 """
 
 import itertools
@@ -28,7 +31,6 @@ from ramsys.oracle import (
     Character,
     RSCPoint,
     _abelian_quotient,
-    _beta_table,
     _centralizer,
     _derived,
     _padded,
@@ -169,10 +171,11 @@ def conjugacy_class(lam: CycleType) -> tuple[Permutation, ...]:
 
 
 def beta(g: Permutation, lam: CycleType) -> int:
-    """|Z_g ∩ C|: how many members of the class commute with g."""
+    """|Z_g ∩ C|: how many members of the class commute with g, by explicit
+    products of ``Permutation``s."""
     if g.n != lam.n:
         raise ValueError(f"size mismatch: {g.n} vs {lam.n}")
-    return _beta_table([_padded(g)], lam)[0]
+    return sum(1 for h in conjugacy_class(lam) if compose(g, h) == compose(h, g))
 
 
 def _transport(chi: Character, g: Permutation) -> Character:

@@ -14,6 +14,7 @@ import ramsys.cli
 import ramsys.oracle
 from ramsys.cli import main
 from ramsys.counting import (
+    CountTooLargeError,
     Ramification,
     RamificationParseError,
     UnsupportedGroupError,
@@ -109,6 +110,21 @@ class TestCount:
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
         assert "S_90" in err and "n <= 45" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "40", "--ramification", "all:100000"],
+        ["count", "40", "--ramification", "all:100000", "--format", "json"],
+        ["reps", "28", "--ramification", "all:100000", "--limit", "1"],
+    ], ids=["count-table", "count-json", "reps"])
+    def test_count_past_the_digit_limit_exits_2(self, capsys, argv):
+        # about 3.3·10^8 and 6.4·10^6 digits: refused before the first line,
+        # and before any factor is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("digits, over the limit of 1000000\n")
 
     def test_sparse_spec_at_large_n(self, capsys):
         code, out, _ = run(capsys, "count", "90", "--ramification", "1^90:3")
@@ -449,6 +465,7 @@ class TestErrors:
         "error, base",
         [
             (ClassListTooLargeError, ValueError),
+            (CountTooLargeError, ValueError),
             (UnsupportedGroupError, ValueError),
             (RamificationParseError, ValueError),
             (OracleBudgetError, RuntimeError),

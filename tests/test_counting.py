@@ -5,9 +5,12 @@ from math import prod
 
 import pytest
 
+import ramsys.counting
 from ramsys.centralizer import gamma
 from ramsys.combinat import multiset_coefficient, weak_compositions
 from ramsys.counting import (
+    MAX_COUNT_DIGITS,
+    CountTooLargeError,
     Ramification,
     RamificationParseError,
     RSCTypeVector,
@@ -19,6 +22,7 @@ from ramsys.counting import (
     decimal_string,
     enumerate_types,
     parse_ramification,
+    printable_gammas,
 )
 from ramsys.perm import ClassListTooLargeError, CycleType, enumerate_cycle_types
 from reference import parse_decimal
@@ -439,6 +443,12 @@ class TestCountReport:
             assert count_rsc(rebuilt) == int(report["count"])
 
 
+    def test_refuses_a_count_past_the_digit_limit(self, monkeypatch):
+        monkeypatch.setattr(ramsys.counting, "MAX_COUNT_DIGITS", 1)
+        with pytest.raises(CountTooLargeError, match="up to 2 digits, over the limit of 1"):
+            count_report(parse_ramification("all:1", 3))
+
+
 class TestDecimalString:
     def test_equals_str_below_the_limit(self):
         rng = random.Random(7)
@@ -462,3 +472,33 @@ class TestDecimalString:
         decimal_string(7**20_000)
         after = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         assert after == before
+
+
+class TestPrintableGammas:
+    def test_bound_covers_the_count(self, monkeypatch):
+        # with the limit one below the count's true length, every count is
+        # refused: the bound never falls short
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.choice((2, 3, 4, 5, 7, 8, 10))
+            ram = random_ramification(rng, n, max_r=rng.choice((1, 5, 40)))
+            digits = len(str(count_rsc(ram)))
+            monkeypatch.setattr(ramsys.counting, "MAX_COUNT_DIGITS", digits - 1)
+            with pytest.raises(CountTooLargeError):
+                printable_gammas(ram)
+
+    def test_bound_is_exact_at_r1(self, monkeypatch):
+        # C(γ, 1) = γ = (γ + 1 - 1)^min(1, γ - 1) for γ >= 2
+        for n in (5, 10, 20):
+            ram = parse_ramification("all:1", n)
+            monkeypatch.setattr(ramsys.counting, "MAX_COUNT_DIGITS", len(str(count_rsc(ram))))
+            assert printable_gammas(ram) == [gamma(lam) for lam, _ in ram.entries]
+
+    def test_s45_all2_is_printable_and_all3_is_not(self):
+        # bounded by 668,340 and 1,002,599 digits
+        ram = parse_ramification("all:2", 45)
+        printable_gammas(ram)
+        classes = [lam for lam, _ in ram.entries]
+        refused = f"up to 1002599 digits, over the limit of {MAX_COUNT_DIGITS}"
+        with pytest.raises(CountTooLargeError, match=refused):
+            printable_gammas(_listed_ramification(45, classes, itertools.repeat(3)))

@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import hashlib
 import importlib
 import itertools
 import random
+import time
 from math import factorial, prod
 from pathlib import Path
 
@@ -727,25 +729,70 @@ class TestSupportOrbitCount:
         classes = [CycleType.parse(text) for text in support]
         assert support_orbit_count(classes) == omega
         n = classes[0].n
-        # the Burnside sum with β from permutations, not from the oracle's tables
-        members = [conjugacy_class(lam) for lam in classes]
-        total = sum(
-            prod(sum(1 for h in cls if compose(g, h) == compose(h, g)) for cls in members)
-            for g in symmetric_group(n)
-        )
+        # the Burnside sum with β from permutations, not from the oracle's domains
+        total = sum(prod(beta(g, lam) for lam in classes) for g in symmetric_group(n))
         assert total == omega * factorial(n)
         # and ω as the orbits of simultaneous conjugation on the tuples themselves
+        members = [conjugacy_class(lam) for lam in classes]
         moves = [
             lambda point, s=s: tuple(conjugate(s, h) for h in point) for s in adjacent_transpositions(n)
         ]
         assert len(find_orbits(itertools.product(*members), moves)) == omega
 
+    def test_matches_the_reference_burnside_sum(self):
+        # every support of one to three classes of S_1..S_5: 1 + 3 + 7 + 25 + 63
+        supports = 0
+        for n in range(1, 6):
+            classes = enumerate_cycle_types(n)
+            group = symmetric_group(n)
+            tables = {lam: [beta(g, lam) for g in group] for lam in classes}
+            for size in range(1, 4):
+                for support in itertools.combinations(classes, size):
+                    total = sum(map(prod, zip(*[tables[lam] for lam in support])))
+                    assert total % factorial(n) == 0
+                    assert support_orbit_count(support) == total // factorial(n), support
+                    supports += 1
+        assert supports == 99
+
+    def test_makes_no_commutation_test(self, monkeypatch):
+        supports = [[CycleType.parse(text) for text in support] for support, _ in self.SUPPORTS]
+        for lam in itertools.chain.from_iterable(supports):
+            class_action(lam)
+
+        def refuse(a, b):
+            raise AssertionError("support_orbit_count made a commutation test")
+
+        monkeypatch.setattr(ramsys.oracle, "_commutes", refuse)
+        assert [support_orbit_count(classes) for classes in supports] == [2, 5, 5, 1]
+
+    def test_s7_support_takes_under_a_second(self, monkeypatch):
+        # C_7 = Z_g for the 7-cycle g acts freely on the 630 members of
+        # 1^1 2^1 4^1, so ω is 630 / 7; the time includes both class actions
+        classes = [CycleType.parse("1^1 2^1 4^1"), CycleType.parse("7^1")]
+        monkeypatch.setattr(ramsys.oracle, "ORACLE_MAX_N", 7)
+        class_action.cache_clear()
+        try:
+            start = time.perf_counter()
+            assert support_orbit_count(classes) == 90
+            assert time.perf_counter() - start < 1
+        finally:
+            class_action.cache_clear()
+
     def test_indivisible_sum_is_caught(self, monkeypatch):
-        # a "commutation test" that knows only equality gives β(g, C) = [g in C],
-        # so the 3 transpositions of S_3 sum to 3, which 3! does not divide
+        # base point 0 of the transpositions of S_3 loses the identity from its
+        # carried centralizer, so the β sum falls from 3! to 5
         lam = CycleType.parse("1^1 2^1")
-        conjugacy_class(lam)  # built with the true test
-        monkeypatch.setattr(ramsys.oracle, "_commutes", lambda a, b: a == b)
+        true_class_action = ramsys.oracle.class_action
+
+        def faulty(mu):
+            action = true_class_action(mu)
+            if mu != lam:
+                return action
+            identity = tuple(range(1, mu.n + 1))
+            first = tuple([h for h in action.domains[0] if h != identity])
+            return dataclasses.replace(action, domains=(first, *action.domains[1:]))
+
+        monkeypatch.setattr(ramsys.oracle, "class_action", faulty)
         with pytest.raises(AssertionError, match="not divisible"):
             support_orbit_count([lam])
 
@@ -933,6 +980,13 @@ class TestIndependenceFromTheClosedForm:
                 imported += [alias.name for alias in node.names]
         assert imported
         assert not set(imported) & set(self.CLOSED_FORM)
+
+
+def test_oracle_stays_within_its_line_cap():
+    # the oracle is the evidence for the closed form, so it stays small
+    # enough to read in one sitting: its extensions fit within this cap
+    lines = Path(ramsys.oracle.__file__).read_text(encoding="utf-8").splitlines()
+    assert len(lines) <= 559
 
 
 class TestCharacterNumbering:
