@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from math import factorial
 from typing import Sequence
 
-from .centralizer import AbelianInvariants
+from .centralizer import abelianization_invariants
 from .combinat import multiset_coefficient
 from .counting import (
     _listed_ramification,
@@ -23,7 +23,7 @@ from .counting import (
 from .perm import (
     InputError,
     canonical_representative,
-    class_invariants,
+    centralizer_order,
     cycle_string,
     enumerate_cycle_types,
 )
@@ -58,8 +58,8 @@ def cmd_classes(args: argparse.Namespace) -> int:
     n_factorial = factorial(args.n)
     rows = []
     for lam in enumerate_cycle_types(args.n):
-        z, factors = class_invariants(lam)
-        invariants = AbelianInvariants(factors)
+        z = centralizer_order(lam)
+        invariants = abelianization_invariants(lam)
         rows.append([str(lam), str(n_factorial // z), str(z), str(invariants.order()), str(invariants)])
     _print_table(["type", "size", "centralizer", "gamma", "factors"], rows)
     return 0

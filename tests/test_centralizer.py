@@ -1,16 +1,16 @@
 import re
 from collections import Counter
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
+import ramsys
 from ramsys.centralizer import AbelianInvariants, abelianization_invariants, gamma
 from ramsys.cli import main
 from ramsys.perm import (
     CycleType,
     Permutation,
     centralizer_order,
-    class_invariants,
     class_size,
     cycle_type,
     enumerate_cycle_types,
@@ -70,7 +70,6 @@ class TestClassInvariants:
         for lam in enumerate_cycle_types(n):
             text, z, g, factors = stated_row(lam)
             assert str(lam) == text
-            assert class_invariants(lam) == (z, factors)
             assert centralizer_order(lam) == z
             assert class_size(lam) * centralizer_order(lam) == factorial(n)
             assert gamma(lam) == g
@@ -88,6 +87,45 @@ class TestClassInvariants:
             text, z, g, factors = stated_row(lam)
             shown = "x".join(map(str, factors)) or "1"
             assert re.split(r" {2,}", line) == [text, str(factorial(n) // z), str(z), str(g), shown]
+
+
+class TestNoFactorial:
+    # γ depends only on which cycle lengths occur and whether they repeat,
+    # so neither γ nor a count or reps run takes a factorial
+    @pytest.fixture
+    def factorial_switched_off(self, monkeypatch):
+        def switched_off(*args):
+            raise AssertionError("a factorial was taken")
+
+        modules = [ramsys.perm, ramsys.centralizer, ramsys.counting, ramsys.cli]
+        patched = [module for module in modules if hasattr(module, "factorial")]
+        assert ramsys.perm in patched
+        for module in patched:
+            monkeypatch.setattr(module, "factorial", switched_off)
+        gamma.cache_clear()
+
+    def test_gamma_and_factors(self, factorial_switched_off):
+        for n in range(1, 13):
+            for lam in enumerate_cycle_types(n):
+                _, _, g, factors = stated_row(lam)
+                assert gamma(lam) == g
+                assert abelianization_invariants(lam).factors == factors
+
+    def test_count_and_reps(self, capsys, factorial_switched_off):
+        spec = "1^12:2;2^6:1;[5,4,3]:3"
+        lams = [CycleType.parse(text) for text in ("1^12", "2^6", "[5,4,3]")]
+        expected = prod(comb(stated_row(lam)[2] + r - 1, r) for lam, r in zip(lams, (2, 1, 3)))
+        assert main(["count", "12", "--ramification", spec]) == 0
+        assert capsys.readouterr().out.endswith(f"count = {expected}\n")
+        assert main(["reps", "12", "--ramification", spec, "--limit", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == f"# count = {expected}"
+        assert len(lines) == 5
+
+    def test_count_of_the_identity_class_at_the_degree_limit(self, capsys, factorial_switched_off):
+        n = ramsys.perm.MAX_CYCLE_TYPE_N
+        assert main(["count", str(n), "--ramification", f"1^{n}:1"]) == 0
+        assert capsys.readouterr().out.endswith("count = 2\n")
 
 
 class TestCentralizerOrderFactorization:

@@ -485,11 +485,11 @@ class TestErrors:
             main(["count", "3", "--ramification", "all:1"])
 
 
-def fresh_python(*args):
+def fresh_python(*args, timeout=60):
     """Run a new interpreter that imports this checkout's ramsys."""
     env = {**os.environ, "PYTHONPATH": str(Path(ramsys.__file__).resolve().parents[1])}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -513,3 +513,13 @@ class TestFreshProcess:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "error: verify needs 2 <= n <= 5, got n = 6\n"
+
+    def test_cycle_type_past_the_degree_limit_exits_2(self):
+        limit = ramsys.perm.MAX_CYCLE_TYPE_N
+        spec = f"[{2 * limit}]:1"
+        result = fresh_python("-m", "ramsys", "count", "5", "--ramification", spec, timeout=5)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: a cycle type of degree {2 * limit} is over the limit of {limit} (at position 0)\n"
+        )

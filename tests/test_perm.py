@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import ramsys.perm
 from ramsys.perm import (
     MAX_CLASS_LIST_N,
     ClassListTooLargeError,
@@ -151,6 +152,26 @@ class TestCycleType:
         for text in ("", "2^", "^2", "1^0", "0^1", "x", "[1,2", "[]", "[2,x]", "1^1 1^2"):
             with pytest.raises(ValueError):
                 CycleType.parse(text)
+
+    def test_degree_limit(self, monkeypatch):
+        monkeypatch.setattr(ramsys.perm, "MAX_CYCLE_TYPE_N", 100)
+        assert CycleType.parse("1^1 3^33").n == 100
+        assert CycleType.parse("[100]").n == 100
+        assert CycleType.from_parts([50, 50]).n == 100
+        refusals = [
+            lambda: CycleType.parse("1^101"),
+            lambda: CycleType.parse("1^2 3^33"),
+            lambda: CycleType.parse("[101]"),
+            lambda: CycleType.parse("[50,50,1]"),
+            lambda: CycleType.from_parts([50, 51]),
+            # refused before anything of that size is built: a vector of
+            # 10^12 multiplicities could not be allocated at all
+            lambda: CycleType.parse(f"1^{10**12}"),
+            lambda: CycleType.parse(f"[{10**12}]"),
+        ]
+        for refusal in refusals:
+            with pytest.raises(ValueError, match="over the limit of 100$"):
+                refusal()
 
     def test_parts_roundtrip(self):
         lam = CycleType.from_parts([3, 1, 1])
