@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count
 from math import prod
 
 from .perm import CycleType
@@ -27,12 +26,11 @@ def _factors(lam: CycleType) -> tuple[int, ...]:
     which lengths occur and whether they repeat matters, so no factorial is
     taken.
     """
-    counts = lam.multiplicities
     factors = []
-    for i in compress(count(1), counts):
+    for i, m in reversed(lam.cycles):
         if i > 1:
             factors.append(i)
-        if counts[i - 1] > 1:
+        if m > 1:
             factors.append(2)
     return tuple(factors)
 

@@ -62,12 +62,9 @@ class Ramification:
             if lam in seen:
                 raise ValueError(f"class {lam} listed twice")
             seen.add(lam)
+        # the classes are distinct, so the pairs sort by class alone
         normalized = tuple(
-            sorted(
-                ((lam, mult) for lam, mult in self.entries if mult > 0),
-                key=lambda item: item[0].parts(),
-                reverse=True,
-            )
+            sorted(((lam, mult) for lam, mult in self.entries if mult > 0), reverse=True)
         )
         object.__setattr__(self, "entries", normalized)
 
@@ -268,7 +265,7 @@ def parse_ramification(text: str, n: int) -> Ramification:
             raise RamificationParseError(f"class {lam} listed twice", position)
         entries[lam] = count
     # each entry is checked above, so only the sort of __post_init__ is left
-    classes = sorted(entries, key=CycleType.parts, reverse=True)
+    classes = sorted(entries, reverse=True)
     return _listed_ramification(n, classes, map(entries.__getitem__, classes))
 
 

@@ -1,19 +1,21 @@
 """Permutations of {1..n} and conjugacy-class arithmetic in symmetric groups.
 
 Points are 1-based throughout.  A permutation is stored in one-line image
-form; cycle types double as conjugacy-class identifiers.  All counts are
-exact Python integers.  ``centralizer_order`` holds the rule for the
-centralizer order z_λ, and ``class_size`` reads it.
+form; cycle types double as conjugacy-class identifiers.  A cycle type is
+stored as its (length, multiplicity) pairs, longest first, so its size is
+the number of distinct cycle lengths, not n, and the order of the stored
+pairs is the canonical class order.  All counts are exact Python integers.
+``centralizer_order`` holds the rule for the centralizer order z_λ, and
+``class_size`` reads it.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
 from math import factorial
-from operator import mul
-from typing import Collection, Iterable
+from typing import Iterable, Mapping
 
 
 class InputError(Exception):
@@ -76,22 +78,29 @@ class Permutation:
 _TYPE_TOKEN = re.compile(r"^(\d+)\^(\d+)$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CycleType:
-    """The class identifier 1^λ1 2^λ2 ... n^λn; ``multiplicities[i - 1]`` counts i-cycles.
+    """The class identifier 1^λ1 2^λ2 ... n^λn of S_n.
 
-    Fixed points are explicit 1-cycles, so sum(i * λ_i) == n.
+    ``cycles`` holds one (i, λ_i) pair per cycle length i present, longest
+    first; fixed points are explicit 1-cycles, so sum(i * λ_i) == n.  Within
+    one n, the generated ``<`` is the canonical class order: at the first
+    pair where two types differ, the one with the longer length, or with
+    more cycles of the same length, has the larger descending part tuple.
     """
 
     n: int
-    multiplicities: tuple[int, ...]
+    cycles: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1 or len(self.multiplicities) != self.n:
-            raise ValueError(f"need exactly n={self.n} multiplicities")
-        if any(m < 0 for m in self.multiplicities):
-            raise ValueError("multiplicities must be non-negative")
-        total = sum(i * m for i, m in enumerate(self.multiplicities, start=1))
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
+        total, previous = 0, self.n + 1
+        for length, mult in self.cycles:
+            if not 1 <= length < previous or mult < 1:
+                raise ValueError(f"need positive counts of falling lengths: {self.cycles!r}")
+            total += length * mult
+            previous = length
         if total != self.n:
             raise ValueError(f"parts sum to {total}, expected {self.n}")
 
@@ -100,7 +109,7 @@ class CycleType:
         parts = list(parts)
         if not parts or any(p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers: {parts!r}")
-        return _counted_cycle_type(parts, [1] * len(parts))
+        return _counted_cycle_type(Counter(parts))
 
     @classmethod
     def parse(cls, text: str) -> "CycleType":
@@ -130,18 +139,10 @@ class CycleType:
             if length in mults:
                 raise ValueError(f"repeated cycle length {length} in {text!r}")
             mults[length] = mult
-        return _counted_cycle_type(mults.keys(), mults.values())
-
-    def parts(self) -> tuple[int, ...]:
-        """Parts in descending order, e.g. (3, 1) for 1^1 3^1."""
-        out: list[int] = []
-        for i in range(self.n, 0, -1):
-            out.extend([i] * self.multiplicities[i - 1])
-        return tuple(out)
+        return _counted_cycle_type(mults)
 
     def __str__(self) -> str:
-        counts = self.multiplicities
-        return " ".join([f"{i}^{counts[i - 1]}" for i in compress(count(1), counts)])
+        return " ".join([f"{i}^{m}" for i, m in reversed(self.cycles)])
 
 
 def _trusted_permutation(images: tuple[int, ...]) -> Permutation:
@@ -186,10 +187,10 @@ def cycle_type(p: Permutation) -> CycleType:
     """The cycle lengths of p, counted over cycle_decomposition."""
     if not p.n:
         raise ValueError("the empty permutation has no cycle type")
-    counts = [0] * p.n
+    counts = [0] * (p.n + 1)  # counts[i] is the number of i-cycles
     for cycle in cycle_decomposition(p):
-        counts[len(cycle) - 1] += 1
-    return _trusted_cycle_type(p.n, tuple(counts))
+        counts[len(cycle)] += 1
+    return _trusted_cycle_type(p.n, tuple([(i, counts[i]) for i in range(p.n, 0, -1) if counts[i]]))
 
 
 def class_size(lam: CycleType) -> int:
@@ -203,10 +204,8 @@ def centralizer_order(lam: CycleType) -> int:
     The centralizer is the direct product of the wreath products C_i wr S_λi
     over the cycle lengths i present in lam, so z_λ = prod λ_i! · i^λ_i.
     """
-    counts = lam.multiplicities
     order = 1
-    for i in compress(count(1), counts):
-        m = counts[i - 1]
+    for i, m in lam.cycles:
         order *= factorial(m) * i**m
     return order
 
@@ -220,38 +219,35 @@ class ClassListTooLargeError(InputError, ValueError):
     """n is past MAX_CLASS_LIST_N: S_n has too many classes to list."""
 
 
-def _trusted_cycle_type(n: int, multiplicities: tuple[int, ...]) -> CycleType:
-    """A CycleType built without __post_init__, for the vectors that
-    enumerate_cycle_types and cycle_type count out themselves."""
+def _trusted_cycle_type(n: int, cycles: tuple[tuple[int, int], ...]) -> CycleType:
+    """A CycleType built without __post_init__, for the (length,
+    multiplicity) pairs that enumerate_cycle_types and cycle_type count out
+    themselves, already longest first."""
     lam = object.__new__(CycleType)
     object.__setattr__(lam, "n", n)
-    object.__setattr__(lam, "multiplicities", multiplicities)
+    object.__setattr__(lam, "cycles", cycles)
     return lam
 
 
-# Largest degree n of a cycle type that CycleType.parse and from_parts build:
-# a class holds n multiplicities, and reps builds its n-point base point.  On
-# a 2-core Xeon VM, `reps N --ramification '1^N:2' --limit 3` took 2.5 s and
-# 262 MB of peak RSS at N = 10^6 and 22 s and 2.4 GB at N = 10^7 (`count`:
-# 0.4 s and 46 MB, 3.4 s and 245 MB), so 10^6 keeps every command within a
-# few seconds and a few hundred MB.
+# Largest degree n of a cycle type that CycleType.parse and from_parts build.
+# A class holds only the cycle lengths present, so `count` builds nothing of
+# size n: on a 2-core Xeon VM `count N --ramification '1^N:2'` took 0.10 s
+# and 17 MB of peak RSS at both N = 10^6 and N = 10^7.  The limit is held by
+# reps, which builds the n-point base point of each support class:
+# `reps N --ramification '1^N:2' --limit 3` took 2.3 s and 254 MB at
+# N = 10^6 and 22 s and 2.4 GB at N = 10^7, so 10^6 keeps every command
+# within a few seconds and a few hundred MB.
 MAX_CYCLE_TYPE_N = 10**6
 
 
-def _counted_cycle_type(lengths: Collection[int], mults: Collection[int]) -> CycleType:
-    """The cycle type with mults[k] cycles of the positive length lengths[k]
-    (a repeated length adds up).  Its degree Σ length·mult is summed first:
-    past MAX_CYCLE_TYPE_N it raises ValueError before the multiplicity
-    vector is built."""
-    n = sum(map(mul, lengths, mults))
+def _counted_cycle_type(mults: Mapping[int, int]) -> CycleType:
+    """The cycle type with mults[i] cycles of each positive length i.  Its
+    degree Σ i·mults[i] is summed first: past MAX_CYCLE_TYPE_N it raises
+    ValueError before the class is built."""
+    n = sum([length * mult for length, mult in mults.items()])
     if n > MAX_CYCLE_TYPE_N:
-        raise ValueError(
-            f"a cycle type of degree {n} is over the limit of {MAX_CYCLE_TYPE_N}"
-        )
-    counts = [0] * n  # counts[i - 1] is the number of i-cycles
-    for length, mult in zip(lengths, mults):
-        counts[length - 1] += mult
-    return CycleType(n, tuple(counts))
+        raise ValueError(f"a cycle type of degree {n} is over the limit of {MAX_CYCLE_TYPE_N}")
+    return CycleType(n, tuple(sorted(mults.items(), reverse=True)))
 
 
 def enumerate_cycle_types(n: int) -> list[CycleType]:
@@ -260,32 +256,33 @@ def enumerate_cycle_types(n: int) -> list[CycleType]:
     Every table and enumeration in this package uses this order.
 
     One loop runs the successor step of Knuth's Algorithm P (TAOCP 7.2.1.4)
-    on the multiplicity vector in place: one cycle of the smallest length
-    x > 1 and all fixed points become as many (x-1)-cycles as fit plus one
-    cycle of the remainder.  A class costs a scan up to x, a few updates and
-    one tuple copy; there is no recursion, hence no depth limit, and no part
-    list.  The vectors sum to n and are distinct by construction, so no
-    CycleType is checked again.  n > MAX_CLASS_LIST_N raises
-    ClassListTooLargeError at once.
+    in place on a list of (length, multiplicity) pairs, longest first: one
+    cycle of the smallest length x > 1 and all fixed points become as many
+    (x-1)-cycles as fit plus one cycle of the remainder.  x and the fixed
+    points sit at the end of the list, so a step pops at most two pairs,
+    pushes at most three and copies the list once; there is no recursion,
+    hence no depth limit.  The pairs stay strictly decreasing, sum to n and
+    are distinct by construction, so no CycleType is checked again.
+    n > MAX_CLASS_LIST_N raises ClassListTooLargeError at once.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > MAX_CLASS_LIST_N:
         raise ClassListTooLargeError(f"S_{n} has too many classes to list (n <= {MAX_CLASS_LIST_N})")
-    counts = [0] * n  # counts[i - 1] is the number of i-cycles
-    counts[n - 1] = 1
+    pairs = [(n, 1)]  # (length, multiplicity), longest first
     classes = []
     while True:
-        classes.append(_trusted_cycle_type(n, tuple(counts)))
-        low = next((i for i in range(2, n + 1) if counts[i - 1]), None)
-        if low is None:  # 1^n, the last class
+        classes.append(_trusted_cycle_type(n, tuple(pairs)))
+        fixed = pairs.pop()[1] if pairs[-1][0] == 1 else 0
+        if not pairs:  # 1^n, the last class
             return classes
-        counts[low - 1] -= 1
-        copies, remainder = divmod(counts[0] + low, low - 1)
-        counts[0] = 0
-        counts[low - 2] += copies
+        low, mult = pairs.pop()
+        if mult > 1:
+            pairs.append((low, mult - 1))
+        copies, remainder = divmod(fixed + low, low - 1)
+        pairs.append((low - 1, copies))
         if remainder:
-            counts[remainder - 1] += 1
+            pairs.append((remainder, 1))
 
 
 def canonical_representative(lam: CycleType) -> Permutation:
@@ -293,7 +290,7 @@ def canonical_representative(lam: CycleType) -> Permutation:
     onto consecutive points starting at 1, each mapping p to p+1 cyclically."""
     cycles = []
     next_point = 1
-    for length, mult in enumerate(lam.multiplicities, start=1):
+    for length, mult in reversed(lam.cycles):
         for _ in range(mult):
             cycles.append(range(next_point, next_point + length))
             next_point += length

@@ -75,6 +75,12 @@ def cycle_count(p: Permutation) -> int:
     return len(cycle_decomposition(p))
 
 
+def parts(lam: CycleType) -> tuple[int, ...]:
+    """The parts of lam in descending order, e.g. (3, 1, 1) for 1^2 3^1,
+    sorted here rather than read off the order ``lam.cycles`` is stored in."""
+    return tuple(sorted((i for i, m in lam.cycles for _ in range(m)), reverse=True))
+
+
 def symmetric_group(n):
     """S_n listed by the tests themselves, not by the oracle, in sorted
     order, so seeded tests draw the same elements."""

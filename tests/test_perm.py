@@ -1,6 +1,8 @@
 import itertools
 import random
 import time
+import tracemalloc
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -19,7 +21,7 @@ from ramsys.perm import (
     cycle_type,
     enumerate_cycle_types,
 )
-from reference import compose, conjugate, cycle_count, inverse, symmetric_group
+from reference import compose, conjugate, cycle_count, inverse, parts, symmetric_group
 
 
 def reference_partitions(n, largest=None):
@@ -55,7 +57,8 @@ def reference_cycle_type(p):
         while y != x:
             length, y = length + 1, p(y)
         lengths.append(length)
-    return CycleType(p.n, tuple(lengths.count(i) // i for i in range(1, p.n + 1)))
+    cycles = sorted(((i, points // i) for i, points in Counter(lengths).items()), reverse=True)
+    return CycleType(p.n, tuple(cycles))
 
 
 def assert_same_permutation(result, images):
@@ -129,21 +132,38 @@ class TestCycleType:
         assert str(cycle_type(Permutation.from_cycles(5, [(1, 2), (3, 4, 5)]))) == "2^1 3^1"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CycleType(3, (1, 0, 1))  # parts sum to 4, not 3
-        with pytest.raises(ValueError):
-            CycleType(3, (0, 0))  # wrong length
-        with pytest.raises(ValueError):
-            CycleType(3, (4, 1, -1))  # negative multiplicity
+        refused = [
+            (3, ((1, 1), (2, 1))),  # lengths rise
+            (4, ((2, 1), (2, 1))),  # a repeated length
+            (3, ((3, 1), (0, 2))),  # a length of 0
+            (3, ((3, 1), (1, 0))),  # a multiplicity of 0
+            (3, ((3, 1), (1, -1))),  # a negative multiplicity
+            (3, ((3, 1), (1, 1))),  # parts sum to 4, not 3
+            (3, ((2, 1),)),  # parts sum to 2, not 3
+            (0, ()),  # n = 0
+        ]
+        for n, cycles in refused:
+            with pytest.raises(ValueError):
+                CycleType(n, cycles)
         with pytest.raises(ValueError, match="positive"):
             CycleType.from_parts([2, 0])
-        assert CycleType(3, (1, 1, 0)) == CycleType.parse("1^1 2^1")
+        assert CycleType(3, ((2, 1), (1, 1))) == CycleType.parse("1^1 2^1")
 
     def test_parse_token_form(self):
         lam = CycleType.parse("1^1 2^2")
         assert lam.n == 5
-        assert lam.multiplicities == (1, 2, 0, 0, 0)
+        assert lam.cycles == ((2, 2), (1, 1))
         assert str(lam) == "1^1 2^2"
+
+    def test_stores_only_the_lengths_present(self):
+        tracemalloc.start()
+        try:
+            lam = CycleType.parse("1^999998 2^1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert lam.cycles == ((2, 1), (1, 999998))
 
     def test_parse_bracket_form(self):
         assert CycleType.parse("[2,2,1]") == CycleType.parse("1^1 2^2")
@@ -174,8 +194,9 @@ class TestCycleType:
                 refusal()
 
     def test_parts_roundtrip(self):
-        lam = CycleType.from_parts([3, 1, 1])
-        assert lam.parts() == (3, 1, 1)
+        lam = CycleType.from_parts([1, 3, 1])
+        assert lam.cycles == ((3, 1), (1, 2))
+        assert parts(lam) == (3, 1, 1)
         assert str(lam) == "1^2 3^1"
 
 
@@ -334,6 +355,17 @@ class TestEnumerateCycleTypes:
             "1^2 2^1",
             "1^4",
         ]
+
+    def test_type_order_is_canonical_order(self):
+        rng = random.Random(20)
+        for n in range(1, 13):
+            types = enumerate_cycle_types(n)
+            shuffled = rng.sample(types, len(types))
+            assert sorted(shuffled, reverse=True) == types
+        s8 = enumerate_cycle_types(8)
+        for lam, mu in itertools.product(s8, repeat=2):
+            assert (lam < mu) == (parts(lam) < parts(mu))
+            assert (lam == mu) == (parts(lam) == parts(mu))
 
     def test_each_type_once(self):
         for n in range(1, 9):
