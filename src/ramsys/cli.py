@@ -20,13 +20,7 @@ from .counting import (
     parse_ramification,
     printable_gammas,
 )
-from .perm import (
-    InputError,
-    canonical_representative,
-    centralizer_order,
-    cycle_string,
-    enumerate_cycle_types,
-)
+from .perm import InputError, canonical_cycle_string, centralizer_order, enumerate_cycle_types
 
 
 def _positive_int(text: str) -> int:
@@ -71,7 +65,7 @@ def _report_json(report: dict) -> str:
     several times slower.  Strings go through json's C string encoder."""
     entries = ",\n".join(
         f'    {{\n      "class": {_json_string(entry["class"])},\n'
-        f'      "r": {entry["r"]},\n      "gamma": {entry["gamma"]}\n    }}'
+        f'      "r": {entry["r"]},\n      "gamma": {decimal_string(entry["gamma"])}\n    }}'
         for entry in report["ramification"]
     )
     ramification = f"[\n{entries}\n  ]" if entries else "[]"
@@ -88,18 +82,19 @@ def cmd_count(args: argparse.Namespace) -> int:
         return 0
     rows = []
     for (lam, mult), g in zip(ram.entries, printable_gammas(ram)):
-        rows.append([str(lam), str(mult), str(g), decimal_string(multiset_coefficient(g, mult))])
+        rows.append([str(lam), str(mult), decimal_string(g), decimal_string(multiset_coefficient(g, mult))])
     _print_table(["class", "r", "gamma", "factor"], rows)
     print(f"count = {decimal_string(count_rsc(ram))}")
     return 0
 
 
-# Most parts, Σ γ_C over the support, that one reps line may have.  Printing
-# the first line of S_n all:1 for n = 28..32 (2.7 M to 12.9 M parts) took
-# about 23 bytes of peak RSS and 0.15 µs per part on a 2-core Xeon VM: 76 MB
-# and 0.5 s at S_28, 297 MB and 1.9 s at S_32.  2^22 parts keep a line near
-# 100 MB and under a second; S_29 all:1 (4,047,081 parts) is the largest
-# all:1 that fits.
+# Most numbers one reps line may print: Σ γ_C parts on a type-vector line and
+# Σ (n - fixed points) u0 points on the `# classes:` header, over the support.
+# On a 2-core Xeon VM a line took about 0.15 µs and 23 bytes per part (1.9 s
+# and 297 MB at S_32 all:1, 12.9 M parts); a header at the bound took 1.4 s
+# and 336 MB for u0 of [4194304], 3.6 s and 218 MB for u0 of 2^2097152.
+# S_29 all:1 (4,047,081 parts) is the largest all:1 line that fits, and S_45
+# all:1 (3,559,529 u0 points) the largest all:r header.
 MAX_LINE_PARTS = 2**22
 
 
@@ -109,14 +104,20 @@ def cmd_reps(args: argparse.Namespace) -> int:
     parts = sum(gammas)
     if args.limit != 0 and parts > MAX_LINE_PARTS:
         raise InputError(
-            f"a reps line of S_{ram.n} with this ramification has {parts} parts "
+            f"a reps line of S_{ram.n} with this ramification has {decimal_string(parts)} parts "
             f"(gamma summed over the support), over the limit of {MAX_LINE_PARTS}"
+        )
+    moved = sum([i * m for lam, _ in ram.entries for i, m in lam.cycles if i > 1])
+    if moved > MAX_LINE_PARTS:
+        raise InputError(
+            f"the classes header of S_{ram.n} with this ramification has {decimal_string(moved)} "
+            f"u0 points (moved points summed over the support), over the limit of {MAX_LINE_PARTS}"
         )
     print(f"# n = {ram.n}, ramification: {ram}")
     print(
         "# classes: "
         + "; ".join(
-            f"{lam} (gamma={g}, u0={cycle_string(canonical_representative(lam))})"
+            f"{lam} (gamma={decimal_string(g)}, u0={canonical_cycle_string(lam)})"
             for (lam, _), g in zip(ram.entries, gammas)
         )
     )

@@ -259,7 +259,7 @@ def parse_ramification(text: str, n: int) -> Ramification:
             raise RamificationParseError(str(exc), position) from None
         if lam.n != n:
             raise RamificationParseError(
-                f"class {lam} has parts summing to {lam.n}, expected {n}", position
+                f"class {lam} has parts summing to {decimal_string(lam.n)}, expected {n}", position
             )
         if lam in entries:
             raise RamificationParseError(f"class {lam} listed twice", position)

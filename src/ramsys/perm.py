@@ -6,7 +6,7 @@ stored as its (length, multiplicity) pairs, longest first, so its size is
 the number of distinct cycle lengths, not n, and the order of the stored
 pairs is the canonical class order.  All counts are exact Python integers.
 ``centralizer_order`` holds the rule for the centralizer order z_λ, and
-``class_size`` reads it.
+``class_size`` reads it.  Base points u0 are laid out from the pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class InputError(Exception):
@@ -179,7 +179,10 @@ def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
 def cycle_string(p: Permutation) -> str:
     """Cycle notation without fixed points, e.g. ``(1 2)(4 5)``; the identity
     renders as ``()``."""
-    cycles = [c for c in cycle_decomposition(p) if len(c) > 1]
+    return _cycle_text([c for c in cycle_decomposition(p) if len(c) > 1])
+
+
+def _cycle_text(cycles: Iterable[Iterable[int]]) -> str:
     return "".join(["(" + " ".join(map(str, c)) + ")" for c in cycles]) or "()"
 
 
@@ -229,24 +232,10 @@ def _trusted_cycle_type(n: int, cycles: tuple[tuple[int, int], ...]) -> CycleTyp
     return lam
 
 
-# Largest degree n of a cycle type that CycleType.parse and from_parts build.
-# A class holds only the cycle lengths present, so `count` builds nothing of
-# size n: on a 2-core Xeon VM `count N --ramification '1^N:2'` took 0.10 s
-# and 17 MB of peak RSS at both N = 10^6 and N = 10^7.  The limit is held by
-# reps, which builds the n-point base point of each support class:
-# `reps N --ramification '1^N:2' --limit 3` took 2.3 s and 254 MB at
-# N = 10^6 and 22 s and 2.4 GB at N = 10^7, so 10^6 keeps every command
-# within a few seconds and a few hundred MB.
-MAX_CYCLE_TYPE_N = 10**6
-
-
 def _counted_cycle_type(mults: Mapping[int, int]) -> CycleType:
-    """The cycle type with mults[i] cycles of each positive length i.  Its
-    degree Σ i·mults[i] is summed first: past MAX_CYCLE_TYPE_N it raises
-    ValueError before the class is built."""
+    """The cycle type with mults[i] cycles of each positive length i, built
+    from the pairs alone at any degree Σ i·mults[i]."""
     n = sum([length * mult for length, mult in mults.items()])
-    if n > MAX_CYCLE_TYPE_N:
-        raise ValueError(f"a cycle type of degree {n} is over the limit of {MAX_CYCLE_TYPE_N}")
     return CycleType(n, tuple(sorted(mults.items(), reverse=True)))
 
 
@@ -285,13 +274,23 @@ def enumerate_cycle_types(n: int) -> list[CycleType]:
             pairs.append((remainder, 1))
 
 
-def canonical_representative(lam: CycleType) -> Permutation:
-    """Deterministic base point of the class: cycles of ascending length packed
-    onto consecutive points starting at 1, each mapping p to p+1 cyclically."""
-    cycles = []
-    next_point = 1
+def _canonical_cycles(lam: CycleType) -> Iterator[range]:
+    """Points of each cycle of lam's base point u0 longer than 1: cycles of
+    ascending length on consecutive points from 1, each mapping p to p+1
+    cyclically.  The fixed points come first and are skipped in one step."""
+    first = 1
     for length, mult in reversed(lam.cycles):
-        for _ in range(mult):
-            cycles.append(range(next_point, next_point + length))
-            next_point += length
-    return Permutation.from_cycles(lam.n, cycles)
+        if length > 1:
+            for start in range(first, first + length * mult, length):
+                yield range(start, start + length)
+        first += length * mult
+
+
+def canonical_representative(lam: CycleType) -> Permutation:
+    """The class's base point u0, its smallest member by image tuple, on all n points."""
+    return Permutation.from_cycles(lam.n, _canonical_cycles(lam))
+
+
+def canonical_cycle_string(lam: CycleType) -> str:
+    """cycle_string(canonical_representative(lam)), at the cost of its text."""
+    return _cycle_text(_canonical_cycles(lam))

@@ -81,6 +81,15 @@ def parts(lam: CycleType) -> tuple[int, ...]:
     return tuple(sorted((i for i, m in lam.cycles for _ in range(m)), reverse=True))
 
 
+def partition_counts(limit):
+    """p(0), ..., p(limit) by the coin-change recurrence."""
+    ways = [1] + [0] * limit
+    for part in range(1, limit + 1):
+        for total in range(part, limit + 1):
+            ways[total] += ways[total - part]
+    return ways
+
+
 def symmetric_group(n):
     """S_n listed by the tests themselves, not by the oracle, in sorted
     order, so seeded tests draw the same elements."""

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import ramsys
 import ramsys.cli
 import ramsys.oracle
+import ramsys.perm
 from ramsys.cli import main
 from ramsys.counting import (
     CountTooLargeError,
@@ -23,7 +25,7 @@ from ramsys.counting import (
 )
 from ramsys.oracle import OracleBudgetError
 from ramsys.perm import ClassListTooLargeError, CycleType, InputError
-from reference import parse_decimal
+from reference import parse_decimal, partition_counts
 
 
 def digit_limit():
@@ -240,15 +242,32 @@ class TestReps:
 
     @pytest.mark.parametrize(
         "bound, limit, code, lines",
-        [(7, "1", 0, 4), (6, "1", 2, 0), (6, "0", 0, 3)],
+        [(7, "1", 0, 4), (6, "1", 2, 0), (6, "0", 0, 3), (4, "0", 2, 0)],
     )
     def test_line_bound_counts_every_part(self, capsys, monkeypatch, bound, limit, code, lines):
-        # S_3 all:1 has 3 + 2 + 2 = 7 parts per line; --limit 0 prints no line
+        # S_3 all:1 has 3 + 2 + 2 = 7 parts per line; --limit 0 prints no
+        # line, but the header still writes the u0 points, 0 + 2 + 3 = 5
         monkeypatch.setattr(ramsys.cli, "MAX_LINE_PARTS", bound)
         result, out, err = run(capsys, "reps", "3", "--ramification", "all:1", "--limit", limit)
         assert result == code
         assert len(out.splitlines()) == lines
-        assert ("7 parts" in err) == (code == 2)
+        refusal = "5 u0 points" if limit == "0" else "7 parts"
+        assert (refusal in err) == (code == 2)
+
+    def test_header_of_s45_all1_is_under_the_bound(self, capsys, monkeypatch):
+        # a partition of n with at least k fixed points is one of n - k plus
+        # k of them, so the fixed points of S_n sum to p(n-1) + ... + p(0)
+        p = partition_counts(45)
+        moved = 45 * p[45] - sum(p[:45])
+        assert moved == 3_559_529 < ramsys.cli.MAX_LINE_PARTS
+        # the CLI counts the same points: one fewer allowed refuses, unprinted
+        monkeypatch.setattr(ramsys.cli, "MAX_LINE_PARTS", moved - 1)
+        code, out, err = run(capsys, "reps", "45", "--ramification", "all:1", "--limit", "0")
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: the classes header of S_45 with this ramification has {moved} u0 points "
+            f"(moved points summed over the support), over the limit of {moved - 1}\n"
+        )
 
     def test_vectors_match_library_order(self, capsys):
         from ramsys.counting import enumerate_types
@@ -514,12 +533,100 @@ class TestFreshProcess:
         assert result.stdout == ""
         assert result.stderr == "error: verify needs 2 <= n <= 5, got n = 6\n"
 
-    def test_cycle_type_past_the_degree_limit_exits_2(self):
-        limit = ramsys.perm.MAX_CYCLE_TYPE_N
-        spec = f"[{2 * limit}]:1"
+    def test_cycle_type_of_another_degree_exits_2(self):
+        spec = "[2000000]:1"
         result = fresh_python("-m", "ramsys", "count", "5", "--ramification", spec, timeout=5)
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == (
-            f"error: a cycle type of degree {2 * limit} is over the limit of {limit} (at position 0)\n"
+            "error: class 2000000^1 has parts summing to 2000000, expected 5 (at position 0)\n"
         )
+
+    def test_degree_past_the_str_digit_limit_exits_2(self):
+        # the degree of A^B has about 8,000 digits, past the 4,300 that str()
+        # writes by default; the refusal still names it
+        length, mult = int("7" * 4000), int("3" * 4000)
+        spec = f"{length}^{mult}:1"
+        result = fresh_python("-m", "ramsys", "count", "5", "--ramification", spec, timeout=5)
+        assert result.returncode == 2 and result.stdout == ""
+        prefix = f"error: class {length}^{mult} has parts summing to "
+        assert result.stderr.startswith(prefix)
+        degree = result.stderr.removeprefix(prefix).removesuffix(", expected 5 (at position 0)\n")
+        assert parse_decimal(degree) == length * mult
+
+    def test_gamma_past_the_str_digit_limit_is_printed(self):
+        # a^1 b^1 is a class of S_(a+b) with gamma a·b, about 6,000 digits
+        a, b = int("5" * 3000), int("4" * 3000)
+        argv = ("-m", "ramsys", "count", str(a + b), "--ramification", f"{a}^1 {b}^1:1")
+        table = fresh_python(*argv, timeout=5)
+        assert table.returncode == 0 and table.stderr == ""
+        _, row, total = table.stdout.splitlines()
+        gamma_text, factor_text = row.split()[3:]
+        assert parse_decimal(gamma_text) == a * b
+        assert factor_text == gamma_text and total == f"count = {gamma_text}"
+        report = fresh_python(*argv, "--format", "json", timeout=5)
+        assert report.returncode == 0 and report.stderr == ""
+        assert f'"gamma": {gamma_text}\n' in report.stdout
+        assert report.stdout.endswith(f'"count": "{gamma_text}"\n}}\n')
+        argv = ("-m", "ramsys", "reps", *argv[3:], "--limit", "1")
+        line = fresh_python(*argv, timeout=5)
+        assert line.returncode == 2 and line.stdout == ""
+        assert line.stderr == (
+            f"error: a reps line of S_{a + b} with this ramification has {gamma_text} parts "
+            "(gamma summed over the support), over the limit of 4194304\n"
+        )
+
+    def test_header_gamma_past_the_str_digit_limit_is_printed(self):
+        # under 640 digits, the lowest limit CPython takes, one cycle of each
+        # length 2..330 has gamma 330!, 690 digits, on 54,614 u0 points
+        parts = range(330, 1, -1)
+        spec = "[" + ",".join(map(str, parts)) + "]:1"
+        argv = ("reps", str(sum(parts)), "--ramification", spec, "--limit", "0")
+        result = fresh_python("-X", "int_max_str_digits=640", "-m", "ramsys", *argv, timeout=5)
+        assert result.returncode == 0 and result.stderr == ""
+        _, classes, count = result.stdout.splitlines()
+        gamma_text = classes.partition("(gamma=")[2].partition(",")[0]
+        assert parse_decimal(gamma_text) == factorial(330)
+        assert count == f"# count = {gamma_text}"
+
+    def test_header_refusal_past_the_str_digit_limit_exits_2(self):
+        # n has 4,300 digits, the most the CLI reads; [n] and [n-k,k] for
+        # k = 1..10 move 11n - 1 points, one digit more than str() writes
+        n = int("9" * 4300)
+        spec = ";".join([f"[{n}]:1"] + [f"[{n - k},{k}]:1" for k in range(1, 11)])
+        argv = ("reps", str(n), "--ramification", spec, "--limit", "0")
+        result = fresh_python("-m", "ramsys", *argv, timeout=5)
+        assert result.returncode == 2 and result.stdout == ""
+        prefix = f"error: the classes header of S_{n} with this ramification has "
+        assert result.stderr.startswith(prefix)
+        moved = result.stderr.removeprefix(prefix).partition(" u0 points ")[0]
+        assert parse_decimal(moved) == 11 * n - 1
+
+    def test_reps_of_degree_10_6_builds_no_u0(self):
+        spec = "1^1000000:2"
+        argv = ("-m", "ramsys", "reps", "1000000", "--ramification", spec, "--limit", "3")
+        result = fresh_python(*argv, timeout=5)
+        assert result.returncode == 0 and result.stderr == ""
+        assert result.stdout == (
+            "# n = 1000000, ramification: 1^1000000:2\n"
+            "# classes: 1^1000000 (gamma=2, u0=())\n"
+            "# count = 3\n(2,0)\n(1,1)\n(0,2)\n"
+        )
+
+
+class TestNoPermutation:
+    def test_closed_form_commands_build_none(self, capsys, monkeypatch):
+        # only the oracle needs u0 as a Permutation; the others write its text
+        def refused(*args):
+            raise AssertionError("a Permutation was built")
+
+        monkeypatch.setattr(ramsys.perm.Permutation, "__post_init__", refused)
+        monkeypatch.setattr(ramsys.perm, "_trusted_permutation", refused)
+        for argv in (
+            ["classes", "8"],
+            ["count", "8", "--ramification", "all:2"],
+            ["reps", "8", "--ramification", "all:1", "--limit", "3"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "", argv
+            assert out

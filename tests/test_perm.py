@@ -7,12 +7,12 @@ from math import factorial
 
 import pytest
 
-import ramsys.perm
 from ramsys.perm import (
     MAX_CLASS_LIST_N,
     ClassListTooLargeError,
     CycleType,
     Permutation,
+    canonical_cycle_string,
     canonical_representative,
     centralizer_order,
     class_size,
@@ -21,7 +21,15 @@ from ramsys.perm import (
     cycle_type,
     enumerate_cycle_types,
 )
-from reference import compose, conjugate, cycle_count, inverse, parts, symmetric_group
+from reference import (
+    compose,
+    conjugate,
+    cycle_count,
+    inverse,
+    partition_counts,
+    parts,
+    symmetric_group,
+)
 
 
 def reference_partitions(n, largest=None):
@@ -33,15 +41,6 @@ def reference_partitions(n, largest=None):
     for part in range(min(n, largest), 0, -1):
         for rest in reference_partitions(n - part, part):
             yield (part, *rest)
-
-
-def partition_counts(limit):
-    """p(0), ..., p(limit) by the coin-change recurrence."""
-    ways = [1] + [0] * limit
-    for part in range(1, limit + 1):
-        for total in range(part, limit + 1):
-            ways[total] += ways[total - part]
-    return ways
 
 
 def perm(*images):
@@ -173,25 +172,29 @@ class TestCycleType:
             with pytest.raises(ValueError):
                 CycleType.parse(text)
 
-    def test_degree_limit(self, monkeypatch):
-        monkeypatch.setattr(ramsys.perm, "MAX_CYCLE_TYPE_N", 100)
-        assert CycleType.parse("1^1 3^33").n == 100
-        assert CycleType.parse("[100]").n == 100
-        assert CycleType.from_parts([50, 50]).n == 100
-        refusals = [
-            lambda: CycleType.parse("1^101"),
-            lambda: CycleType.parse("1^2 3^33"),
-            lambda: CycleType.parse("[101]"),
-            lambda: CycleType.parse("[50,50,1]"),
-            lambda: CycleType.from_parts([50, 51]),
-            # refused before anything of that size is built: a vector of
-            # 10^12 multiplicities could not be allocated at all
-            lambda: CycleType.parse(f"1^{10**12}"),
-            lambda: CycleType.parse(f"[{10**12}]"),
-        ]
-        for refusal in refusals:
-            with pytest.raises(ValueError, match="over the limit of 100$"):
-                refusal()
+    def test_any_degree_stores_only_its_pairs(self):
+        # no degree is refused, and none costs its size: a vector of 10^12
+        # entries could not be allocated at all
+        n = 10**12
+        tracemalloc.start()
+        try:
+            built = [
+                CycleType.parse(f"1^{n}"),
+                CycleType.parse(f"[{n}]"),
+                CycleType.from_parts([n]),
+                CycleType.parse(f"1^{n - 2} 2^1"),
+                CycleType.parse(f"[{n - 2},1,1]"),
+                CycleType.from_parts([1, 1, n - 2]),
+            ]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert [lam.n for lam in built] == [n] * 6
+        assert built[0].cycles == ((1, n),)
+        assert built[1] == built[2] and built[1].cycles == ((n, 1),)
+        assert built[3].cycles == ((2, 1), (1, n - 2))
+        assert built[4] == built[5] and built[4].cycles == ((n - 2, 1), (1, 2))
 
     def test_parts_roundtrip(self):
         lam = CycleType.from_parts([1, 3, 1])
@@ -440,6 +443,29 @@ class TestCanonicalRepresentative:
                 smallest[lam] = min(smallest.get(lam, images), images)
             for lam in enumerate_cycle_types(n):
                 assert canonical_representative(lam).images == smallest[lam]
+
+
+class TestCanonicalCycleString:
+    def test_matches_the_built_representative(self):
+        # the built u0, which the oracle needs as a Permutation, is the reference
+        classes = [lam for n in range(1, 15) for lam in enumerate_cycle_types(n)]
+        assert len(classes) == 507
+        for lam in classes:
+            assert canonical_cycle_string(lam) == cycle_string(canonical_representative(lam))
+
+    def test_builds_nothing_of_size_n(self):
+        n = 10**12
+        tracemalloc.start()
+        try:
+            texts = [
+                canonical_cycle_string(CycleType.parse(f"1^{n}")),
+                canonical_cycle_string(CycleType.parse(f"1^{n - 5} 2^1 3^1")),
+            ]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert texts == ["()", f"({n - 4} {n - 3})({n - 2} {n - 1} {n})"]
 
 
 class TestCycleString:
