@@ -20,7 +20,14 @@ from .counting import (
     parse_ramification,
     printable_gammas,
 )
-from .perm import InputError, canonical_cycle_string, centralizer_order, enumerate_cycle_types
+from .perm import (
+    CycleType,
+    InputError,
+    canonical_cycle_string,
+    centralizer_order,
+    enumerate_cycle_types,
+    walk_cycle_types,
+)
 
 
 def _positive_int(text: str) -> int:
@@ -37,11 +44,8 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _print_table(headers: list[str], rows: list[list[str]]) -> None:
-    widths = [
-        max(len(header), *(len(row[i]) for row in rows)) if rows else len(header)
-        for i, header in enumerate(headers)
-    ]
+def _print_table(headers: list[str], rows: Sequence[Sequence[str]]) -> None:
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
     line = "  ".join([f"{{:<{w}}}" for w in widths]).format
     print(line(*headers).rstrip())
     for row in rows:
@@ -49,12 +53,30 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
+    # The centralizer is a direct product over the cycle lengths present, so
+    # z_λ and γ multiply and the texts concatenate pair by pair, each pair's
+    # part computed once.  A class keeps the first `kept` pairs of the one
+    # before it: prefix[k] holds (type text, z, factor text, γ) of its first
+    # k pairs, and only the pairs after `kept` are pushed.  Both texts run
+    # shortest cycle first, so a pair's text goes in front, with a trailing
+    # separator that the row drops.
     n_factorial = factorial(args.n)
     rows = []
-    for lam in enumerate_cycle_types(args.n):
-        z = centralizer_order(lam)
-        invariants = abelianization_invariants(lam)
-        rows.append([str(lam), str(n_factorial // z), str(z), str(invariants.order()), str(invariants)])
+    prefix = [("", 1, "", 1)]
+    of_pair: dict[tuple[int, int], tuple[str, int, str, int]] = {}
+    for kept, pairs in walk_cycle_types(args.n):
+        del prefix[kept + 1:]
+        text, z, factor_text, g = prefix[-1]
+        for pair in pairs[kept:]:
+            if pair not in of_pair:
+                lam = CycleType(pair[0] * pair[1], (pair,))
+                invariants = abelianization_invariants(lam)
+                factors = "".join([f"{f}x" for f in invariants.factors])
+                of_pair[pair] = (f"{lam} ", centralizer_order(lam), factors, invariants.order())
+            pair_text, pair_z, pair_factors, pair_g = of_pair[pair]
+            text, z, factor_text, g = pair_text + text, z * pair_z, pair_factors + factor_text, g * pair_g
+            prefix.append((text, z, factor_text, g))
+        rows.append((text[:-1], str(n_factorial // z), str(z), str(g), factor_text[:-1] or "1"))
     _print_table(["type", "size", "centralizer", "gamma", "factors"], rows)
     return 0
 

@@ -5,6 +5,10 @@ form; cycle types double as conjugacy-class identifiers.  A cycle type is
 stored as its (length, multiplicity) pairs, longest first, so its size is
 the number of distinct cycle lengths, not n, and the order of the stored
 pairs is the canonical class order.  All counts are exact Python integers.
+``walk_cycle_types`` lists the classes of S_n by Algorithm P, and says for
+each class how many leading pairs it keeps from the class before it, so a
+caller can update per-class values from the pairs that changed;
+``enumerate_cycle_types`` makes the same classes as ``CycleType``s.
 ``centralizer_order`` holds the rule for the centralizer order z_λ, and
 ``class_size`` reads it.  Base points u0 are laid out from the pairs.
 """
@@ -42,10 +46,6 @@ class Permutation:
             raise ValueError(f"images {self.images!r} are not a bijection of 1..{n}")
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
         """Build a permutation of {1..n} from disjoint cycles; omitted points stay fixed."""
         images = list(range(1, n + 1))
@@ -67,9 +67,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point - 1]
 
     def __str__(self) -> str:
         return cycle_string(self)
@@ -224,11 +221,14 @@ class ClassListTooLargeError(InputError, ValueError):
 
 def _trusted_cycle_type(n: int, cycles: tuple[tuple[int, int], ...]) -> CycleType:
     """A CycleType built without __post_init__, for the (length,
-    multiplicity) pairs that enumerate_cycle_types and cycle_type count out
-    themselves, already longest first."""
+    multiplicity) pairs that walk_cycle_types and cycle_type count out
+    themselves, already longest first.  The fields go straight into the
+    instance dict, where the frozen dataclass's own __init__ puts them too;
+    that is cheaper than two object.__setattr__ calls."""
     lam = object.__new__(CycleType)
-    object.__setattr__(lam, "n", n)
-    object.__setattr__(lam, "cycles", cycles)
+    fields = lam.__dict__
+    fields["n"] = n
+    fields["cycles"] = cycles
     return lam
 
 
@@ -239,9 +239,12 @@ def _counted_cycle_type(mults: Mapping[int, int]) -> CycleType:
     return CycleType(n, tuple(sorted(mults.items(), reverse=True)))
 
 
-def enumerate_cycle_types(n: int) -> list[CycleType]:
-    """All cycle types of S_n in canonical order: descending lexicographic on
-    the descending part tuple, so for n=4 4^1, 1^1 3^1, 2^2, 1^2 2^1, 1^4.
+def walk_cycle_types(n: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """All cycle types of S_n in canonical order, as (kept, pairs): ``pairs``
+    are the class's (length, multiplicity) pairs, longest first, and
+    ``pairs[:kept]`` are the first ``kept`` pairs of the class before it (0
+    for the first class).  The order is descending lexicographic on the
+    descending part tuple, so for n=4 4^1, 1^1 3^1, 2^2, 1^2 2^1, 1^4.
     Every table and enumeration in this package uses this order.
 
     One loop runs the successor step of Knuth's Algorithm P (TAOCP 7.2.1.4)
@@ -249,29 +252,40 @@ def enumerate_cycle_types(n: int) -> list[CycleType]:
     cycle of the smallest length x > 1 and all fixed points become as many
     (x-1)-cycles as fit plus one cycle of the remainder.  x and the fixed
     points sit at the end of the list, so a step pops at most two pairs,
-    pushes at most three and copies the list once; there is no recursion,
-    hence no depth limit.  The pairs stay strictly decreasing, sum to n and
-    are distinct by construction, so no CycleType is checked again.
-    n > MAX_CLASS_LIST_N raises ClassListTooLargeError at once.
+    keeps the rest, pushes at most three and copies the list once; there is
+    no recursion, hence no depth limit.  The pairs stay strictly decreasing,
+    sum to n and are distinct by construction, so no CycleType need check
+    them again.  The bounds are checked at the call: n > MAX_CLASS_LIST_N
+    raises ClassListTooLargeError before any class is made.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > MAX_CLASS_LIST_N:
         raise ClassListTooLargeError(f"S_{n} has too many classes to list (n <= {MAX_CLASS_LIST_N})")
+    return _algorithm_p(n)
+
+
+def _algorithm_p(n: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     pairs = [(n, 1)]  # (length, multiplicity), longest first
-    classes = []
+    kept = 0
     while True:
-        classes.append(_trusted_cycle_type(n, tuple(pairs)))
+        yield kept, tuple(pairs)
         fixed = pairs.pop()[1] if pairs[-1][0] == 1 else 0
         if not pairs:  # 1^n, the last class
-            return classes
+            return
         low, mult = pairs.pop()
+        kept = len(pairs)
         if mult > 1:
             pairs.append((low, mult - 1))
         copies, remainder = divmod(fixed + low, low - 1)
         pairs.append((low - 1, copies))
         if remainder:
             pairs.append((remainder, 1))
+
+
+def enumerate_cycle_types(n: int) -> list[CycleType]:
+    """The classes of walk_cycle_types(n) as CycleTypes, in its order."""
+    return [_trusted_cycle_type(n, pairs) for _, pairs in walk_cycle_types(n)]
 
 
 def _canonical_cycles(lam: CycleType) -> Iterator[range]:

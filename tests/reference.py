@@ -1,8 +1,9 @@
 """Reference code for the test suite, and the one home of every helper that
 more than one test file uses.
 
-The permutation products (``compose``, ``inverse``, ``conjugate``) and
-``cycle_count`` live here because only the tests multiply ``Permutation``s:
+The permutation products (``compose``, ``inverse``, ``conjugate``),
+``identity``, ``image`` and ``cycle_count`` live here because only the tests
+multiply ``Permutation``s or read one point at a time:
 the closed form needs conjugacy classes, centralizer invariants and
 multiset coefficients, and the oracle multiplies image tuples.
 ``symmetric_group`` lists S_n by the tests themselves, so they hold the
@@ -38,6 +39,15 @@ from ramsys.oracle import (
     class_points,
 )
 from ramsys.perm import CycleType, Permutation, _trusted_permutation, cycle_decomposition
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def image(p: Permutation, point: int) -> int:
+    """The image p(point) of one point of {1..n}."""
+    return p.images[point - 1]
 
 
 # The products of valid permutations are bijections by construction, so they
@@ -217,7 +227,7 @@ def act(g: Permutation, pi: Permutation, point: RSCPoint) -> RSCPoint:
         raise ValueError(f"index permutation has degree {pi.n}, point has {len(point.characters)} characters")
     pi_inv = inverse(pi)
     new_chars = tuple(
-        _transport(point.characters[pi_inv(i) - 1], g) for i in range(1, pi.n + 1)
+        _transport(point.characters[image(pi_inv, i) - 1], g) for i in range(1, pi.n + 1)
     )
     return RSCPoint(conjugate(g, point.base_point), new_chars)
 

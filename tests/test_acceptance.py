@@ -39,6 +39,7 @@ from reference import (
     cycle_count,
     cyclic_product_order_histogram,
     fixed_point_count,
+    image,
     is_even,
     symmetric_group,
 )
@@ -226,7 +227,7 @@ def check_representatives():
 
 def _wreath_decompose(rho, grid):
     where = {point: (i, j) for i, row in enumerate(grid) for j, point in enumerate(row)}
-    theta, f = zip(*(where[rho(row[0])] for row in grid))
+    theta, f = zip(*(where[image(rho, row[0])] for row in grid))
     return f, theta
 
 

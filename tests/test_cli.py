@@ -403,6 +403,45 @@ class TestClosedFormBytes:
         assert digest.hexdigest()[:16] == prefix
 
 
+    def test_s45_classes_bytes_are_pinned(self, capsys):
+        # past the pin above: the rows of S_45's 89,134 classes, built pair by pair
+        code, out, _ = run(capsys, "classes", "45")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "a5ca1911e5e14210"
+
+
+class WriteOnlySink:
+    """A stdout with only write and flush, like a pipe wrapper or the
+    benchmark's first-item probe: no writelines, no buffer."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestWriteOnlyStdout:
+    @pytest.mark.parametrize("argv", [
+        ("classes", "7"),
+        ("count", "5", "--ramification", "all:2"),
+        ("count", "5", "--ramification", "all:2", "--format", "json"),
+        ("reps", "4", "--ramification", "all:1", "--limit", "20"),
+    ], ids=["classes", "count-table", "count-json", "reps"])
+    def test_same_bytes_as_captured(self, capsys, monkeypatch, argv):
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and expected
+        sink = WriteOnlySink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(list(argv)) == 0
+        monkeypatch.undo()
+        assert "".join(sink.chunks) == expected
+
+
 class TestParserReuse:
     S3_CLASSES = (
         "type     size  centralizer  gamma  factors\n"

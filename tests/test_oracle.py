@@ -51,6 +51,7 @@ from reference import (
     conjugate,
     cycle_count,
     fixed_point_count,
+    identity,
     inverse,
     is_even,
     symmetric_group,
@@ -60,7 +61,7 @@ from reference import (
 def is_closed(H):
     """Exhaustive closure check: H holds the identity and every product."""
     n = next(iter(H)).n
-    return Permutation.identity(n) in H and all(
+    return identity(n) in H and all(
         compose(a, b) in H for a in H for b in H
     )
 
@@ -88,7 +89,7 @@ def is_homomorphism(chi):
 
 def all_pairs_derived(H):
     """Reference H': the closure of every commutator a·b·a⁻¹·b⁻¹, a, b in H."""
-    elements = {Permutation.identity(next(iter(H)).n)} | {
+    elements = {identity(next(iter(H)).n)} | {
         compose(compose(a, b), compose(inverse(a), inverse(b)))
         for a in H
         for b in H
@@ -221,12 +222,12 @@ class TestSymmetricGroup:
 
 class TestCentralizer:
     def test_identity_centralizer_is_whole_group(self):
-        assert centralizer(Permutation.identity(3)) == frozenset(symmetric_group(3))
+        assert centralizer(identity(3)) == frozenset(symmetric_group(3))
 
     def test_three_cycle(self):
         sigma = Permutation.from_cycles(3, [(1, 2, 3)])
         expected = {
-            Permutation.identity(3),
+            identity(3),
             sigma,
             compose(sigma, sigma),
         }
@@ -251,7 +252,7 @@ class TestCommutatorSubgroup:
     def test_abelian_gives_trivial(self):
         sigma = Permutation.from_cycles(3, [(1, 2, 3)])
         derived = commutator_subgroup(centralizer(sigma))
-        assert derived == frozenset({Permutation.identity(3)})
+        assert derived == frozenset({identity(3)})
 
     def test_dihedral_centralizer(self):
         sigma = Permutation.from_cycles(4, [(1, 2), (3, 4)])
@@ -346,13 +347,13 @@ class TestAbelianQuotient:
 
 class TestDualCharacters:
     def test_trivial_group(self):
-        characters = character_basis(Permutation.identity(1))
+        characters = character_basis(identity(1))
         assert len(characters) == 1
         assert set(characters[0].values) == {0}
 
     def test_sign_character_of_s3(self):
         # the centralizer of the identity is the whole of S_3
-        characters = character_basis(Permutation.identity(3))
+        characters = character_basis(identity(3))
         assert len(characters) == 2
         assert len(set(characters)) == 2
         # one is trivial, the other separates even from odd
@@ -404,7 +405,7 @@ class TestDualCharacters:
         for lam in enumerate_cycle_types(4):
             for chi in character_basis(canonical_representative(lam)):
                 assert is_homomorphism(chi)
-                assert character_value(chi, Permutation.identity(4)) == 0
+                assert character_value(chi, identity(4)) == 0
 
     def test_derived_subgroup_in_kernel(self):
         sigma = Permutation.from_cycles(4, [(1, 2), (3, 4)])
@@ -422,7 +423,7 @@ class TestDualCharacters:
 class TestAct:
     def test_identity_acts_trivially(self):
         for point in class_points(CycleType.parse("1^1 2^1"), 2):
-            assert act(Permutation.identity(3), Permutation.identity(2), point) == point
+            assert act(identity(3), identity(2), point) == point
 
     def test_action_axiom_random_s4(self):
         rng = random.Random(71)
@@ -443,13 +444,13 @@ class TestAct:
         trivial = [chi for chi in character_basis(u) if set(chi.values) == {0}][0]
         point = RSCPoint(u, (trivial,))
         for g in centralizer(u):
-            assert act(g, Permutation.identity(1), point) == point
+            assert act(g, identity(1), point) == point
 
     def test_result_characters_live_on_conjugated_centralizer(self):
         lam = CycleType.parse("1^2 2^1")
         point = class_points(lam, 1)[0]
         g = Permutation.from_cycles(4, [(1, 3, 2)])
-        moved = act(g, Permutation.identity(1), point)
+        moved = act(g, identity(1), point)
         assert set(moved.characters[0].domain) == set(
             centralizer(moved.base_point)
         )
@@ -457,9 +458,9 @@ class TestAct:
     def test_size_mismatches(self):
         point = class_points(CycleType.parse("1^1 2^1"), 1)[0]
         with pytest.raises(ValueError):
-            act(Permutation.identity(4), Permutation.identity(1), point)
+            act(identity(4), identity(1), point)
         with pytest.raises(ValueError):
-            act(Permutation.identity(3), Permutation.identity(2), point)
+            act(identity(3), identity(2), point)
 
 
 class TestClassAction:
@@ -516,7 +517,7 @@ class TestClassAction:
     @pytest.mark.parametrize("r, n", [(1, 3), (1, 4), (2, 3), (2, 4), (1, 5)])
     def test_index_moves_agree_with_act(self, n, r):
         # maps run over S_n's adjacent transpositions, then the slots'
-        id_n, id_r = Permutation.identity(n), Permutation.identity(r)
+        id_n, id_r = identity(n), identity(r)
         generators = [(s, id_r) for s in adjacent_transpositions(n)]
         generators += [(id_n, pi) for pi in adjacent_transpositions(r)]
         for lam in enumerate_cycle_types(n):
@@ -699,7 +700,7 @@ class TestOrbitCounts:
 class TestBeta:
     def test_identity_commutes_with_everything(self):
         for lam in enumerate_cycle_types(4):
-            assert beta(Permutation.identity(4), lam) == class_size(lam)
+            assert beta(identity(4), lam) == class_size(lam)
 
     def test_transposition_example(self):
         assert beta(Permutation.from_cycles(3, [(1, 2)]), CycleType.parse("1^1 2^1")) == 1
@@ -712,7 +713,7 @@ class TestBeta:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            beta(Permutation.identity(3), CycleType.parse("1^4"))
+            beta(identity(3), CycleType.parse("1^4"))
 
 
 class TestSupportOrbitCount:
@@ -807,13 +808,13 @@ class TestFixedPointCount:
     def test_all_fixed_under_identity(self):
         lam = CycleType.parse("3^1")
         assert fixed_point_count(
-            Permutation.identity(3), Permutation.identity(1), lam
+            identity(3), identity(1), lam
         ) == 6  # gamma^1 * |C| = 3 * 2
 
     def test_transposition_on_transpositions(self):
         lam = CycleType.parse("1^1 2^1")
         count = fixed_point_count(
-            Permutation.from_cycles(3, [(1, 2)]), Permutation.identity(1), lam
+            Permutation.from_cycles(3, [(1, 2)]), identity(1), lam
         )
         assert count == 2  # gamma^1 * beta = 2 * 1
 
@@ -894,7 +895,7 @@ class TestMonolithicOrbitCount:
         classes = enumerate_cycle_types(3)
         per_class = [class_points(lam, 1) for lam in classes]
         space = list(itertools.product(*per_class))
-        identity_index = Permutation.identity(1)
+        identity_index = identity(1)
         transpositions = [
             Permutation.from_cycles(3, [(1, 2)]),
             Permutation.from_cycles(3, [(2, 3)]),
@@ -927,7 +928,7 @@ class TestCharacterRepresentation:
 
     def test_construction_validates_lengths(self):
         with pytest.raises(ValueError):
-            Character(2, (Permutation.identity(2),), (0, 1))
+            Character(2, (identity(2),), (0, 1))
 
 
 class TestIndependenceFromTheClosedForm:

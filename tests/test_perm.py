@@ -20,11 +20,14 @@ from ramsys.perm import (
     cycle_string,
     cycle_type,
     enumerate_cycle_types,
+    walk_cycle_types,
 )
 from reference import (
     compose,
     conjugate,
     cycle_count,
+    identity,
+    image,
     inverse,
     partition_counts,
     parts,
@@ -52,9 +55,9 @@ def reference_cycle_type(p):
     the l points on an l-cycle each have orbit length l."""
     lengths = []
     for x in range(1, p.n + 1):
-        length, y = 1, p(x)
+        length, y = 1, image(p, x)
         while y != x:
-            length, y = length + 1, p(y)
+            length, y = length + 1, image(p, y)
         lengths.append(length)
     cycles = sorted(((i, points // i) for i, points in Counter(lengths).items()), reverse=True)
     return CycleType(p.n, tuple(cycles))
@@ -77,9 +80,9 @@ class TestPermutation:
             perm(2, 3)
 
     def test_identity_and_call(self):
-        e = Permutation.identity(4)
+        e = identity(4)
         assert e.images == (1, 2, 3, 4)
-        assert e(3) == 3
+        assert image(e, 3) == 3
 
     def test_from_cycles(self):
         p = Permutation.from_cycles(5, [(1, 2), (3, 4, 5)])
@@ -96,7 +99,7 @@ class TestPermutation:
 
 class TestCycleDecomposition:
     def test_identity(self):
-        cycles = cycle_decomposition(Permutation.identity(3))
+        cycles = cycle_decomposition(identity(3))
         assert cycles == [(1,), (2,), (3,)]
 
     def test_single_three_cycle(self):
@@ -120,13 +123,13 @@ class TestCycleDecomposition:
             for c in cycles:
                 assert c[0] == min(c)
                 for src, dst in zip(c, c[1:] + c[:1]):
-                    assert p(src) == dst
+                    assert image(p, src) == dst
             assert Permutation.from_cycles(p.n, cycles) == p
 
 
 class TestCycleType:
     def test_examples(self):
-        assert str(cycle_type(Permutation.identity(3))) == "1^3"
+        assert str(cycle_type(identity(3))) == "1^3"
         assert str(cycle_type(perm(2, 3, 1))) == "3^1"
         assert str(cycle_type(Permutation.from_cycles(5, [(1, 2), (3, 4, 5)]))) == "2^1 3^1"
 
@@ -205,7 +208,7 @@ class TestCycleType:
 
 class TestOfCycleCount:
     def test_examples(self):
-        assert cycle_count(Permutation.identity(3)) == 3
+        assert cycle_count(identity(3)) == 3
         assert cycle_count(perm(2, 3, 1)) == 1
         assert cycle_count(Permutation.from_cycles(5, [(1, 2), (4, 5)])) == 3
 
@@ -213,32 +216,32 @@ class TestOfCycleCount:
 class TestComposeInverse:
     def test_identity_neutral(self):
         q = perm(3, 1, 2)
-        assert compose(Permutation.identity(3), q) == q
-        assert compose(q, Permutation.identity(3)) == q
+        assert compose(identity(3), q) == q
+        assert compose(q, identity(3)) == q
 
     def test_inverse_of_three_cycle(self):
         assert inverse(perm(2, 3, 1)) == perm(3, 1, 2)
 
     def test_involution(self):
         t = perm(2, 1)
-        assert compose(t, t) == Permutation.identity(2)
+        assert compose(t, t) == identity(2)
 
     def test_composition_order(self):
         # compose(p, q)(x) = p(q(x))
         p = Permutation.from_cycles(3, [(1, 2)])
         q = Permutation.from_cycles(3, [(2, 3)])
-        assert compose(p, q)(2) == p(q(2)) == p(3) == 3
+        assert image(compose(p, q), 2) == image(p, image(q, 2)) == image(p, 3) == 3
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            compose(Permutation.identity(2), Permutation.identity(3))
+            compose(identity(2), identity(3))
 
     def test_inverse_roundtrip_random(self):
         rng = random.Random(5)
         for _ in range(100):
             p = Permutation(tuple(rng.sample(range(1, 7), 6)))
-            assert compose(p, inverse(p)) == Permutation.identity(6)
-            assert compose(inverse(p), p) == Permutation.identity(6)
+            assert compose(p, inverse(p)) == identity(6)
+            assert compose(inverse(p), p) == identity(6)
 
 
 class TestTrustedProducts:
@@ -250,13 +253,13 @@ class TestTrustedProducts:
         for p in group:
             assert_same_permutation(inverse(p), [p.images.index(x) + 1 for x in points])
             for q in group:
-                assert_same_permutation(compose(p, q), [p(q(x)) for x in points])
+                assert_same_permutation(compose(p, q), [image(p, image(q, x)) for x in points])
                 # g·x·g⁻¹ sends g(i) to g(x(i))
-                conjugated = dict((p(i), p(q(i))) for i in points)
+                conjugated = dict((image(p, i), image(p, image(q, i))) for i in points)
                 assert_same_permutation(conjugate(p, q), [conjugated[x] for x in points])
 
     def test_size_mismatches_still_raise(self):
-        small, large = Permutation.identity(2), Permutation.identity(3)
+        small, large = identity(2), identity(3)
         for product in (compose, conjugate):
             with pytest.raises(ValueError, match="size mismatch"):
                 product(small, large)
@@ -279,7 +282,7 @@ class TestTrustedProducts:
 class TestConjugate:
     def test_identity(self):
         x = perm(2, 3, 1)
-        assert conjugate(Permutation.identity(3), x) == x
+        assert conjugate(identity(3), x) == x
 
     def test_relabelling(self):
         g = Permutation.from_cycles(3, [(2, 3)])
@@ -417,9 +420,34 @@ class TestEnumerateCycleTypes:
         assert issubclass(ClassListTooLargeError, ValueError)
 
 
+class TestWalkCycleTypes:
+    def test_pairs_are_the_enumerated_classes(self):
+        for n in range(1, 31):
+            walked = [pairs for _, pairs in walk_cycle_types(n)]
+            assert walked == [lam.cycles for lam in enumerate_cycle_types(n)]
+            assert all(type(pairs) is tuple for pairs in walked)
+
+    def test_kept_is_the_prefix_shared_with_the_previous_class(self):
+        for n in range(1, 31):
+            previous = ()
+            for kept, pairs in walk_cycle_types(n):
+                shared = 0
+                while shared < min(len(previous), len(pairs)) and previous[shared] == pairs[shared]:
+                    shared += 1
+                assert kept == shared
+                previous = pairs
+        assert [kept for kept, _ in walk_cycle_types(7)][:6] == [0, 0, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("n, error", [(0, ValueError), (MAX_CLASS_LIST_N + 1, ClassListTooLargeError)])
+    def test_bounds_are_checked_at_the_call(self, no_class_built, n, error):
+        # raised before any generator step, not at the first next()
+        with pytest.raises(error):
+            walk_cycle_types(n)
+
+
 class TestCanonicalRepresentative:
     def test_identity(self):
-        assert canonical_representative(CycleType.parse("1^3")) == Permutation.identity(3)
+        assert canonical_representative(CycleType.parse("1^3")) == identity(3)
 
     def test_three_cycle(self):
         assert canonical_representative(CycleType.parse("3^1")) == perm(2, 3, 1)
@@ -470,6 +498,6 @@ class TestCanonicalCycleString:
 
 class TestCycleString:
     def test_formats(self):
-        assert cycle_string(Permutation.identity(3)) == "()"
+        assert cycle_string(identity(3)) == "()"
         assert cycle_string(Permutation.from_cycles(5, [(1, 2), (4, 5)])) == "(1 2)(4 5)"
         assert cycle_string(Permutation.from_cycles(4, [(3, 1, 4)])) == "(1 4 3)"
