@@ -2,7 +2,7 @@
 systems with characters over symmetric groups S_n (n ≠ 6), with a
 brute-force verification engine for small n."""
 
-from .centralizer import AbelianInvariants, abelianization_invariants, gamma
+from .centralizer import abelianization_invariants, gamma
 from .combinat import (
     multiset_coefficient,
     stirling_first,
@@ -30,13 +30,11 @@ from .perm import (
     centralizer_order,
     class_size,
     cycle_decomposition,
-    cycle_string,
     cycle_type,
     enumerate_cycle_types,
 )
 
 __all__ = [
-    "AbelianInvariants",
     "ClassListTooLargeError",
     "CycleType",
     "InputError",
@@ -54,7 +52,6 @@ __all__ = [
     "count_rsc",
     "count_rsc_stirling",
     "cycle_decomposition",
-    "cycle_string",
     "cycle_type",
     "decimal_string",
     "enumerate_cycle_types",

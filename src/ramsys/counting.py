@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import factorial, log10, prod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .centralizer import gamma
 from .combinat import multiset_coefficient, stirling_first, weak_compositions
@@ -68,27 +68,9 @@ class Ramification:
         )
         object.__setattr__(self, "entries", normalized)
 
-    @classmethod
-    def from_mapping(cls, n: int, multiplicities: Mapping[CycleType, int]) -> "Ramification":
-        return cls(n, tuple(multiplicities.items()))
-
-    @classmethod
-    def all_ones(cls, n: int) -> "Ramification":
-        """r_C = 1 for every class of S_n."""
-        return _listed_ramification(n, enumerate_cycle_types(n), repeat(1))
-
-    def multiplicity(self, lam: CycleType) -> int:
-        for entry_lam, mult in self.entries:
-            if entry_lam == lam:
-                return mult
-        return 0
-
-    def spec_string(self) -> str:
-        """Round-trippable text form, `class:count` entries joined by `;`."""
-        return ";".join(f"{lam}:{mult}" for lam, mult in self.entries)
-
     def __str__(self) -> str:
-        return self.spec_string() or "(empty)"
+        """Round-trippable text form, `class:count` entries joined by `;`."""
+        return ";".join(f"{lam}:{mult}" for lam, mult in self.entries) or "(empty)"
 
 
 def _listed_ramification(

@@ -328,14 +328,18 @@ def class_action(lam: CycleType) -> ClassAction:
 
 def _point_count(lam: CycleType, r: int) -> int:
     """The oracle's own count of one class's points, base points times basis
-    size to the r; OracleBudgetError past ORBIT_POINT_BUDGET."""
+    size to the r; OracleBudgetError past ORBIT_POINT_BUDGET.  The power is
+    taken to at most the budget's bit length: with two or more characters,
+    that much of it already passes the budget."""
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
     action = class_action(lam)
-    points = len(action.base_points) * len(action.tables[0]) ** r
+    capped = min(r, ORBIT_POINT_BUDGET.bit_length())
+    points = len(action.base_points) * len(action.tables[0]) ** capped
     if points > ORBIT_POINT_BUDGET:
+        needs = points if capped == r else f"more than {ORBIT_POINT_BUDGET}"
         raise OracleBudgetError(
-            f"class {lam} with r = {r} needs {points} points, over the budget of {ORBIT_POINT_BUDGET}"
+            f"class {lam} with r = {r} needs {needs} points, over the budget of {ORBIT_POINT_BUDGET}"
         )
     return points
 

@@ -69,7 +69,10 @@ class Permutation:
         return len(self.images)
 
     def __str__(self) -> str:
-        return cycle_string(self)
+        """Cycle notation without fixed points, e.g. ``(1 2)(4 5)``; the
+        identity renders as ``()``."""
+        cycles = [c for c in cycle_decomposition(self) if len(c) > 1]
+        return "".join(["(" + " ".join(map(str, c)) + ")" for c in cycles]) or "()"
 
 
 _TYPE_TOKEN = re.compile(r"^(\d+)\^(\d+)$")
@@ -171,16 +174,6 @@ def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
             point = images[point - 1]
         cycles.append(tuple(cycle))
     return cycles
-
-
-def cycle_string(p: Permutation) -> str:
-    """Cycle notation without fixed points, e.g. ``(1 2)(4 5)``; the identity
-    renders as ``()``."""
-    return _cycle_text([c for c in cycle_decomposition(p) if len(c) > 1])
-
-
-def _cycle_text(cycles: Iterable[Iterable[int]]) -> str:
-    return "".join(["(" + " ".join(map(str, c)) + ")" for c in cycles]) or "()"
 
 
 def cycle_type(p: Permutation) -> CycleType:
@@ -288,23 +281,42 @@ def enumerate_cycle_types(n: int) -> list[CycleType]:
     return [_trusted_cycle_type(n, pairs) for _, pairs in walk_cycle_types(n)]
 
 
-def _canonical_cycles(lam: CycleType) -> Iterator[range]:
-    """Points of each cycle of lam's base point u0 longer than 1: cycles of
-    ascending length on consecutive points from 1, each mapping p to p+1
-    cyclically.  The fixed points come first and are skipped in one step."""
+def _canonical_runs(lam: CycleType) -> Iterator[tuple[int, range]]:
+    """Each run of equal cycles of lam's base point u0 longer than 1, as
+    (cycle length, points): cycles of ascending length on consecutive points
+    from 1, each mapping p to p+1 cyclically.  The fixed points come first
+    and are skipped in one step."""
     first = 1
     for length, mult in reversed(lam.cycles):
         if length > 1:
-            for start in range(first, first + length * mult, length):
-                yield range(start, start + length)
+            yield length, range(first, first + length * mult)
         first += length * mult
 
 
 def canonical_representative(lam: CycleType) -> Permutation:
     """The class's base point u0, its smallest member by image tuple, on all n points."""
-    return Permutation.from_cycles(lam.n, _canonical_cycles(lam))
+    cycles = (run[k : k + i] for i, run in _canonical_runs(lam) for k in range(0, len(run), i))
+    return Permutation.from_cycles(lam.n, cycles)
+
+
+_TEXT_BATCH = 4096
 
 
 def canonical_cycle_string(lam: CycleType) -> str:
-    """cycle_string(canonical_representative(lam)), at the cost of its text."""
-    return _cycle_text(_canonical_cycles(lam))
+    """str(canonical_representative(lam)), at the cost of its text.  Each run
+    of cycles is written _TEXT_BATCH points at a time, whole cycles by one
+    %-template and a longer cycle slice by slice, so a text of millions of
+    points never holds a str per point or per cycle."""
+    pieces = []
+    for length, run in _canonical_runs(lam):
+        if length > _TEXT_BATCH:
+            for cycle in (run[k : k + length] for k in range(0, len(run), length)):
+                slices = (cycle[j : j + _TEXT_BATCH] for j in range(0, length, _TEXT_BATCH))
+                pieces.append("(" + " ".join([" ".join(map(str, points)) for points in slices]) + ")")
+        else:
+            template = "(" + "%d " * (length - 1) + "%d)"
+            step = _TEXT_BATCH // length * length
+            for k in range(0, len(run), step):
+                batch = run[k : k + step]
+                pieces.append(template * (len(batch) // length) % tuple(batch))
+    return "".join(pieces) or "()"

@@ -6,8 +6,9 @@ The permutation products (``compose``, ``inverse``, ``conjugate``),
 multiply ``Permutation``s or read one point at a time:
 the closed form needs conjugacy classes, centralizer invariants and
 multiset coefficients, and the oracle multiplies image tuples.
-``symmetric_group`` lists S_n by the tests themselves, so they hold the
-oracle to a group it did not enumerate.
+``all_ones``, r_C = 1 on every class of S_n, lives here because three test
+files use it.  ``symmetric_group`` lists S_n by the tests themselves, so
+they hold the oracle to a group it did not enumerate.
 
 ``ramsys.oracle`` works on image tuples end to end.  The tests hold it to
 explicit objects instead: frozensets of ``Permutation``s for centralizers,
@@ -38,7 +39,14 @@ from ramsys.oracle import (
     class_action,
     class_points,
 )
-from ramsys.perm import CycleType, Permutation, _trusted_permutation, cycle_decomposition
+from ramsys.counting import Ramification
+from ramsys.perm import (
+    CycleType,
+    Permutation,
+    _trusted_permutation,
+    cycle_decomposition,
+    enumerate_cycle_types,
+)
 
 
 def identity(n: int) -> Permutation:
@@ -89,6 +97,12 @@ def parts(lam: CycleType) -> tuple[int, ...]:
     """The parts of lam in descending order, e.g. (3, 1, 1) for 1^2 3^1,
     sorted here rather than read off the order ``lam.cycles`` is stored in."""
     return tuple(sorted((i for i, m in lam.cycles for _ in range(m)), reverse=True))
+
+
+def all_ones(n: int) -> Ramification:
+    """r_C = 1 for every class of S_n, built through Ramification's checks
+    rather than the way parse_ramification("all:1", n) builds it."""
+    return Ramification(n, tuple((lam, 1) for lam in enumerate_cycle_types(n)))
 
 
 def partition_counts(limit):

@@ -154,9 +154,8 @@ class TestCount:
         code, out, _ = run(capsys, "count", "4", "--ramification", "1^4:2;2^2:1", "--format", "json")
         assert code == 0
         report = json.loads(out)
-        rebuilt = Ramification.from_mapping(
-            report["n"],
-            {CycleType.parse(e["class"]): e["r"] for e in report["ramification"]},
+        rebuilt = Ramification(
+            report["n"], tuple((CycleType.parse(e["class"]), e["r"]) for e in report["ramification"])
         )
         assert str(count_rsc(rebuilt)) == report["count"]
         # feeding the entries back through the spec grammar gives the same count
@@ -571,6 +570,21 @@ class TestFreshProcess:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "error: verify needs 2 <= n <= 5, got n = 6\n"
+
+    @pytest.mark.parametrize(
+        "n, max_r", [("3", "9000"), ("3", "10000"), ("3", "10000000"), ("2", "1000000000000")]
+    )
+    def test_verify_past_the_budget_by_r_alone_exits_2_at_once(self, n, max_r):
+        # γ^r is past the budget long before it is past str()'s digit limit
+        # or the memory, so it is never built
+        start = time.perf_counter()
+        result = fresh_python("-m", "ramsys", "verify", n, "--max-r", max_r, timeout=5)
+        assert time.perf_counter() - start < 1
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == (
+            f"error: class {n}^1 with r = {max_r} needs more than 250000 points, "
+            "over the budget of 250000\n"
+        )
 
     def test_cycle_type_of_another_degree_exits_2(self):
         spec = "[2000000]:1"

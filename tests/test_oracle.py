@@ -42,6 +42,7 @@ from ramsys.perm import (
 from reference import (
     abelian_quotient,
     act,
+    all_ones,
     beta,
     centralizer,
     character_basis,
@@ -628,8 +629,8 @@ class TestOrbitCounts:
         assert orbit_count_class(CycleType.parse("1^2 2^1"), 1) == 4
 
     def test_oracle_count_examples(self):
-        assert oracle_count(Ramification.all_ones(3)) == 12
-        assert oracle_count(Ramification.all_ones(4)) == 384
+        assert oracle_count(all_ones(3)) == 12
+        assert oracle_count(all_ones(4)) == 384
         assert oracle_count(
             Ramification(2, ((CycleType.parse("1^2"), 3),))
         ) == 4
@@ -641,6 +642,13 @@ class TestOrbitCounts:
             class_points(lam, 6)
         with pytest.raises(OracleBudgetError):
             orbit_count_class(lam, 6)
+
+    def test_budget_refuses_a_huge_r_without_its_power(self):
+        # 3^10^12 has about 4.8·10^11 digits: built, it would not fit in memory
+        start = time.perf_counter()
+        with pytest.raises(OracleBudgetError, match=f"needs more than {ORBIT_POINT_BUDGET} points"):
+            orbit_count_class(CycleType.parse("3^1"), 10**12)
+        assert time.perf_counter() - start < 1
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
@@ -946,7 +954,6 @@ class TestIndependenceFromTheClosedForm:
         "abelianization_invariants",
         "class_size",
         "centralizer_order",
-        "_factors",
         "multiset_coefficient",
         "count_rsc",
     )

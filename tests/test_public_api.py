@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -121,3 +122,18 @@ def test_every_exported_name_is_used_by_the_library_or_the_benchmark():
     # the public API
     unused = set(ramsys.__all__) - _library_names() - _benchmark_names()
     assert not unused, sorted(unused)
+
+
+def test_every_public_method_of_an_exported_class_is_used_by_the_library_or_the_benchmark():
+    # the same rule one level down: a method only the tests call belongs in
+    # tests/reference.py.  Dataclass fields are data, and an exception class
+    # only carries its message.
+    used = _library_names() | _benchmark_names()
+    unused = []
+    for name in ramsys.__all__:
+        cls = getattr(ramsys, name)
+        if not isinstance(cls, type) or issubclass(cls, BaseException):
+            continue
+        fields = {field.name for field in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        unused += sorted(f"{name}.{attr}" for attr in vars(cls).keys() - fields - used if attr[0] != "_")
+    assert not unused, unused
