@@ -7,13 +7,14 @@ import itertools
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 from math import factorial, prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .centralizer import abelianization_invariants
-from .combinat import multiset_coefficient
+from .centralizer import abelianization_invariants, gamma
 from .counting import (
+    _count_and_factors,
     _listed_ramification,
-    count_report,
+    _parse_spec,
+    _refuse_long_count,
     count_rsc,
     decimal_string,
     enumerate_types,
@@ -23,7 +24,7 @@ from .counting import (
 from .perm import (
     CycleType,
     InputError,
-    canonical_cycle_string,
+    canonical_cycle_pieces,
     centralizer_order,
     enumerate_cycle_types,
     walk_cycle_types,
@@ -44,77 +45,98 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _print_table(headers: list[str], rows: Sequence[Sequence[str]]) -> None:
+def _print_table(headers: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -> None:
+    # the last column is not padded, so no line ends in a space; a line is
+    # one write, looked up each time, as a stdout that is swapped mid-run
+    # (the benchmark's first-line probe) expects
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    line = "  ".join([f"{{:<{w}}}" for w in widths]).format
-    print(line(*headers).rstrip())
+    line = "  ".join([f"%-{w}s" for w in widths[:-1]] + ["%s\n"])
+    sys.stdout.write(line % headers)
     for row in rows:
-        print(line(*row).rstrip())
+        sys.stdout.write(line % row)
+
+
+def _class_walk(n: int, centralizers: bool = False) -> Iterator[tuple[str, int, int, str]]:
+    """Each class of S_n in canonical order as (type text, γ, z_λ, factor
+    text), for `classes` and for `count` on an `all` spec.  z_λ and the
+    factor text are worked out only when ``centralizers`` is set; else they
+    read 1 and "".
+
+    The centralizer is a direct product over the cycle lengths present, so
+    γ and z_λ multiply and the texts concatenate pair by pair, each pair's
+    part computed once, from a CycleType of that pair alone.  A class keeps
+    the first `kept` pairs of the one before it: prefix[k] holds the values
+    of its first k pairs, and only the pairs after `kept` are pushed.  Both
+    texts run shortest cycle first, so a pair's text goes in front, with a
+    trailing separator that the yield drops."""
+    prefix = [("", 1, 1, "")]
+    of_pair: dict[tuple[int, int], tuple[str, int, int, str]] = {}
+    for kept, pairs in walk_cycle_types(n):
+        del prefix[kept + 1:]
+        text, g, z, factor_text = prefix[-1]
+        for pair in pairs[kept:]:
+            part = of_pair.get(pair)
+            if part is None:
+                lam = CycleType(pair[0] * pair[1], (pair,))
+                invariants = abelianization_invariants(lam)
+                # "%d^%d " % pair is f"{lam} " at a third of the cost
+                part = ("%d^%d " % pair, prod(invariants), 1, "")
+                if centralizers:
+                    part = part[:2] + (centralizer_order(lam), "".join([f"{f}x" for f in invariants]))
+                of_pair[pair] = part
+            text, g, z, factor_text = part[0] + text, g * part[1], z * part[2], part[3] + factor_text
+            prefix.append((text, g, z, factor_text))
+        yield text[:-1], g, z, factor_text[:-1]
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
-    # The centralizer is a direct product over the cycle lengths present, so
-    # z_λ and γ multiply and the texts concatenate pair by pair, each pair's
-    # part computed once.  A class keeps the first `kept` pairs of the one
-    # before it: prefix[k] holds (type text, z, factor text, γ) of its first
-    # k pairs, and only the pairs after `kept` are pushed.  Both texts run
-    # shortest cycle first, so a pair's text goes in front, with a trailing
-    # separator that the row drops.
     n_factorial = factorial(args.n)
-    rows = []
-    prefix = [("", 1, "", 1)]
-    of_pair: dict[tuple[int, int], tuple[str, int, str, int]] = {}
-    for kept, pairs in walk_cycle_types(args.n):
-        del prefix[kept + 1:]
-        text, z, factor_text, g = prefix[-1]
-        for pair in pairs[kept:]:
-            if pair not in of_pair:
-                lam = CycleType(pair[0] * pair[1], (pair,))
-                invariants = abelianization_invariants(lam)
-                factors = "".join([f"{f}x" for f in invariants])
-                of_pair[pair] = (f"{lam} ", centralizer_order(lam), factors, prod(invariants))
-            pair_text, pair_z, pair_factors, pair_g = of_pair[pair]
-            text, z, factor_text, g = pair_text + text, z * pair_z, pair_factors + factor_text, g * pair_g
-            prefix.append((text, z, factor_text, g))
-        rows.append((text[:-1], str(n_factorial // z), str(z), str(g), factor_text[:-1] or "1"))
-    _print_table(["type", "size", "centralizer", "gamma", "factors"], rows)
+    rows = [
+        (text, str(n_factorial // z), str(z), str(g), factor_text or "1")
+        for text, g, z, factor_text in _class_walk(args.n, centralizers=True)
+    ]
+    _print_table(("type", "size", "centralizer", "gamma", "factors"), rows)
     return 0
 
 
-def _report_json(report: dict) -> str:
-    """The bytes of json.dumps(report, indent=2) for a count_report, laid out
-    by hand: an indent sends json.dumps to its pure-Python encoder, which is
-    several times slower.  Strings go through json's C string encoder."""
-    entries = ",\n".join(
-        f'    {{\n      "class": {_json_string(entry["class"])},\n'
-        f'      "r": {entry["r"]},\n      "gamma": {decimal_string(entry["gamma"])}\n    }}'
-        for entry in report["ramification"]
-    )
-    ramification = f"[\n{entries}\n  ]" if entries else "[]"
-    return (
-        f'{{\n  "n": {report["n"]},\n  "ramification": {ramification},\n'
-        f'  "count": {_json_string(report["count"])}\n}}'
-    )
-
-
 def cmd_count(args: argparse.Namespace) -> int:
-    ram = parse_ramification(args.ramification, args.n)
+    # rows of (class text, r, γ), then one path for both kinds of spec
+    spec = _parse_spec(args.ramification, args.n)
+    if isinstance(spec, int):  # all:r reads its rows off the class walk
+        rows = [(text, spec, g) for text, g, _, _ in _class_walk(args.n)] if spec else []
+    else:
+        rows = [(str(lam), r, gamma(lam)) for lam, r in spec.entries]
+    shapes = [(g, r) for _, r, g in rows]
+    _refuse_long_count(args.n, shapes)
+    count, factors = _count_and_factors(shapes)
     if args.format == "json":
-        print(_report_json(count_report(ram)))
+        # the bytes of json.dumps(count_report(ram), indent=2), laid out by
+        # hand: an indent sends json.dumps to its pure-Python encoder, which
+        # is several times slower.  Strings go through json's C string encoder.
+        tails = {
+            (g, r): f',\n      "r": {r},\n      "gamma": {decimal_string(g)}\n    }}'
+            for g, r in factors
+        }
+        entries = ",\n".join(
+            [f'    {{\n      "class": {_json_string(text)}{tails[g, r]}' for text, r, g in rows]
+        )
+        ramification = f"[\n{entries}\n  ]" if entries else "[]"
+        print(
+            f'{{\n  "n": {args.n},\n  "ramification": {ramification},\n'
+            f'  "count": "{decimal_string(count)}"\n}}'
+        )
         return 0
-    rows = []
-    for (lam, mult), g in zip(ram.entries, printable_gammas(ram)):
-        rows.append([str(lam), str(mult), decimal_string(g), decimal_string(multiset_coefficient(g, mult))])
-    _print_table(["class", "r", "gamma", "factor"], rows)
-    print(f"count = {decimal_string(count_rsc(ram))}")
+    texts = {(g, r): (str(r), decimal_string(g), decimal_string(f)) for (g, r), f in factors.items()}
+    _print_table(("class", "r", "gamma", "factor"), [(text, *texts[g, r]) for text, r, g in rows])
+    sys.stdout.write(f"count = {decimal_string(count)}\n")
     return 0
 
 
 # Most numbers one reps line may print: Σ γ_C parts on a type-vector line and
 # Σ (n - fixed points) u0 points on the `# classes:` header, over the support.
 # On a 2-core Xeon VM a line took about 0.15 µs and 23 bytes per part (1.9 s
-# and 297 MB at S_32 all:1, 12.9 M parts); a header at the bound took 0.8 s
-# and 108 MB for u0 of [4194304], 0.6 s and 89 MB for u0 of 2^2097152.
+# and 297 MB at S_32 all:1, 12.9 M parts); a header at the bound took 0.7 s
+# and 77 MB for u0 of [4194304], 0.5 s and 88 MB for u0 of 2^2097152.
 # S_29 all:1 (4,047,081 parts) is the largest all:1 line that fits, and S_45
 # all:1 (3,559,529 u0 points) the largest all:r header.
 MAX_LINE_PARTS = 2**22
@@ -136,13 +158,17 @@ def cmd_reps(args: argparse.Namespace) -> int:
             f"u0 points (moved points summed over the support), over the limit of {MAX_LINE_PARTS}"
         )
     print(f"# n = {ram.n}, ramification: {ram}")
-    print(
-        "# classes: "
-        + "; ".join(
-            f"{lam} (gamma={decimal_string(g)}, u0={canonical_cycle_string(lam)})"
-            for (lam, _), g in zip(ram.entries, gammas)
-        )
-    )
+    # one join over the header's pieces, u0's text among them piece by piece,
+    # so a u0 of millions of points is held once besides the header itself
+    pieces, separator = ["# classes: "], ""
+    for (lam, _), g in zip(ram.entries, gammas):
+        pieces += [separator, f"{lam} (gamma={decimal_string(g)}, u0="]
+        pieces += canonical_cycle_pieces(lam)
+        pieces.append(")")
+        separator = "; "
+    header = "".join(pieces)
+    del pieces
+    print(header)
     print(f"# count = {decimal_string(count_rsc(ram))}")
     for type_vector in itertools.islice(enumerate_types(ram), args.limit):
         sys.stdout.write(f"{type_vector}\n")

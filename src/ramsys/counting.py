@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import factorial, log10, prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .centralizer import gamma
 from .combinat import multiset_coefficient, stirling_first, weak_compositions
@@ -118,14 +118,27 @@ def count_rsc(ram: Ramification) -> int:
     """Number of isomorphism classes with ramification ram: the product over
     the support of C(γ_C + r_C - 1, r_C).  Empty support counts 1."""
     ensure_countable(ram.n)
-    factors = [multiset_coefficient(gamma(lam), mult) for lam, mult in ram.entries]
-    # a product tree: a running product is quadratic in the size of the
-    # result, so runs of 32 small factors are multiplied first and their
-    # products then pairwise in rounds, keeping operands of similar size
-    products = [prod(factors[i : i + 32]) for i in range(0, len(factors), 32)]
+    return _count_and_factors([(gamma(lam), mult) for lam, mult in ram.entries])[0]
+
+
+def _count_and_factors(
+    shapes: Sequence[tuple[int, int]],
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """The count ∏ C(γ + r - 1, r) over shapes (γ, r), one per support
+    class, and the factor C(γ + r - 1, r) of each distinct shape, computed
+    once however many classes share it.  The factors are multiplied by a
+    product tree: a running product is quadratic in the size of the result,
+    so runs of 32 small factors are multiplied first and their products then
+    pairwise in rounds, keeping operands of similar size.  (Grouping equal
+    factors into powers first measured no faster, at S_45 all:1 or all:2.)"""
+    factors = dict.fromkeys(shapes)
+    for shape in factors:
+        factors[shape] = multiset_coefficient(*shape)
+    values = list(map(factors.__getitem__, shapes))
+    products = [prod(values[i : i + 32]) for i in range(0, len(values), 32)]
     while len(products) > 1:
         products = [prod(products[i : i + 2]) for i in range(0, len(products), 2)]
-    return prod(products)
+    return prod(products), factors
 
 
 def count_rsc_stirling(ram: Ramification) -> int:
@@ -206,6 +219,18 @@ def parse_ramification(text: str, n: int) -> Ramification:
     Unknown, malformed, or repeated cycle types are rejected; the error
     carries the offset of the offending entry.
     """
+    spec = _parse_spec(text, n)
+    if isinstance(spec, Ramification):
+        return spec
+    classes = enumerate_cycle_types(n) if spec else ()
+    return _listed_ramification(n, classes, repeat(spec))
+
+
+def _parse_spec(text: str, n: int) -> Ramification | int:
+    """parse_ramification up to the class list of `all:<count>`: the count
+    of an `all` spec, or the Ramification of any other spec.  Every refusal
+    of the text is made here; the caller lists an `all` spec's classes,
+    which walk_cycle_types refuses past MAX_CLASS_LIST_N."""
     ensure_countable(n)
     if not text.strip():
         raise RamificationParseError("empty ramification spec", 0)
@@ -233,8 +258,7 @@ def parse_ramification(text: str, n: int) -> Ramification:
                 raise RamificationParseError(
                     "'all' cannot be combined with other entries", position
                 )
-            classes = enumerate_cycle_types(n) if count else ()
-            return _listed_ramification(n, classes, repeat(count))
+            return count
         try:
             lam = CycleType.parse(type_text)
         except ValueError as exc:
@@ -268,6 +292,8 @@ def decimal_string(value: int) -> str:
     """
     if value < 0:
         return "-" + decimal_string(-value)
+    if value < _CHUNK:
+        return str(value)
     powers = [_CHUNK]  # powers[k] == 10 ** (_CHUNK_DIGITS * 2**k)
     while powers[-1] <= value:
         powers.append(powers[-1] * powers[-1])
@@ -301,21 +327,27 @@ class CountTooLargeError(InputError, ValueError):
 
 def printable_gammas(ram: Ramification) -> list[int]:
     """γ of each support class, in order, once the count of ram is known to
-    have at most MAX_COUNT_DIGITS decimal digits; CountTooLargeError, before
-    any factor is built, otherwise.  C(γ + r - 1, r) is at most
-    (γ + r - 1)^min(r, γ - 1), so the count has at most
-    ⌊Σ min(r, γ - 1)·log10(γ + r - 1)⌋ + 1 digits, one term per support
-    class; math.log10 takes an int of any size."""
+    have at most MAX_COUNT_DIGITS decimal digits (see _refuse_long_count)."""
     gammas = [gamma(lam) for lam, _ in ram.entries]
+    _refuse_long_count(ram.n, [(g, r) for g, (_, r) in zip(gammas, ram.entries)])
+    return gammas
+
+
+def _refuse_long_count(n: int, shapes: Iterable[tuple[int, int]]) -> None:
+    """CountTooLargeError, before any factor is built, if the count of the
+    shapes (γ, r), one per support class in class order, may have more than
+    MAX_COUNT_DIGITS decimal digits.  C(γ + r - 1, r) is at most
+    (γ + r - 1)^min(r, γ - 1), so the count has at most
+    ⌊Σ min(r, γ - 1)·log10(γ + r - 1)⌋ + 1 digits, one term per class;
+    math.log10 takes an int of any size."""
     # (r if r < g else g - 1) is min(r, g - 1) at well under half the cost of the call
-    bound = sum([(r if r < g else g - 1) * log10(g + r - 1) for (_, r), g in zip(ram.entries, gammas)])
+    bound = sum([(r if r < g else g - 1) * log10(g + r - 1) for g, r in shapes])
     digits = int(bound) + 1
     if digits > MAX_COUNT_DIGITS:
         raise CountTooLargeError(
-            f"the count of S_{ram.n} with this ramification may have up to {digits} digits, "
+            f"the count of S_{n} with this ramification may have up to {digits} digits, "
             f"over the limit of {MAX_COUNT_DIGITS}"
         )
-    return gammas
 
 
 def count_report(ram: Ramification) -> dict:

@@ -302,21 +302,25 @@ def canonical_representative(lam: CycleType) -> Permutation:
 _TEXT_BATCH = 4096
 
 
-def canonical_cycle_string(lam: CycleType) -> str:
-    """str(canonical_representative(lam)), at the cost of its text.  Each run
-    of cycles is written _TEXT_BATCH points at a time, whole cycles by one
-    %-template and a longer cycle slice by slice, so a text of millions of
-    points never holds a str per point or per cycle."""
+def canonical_cycle_pieces(lam: CycleType) -> list[str]:
+    """str(canonical_representative(lam)), at the cost of its text, as
+    pieces whose join is that text.  Each run of cycles is written
+    _TEXT_BATCH points at a time, whole short cycles by one %-template and a
+    longer cycle slice by slice between its own "(" and ")" pieces, so a
+    text of millions of points never holds a str per point or per cycle, nor
+    a second copy of itself; the caller joins the pieces into its output."""
     pieces = []
     for length, run in _canonical_runs(lam):
         if length > _TEXT_BATCH:
             for cycle in (run[k : k + length] for k in range(0, len(run), length)):
-                slices = (cycle[j : j + _TEXT_BATCH] for j in range(0, length, _TEXT_BATCH))
-                pieces.append("(" + " ".join([" ".join(map(str, points)) for points in slices]) + ")")
+                pieces.append("(")
+                for j in range(0, length, _TEXT_BATCH):
+                    pieces += [" ".join(map(str, cycle[j : j + _TEXT_BATCH])), " "]
+                pieces[-1] = ")"
         else:
             template = "(" + "%d " * (length - 1) + "%d)"
             step = _TEXT_BATCH // length * length
             for k in range(0, len(run), step):
                 batch = run[k : k + step]
                 pieces.append(template * (len(batch) // length) % tuple(batch))
-    return "".join(pieces) or "()"
+    return pieces or ["()"]

@@ -12,19 +12,24 @@ import pytest
 
 import ramsys
 import ramsys.cli
+import ramsys.counting
 import ramsys.oracle
 import ramsys.perm
+from ramsys.centralizer import gamma
 from ramsys.cli import main
+from ramsys.combinat import multiset_coefficient
 from ramsys.counting import (
     CountTooLargeError,
     Ramification,
     RamificationParseError,
     UnsupportedGroupError,
+    count_report,
     count_rsc,
     parse_ramification,
+    printable_gammas,
 )
 from ramsys.oracle import OracleBudgetError
-from ramsys.perm import ClassListTooLargeError, CycleType, InputError
+from ramsys.perm import ClassListTooLargeError, CycleType, InputError, enumerate_cycle_types
 from reference import parse_decimal, partition_counts
 
 
@@ -163,6 +168,62 @@ class TestCount:
         code2, out2, _ = run(capsys, "count", "4", "--ramification", spec, "--format", "json")
         assert code2 == 0
         assert json.loads(out2)["count"] == report["count"]
+
+
+class TestAllRows:
+    """`count n --ramification all:r` reads its rows off the class walk that
+    `classes` reads, not off a Ramification of CycleTypes."""
+
+    def test_walk_rows_are_the_classes_and_their_gammas(self):
+        # every n up to the class-list bound: 540,634 classes, about 4 s
+        for n in range(1, 46):
+            rows = [(text, g) for text, g, _, _ in ramsys.cli._class_walk(n)]
+            classes = enumerate_cycle_types(n)
+            assert rows == list(zip(map(str, classes), map(gamma, classes))), n
+            gamma.cache_clear()
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_s20_all1_is_the_count_report(self, capsys, fmt):
+        report = count_report(parse_ramification("all:1", 20))
+        code, out, err = run(capsys, "count", "20", "--ramification", "all:1", "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            assert out == json.dumps(report, indent=2) + "\n"
+            return
+        rows = [("class", "r", "gamma", "factor")] + [
+            (e["class"], str(e["r"]), str(e["gamma"]), str(multiset_coefficient(e["gamma"], e["r"])))
+            for e in report["ramification"]
+        ]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+        assert out == "\n".join(lines) + f"\ncount = {report['count']}\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_s45_all3_is_refused_before_any_factor(self, capsys, monkeypatch, fmt):
+        def refused(*args):
+            raise AssertionError("a factor was built")
+
+        monkeypatch.setattr(ramsys.counting, "multiset_coefficient", refused)
+        code, out, err = run(capsys, "count", "45", "--ramification", "all:3", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "error: the count of S_45 with this ramification may have up to 1002599 digits, over the limit of 1000000\n"
+
+    def test_digit_bound_sums_the_same_terms_in_class_order(self, capsys, monkeypatch):
+        # the same float terms in the same order give a bit-identical bound
+        bounded = []
+        refuse_long_count = ramsys.counting._refuse_long_count
+
+        def spy(n, shapes):
+            bounded.append(list(shapes))
+            refuse_long_count(n, shapes)
+
+        monkeypatch.setattr(ramsys.cli, "_refuse_long_count", spy)
+        monkeypatch.setattr(ramsys.counting, "_refuse_long_count", spy)
+        for n, r in ((7, 1), (20, 2), (24, 3)):
+            bounded.clear()
+            assert run(capsys, "count", str(n), "--ramification", f"all:{r}")[0] == 0
+            printable_gammas(parse_ramification(f"all:{r}", n))
+            assert bounded[0] == bounded[1] == [(gamma(lam), r) for lam in enumerate_cycle_types(n)]
 
 
 class TestReps:
@@ -383,6 +444,16 @@ class TestClosedFormBytes:
             ),
             (
                 [
+                    ("count", str(n), "--ramification", f"all:{r}", "--format", fmt)
+                    for n in range(21, 31)
+                    for r in range(4)
+                    for fmt in ("table", "json")
+                ],
+                "2ec0d8e930bed08b",
+            ),
+            ([("count", "24", "--ramification", "all:3", "--format", "json")], "835059e91723b823"),
+            (
+                [
                     ("reps", str(n), "--ramification", f"all:{r}", "--limit", "50")
                     for n in range(1, 11)
                     if n != 6
@@ -391,7 +462,7 @@ class TestClosedFormBytes:
                 "1bf0b19676c9fcaa",
             ),
         ],
-        ids=["classes", "count", "reps"],
+        ids=["classes", "count", "count-21-30", "count-24-json", "reps"],
     )
     def test_stdout_bytes_are_pinned(self, capsys, argvs, prefix):
         digest = hashlib.sha256()
@@ -534,10 +605,10 @@ class TestErrors:
         assert issubclass(error, ValueError) == (base is ValueError)
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
-        def broken(ram):
+        def broken(shapes):
             raise ValueError("internal failure")
 
-        monkeypatch.setattr(ramsys.cli, "count_rsc", broken)
+        monkeypatch.setattr(ramsys.cli, "_count_and_factors", broken)
         with pytest.raises(ValueError, match="internal failure"):
             main(["count", "3", "--ramification", "all:1"])
 
@@ -683,3 +754,21 @@ class TestNoPermutation:
             code, out, err = run(capsys, *argv)
             assert code == 0 and err == "", argv
             assert out
+
+
+class TestNoClassBuilt:
+    def test_count_all_r_builds_no_cycle_type_per_class(self, capsys, monkeypatch):
+        # `all:r` rows come from the walk's kept prefix, one CycleType per
+        # distinct (length, multiplicity) pair and none per class
+        calls = []
+        trusted = ramsys.perm._trusted_cycle_type
+
+        def counted(n, cycles):
+            calls.append(cycles)
+            return trusted(n, cycles)
+
+        monkeypatch.setattr(ramsys.perm, "_trusted_cycle_type", counted)
+        for fmt in ("table", "json"):
+            code, out, err = run(capsys, "count", "20", "--ramification", "all:1", "--format", fmt)
+            assert code == 0 and err == "" and out
+        assert calls == []

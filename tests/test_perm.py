@@ -12,7 +12,7 @@ from ramsys.perm import (
     ClassListTooLargeError,
     CycleType,
     Permutation,
-    canonical_cycle_string,
+    canonical_cycle_pieces,
     canonical_representative,
     centralizer_order,
     class_size,
@@ -470,6 +470,11 @@ class TestCanonicalRepresentative:
                 smallest[lam] = min(smallest.get(lam, images), images)
             for lam in enumerate_cycle_types(n):
                 assert canonical_representative(lam).images == smallest[lam]
+
+
+def canonical_cycle_string(lam):
+    """u0's text, joined from its pieces as the reps header joins them."""
+    return "".join(canonical_cycle_pieces(lam))
 
 
 class TestCanonicalCycleString:
