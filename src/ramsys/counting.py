@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from math import factorial, log10, prod
+from math import comb, factorial, log10, prod
 from typing import Iterable, Iterator, Sequence
 
 from .centralizer import gamma
@@ -162,6 +162,16 @@ def count_rsc_stirling(ram: Ramification) -> int:
     return total
 
 
+# Most parts (compositions times γ_C) that the replay lists of one
+# enumeration hold, over all their shapes.  On a 2-core Xeon VM, 600 requests
+# of the benchmark's reps-stream workload took 356 ms with no lists, 295 ms
+# at 2^12 parts and 288-289 ms from 2^16 to 2^20 (in-process, best of 5);
+# about 2% of those requests have shapes past 2^16.  The lists then hold at
+# most about 8 MB, at γ_C = 2, where a composition's tuple, text and pair
+# outweigh its parts, and at most about 3 MB from γ_C = 4.
+_REPLAY_PARTS = 2**16
+
+
 def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     """All type vectors for ram, one per isomorphism class.
 
@@ -170,46 +180,107 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     itertools.product (the last class varies fastest); its length equals
     count_rsc(ram) and it contains no duplicates.
 
-    It is lazy: an odometer keeps one weak_compositions stream per class.
-    To advance, it draws from the last class's stream; when a stream is
-    exhausted it draws from the class to its left instead (the carry), then
-    restarts the exhausted streams to the right.  The first vector costs one
-    composition per class; each further one costs one plus its restarts,
-    fewer than two on average because for n >= 2 every class in a support
-    has at least two compositions.  The work is thus linear in the number of
-    vectors drawn.  The carry is a loop, not a recursion, so any number of
-    classes works (S_22 has 1,002).  Vectors are built without re-checking
-    the compositions just generated.
+    It is lazy: an odometer keeps one cursor per class.  Each line takes the
+    next composition of the last class; when that class runs out, the
+    rightmost class before it with another composition advances (the carry,
+    a loop, so any number of classes works: S_22 has 1,002) and every class
+    to its right restarts.  A (re)started class before the last holds its
+    shape's first composition, (r_C, 0, ..., 0), whose text is made once per
+    shape, and makes its cursor only when it first advances, so the first
+    vector draws one composition, the last class's.  Vectors are built
+    without re-checking the compositions just generated.
 
-    The odometer also writes each vector's text (its str): it keeps the text
-    of each class, a carry at class i rewrites only the texts from i on, and
-    a line is their join.  A restarted stream starts at the same composition
-    every time, so the text of that start is made once per (r_C, γ_C).
+    A restart replays.  Each distinct shape (r_C, γ_C) of a class that can
+    restart (any but the first) gets one list of (composition, text) pairs,
+    grown lazily from one shared weak_compositions stream, and every cursor
+    of that shape reads it: a composition is drawn and formatted once
+    however often its classes restart, and a full drain draws each listed
+    shape's compositions once.  The lists hold at most _REPLAY_PARTS parts
+    per enumeration, given out from the last class leftwards, since the
+    right classes restart most often; a shape whose full list,
+    C(γ_C + r_C - 1, r_C)·γ_C parts, does not fit gives each cursor a
+    stream of its own and formats each composition it draws.
+
+    A carry joins the texts of the classes before the last once, into the
+    line's prefix, and makes the tuple of their entries.  A line is then the
+    prefix plus the last class's text, and its entries that tuple plus the
+    last class's entry: one string and one tuple concatenation per line,
+    however many classes the support has.
     """
     ensure_countable(ram.n)
-    shapes = [(mult, gamma(lam)) for lam, mult in ram.entries]
-    streams, current = [None] * len(shapes), [None] * len(shapes)
-    texts = [""] * len(shapes)
-    starts: dict[tuple[int, int], str] = {}
-    i = -1  # the class the last carry reached: the streams past it (re)start
+    if not ram.entries:
+        yield RSCTypeVector(())
+        return
+    entries = ram.entries
+    shapes = [(mult, gamma(lam)) for lam, mult in entries]
+    replays: dict[tuple[int, int], tuple[list, Iterator, int]] = {}
+    room = _REPLAY_PARTS
+    for r, g in dict.fromkeys(shapes[:0:-1]):  # distinct shapes, the last class's first
+        # C(g + r - 1, r) is at least r and at least g once g >= 2, so the
+        # first test keeps a huge shape's arguments away from comb
+        if max(r, g) * g <= room:
+            length = comb(g + r - 1, r)
+            if length * g <= room:
+                replays[r, g] = ([], weak_compositions(r, g), length)
+                room -= length * g
+    # the first composition, (r_C, 0, ..., 0), and its text of each shape
+    # before the last class: what a class holds until it first advances,
+    # when its cursor is made
+    firsts = {}
+    for r, g in dict.fromkeys(shapes[:-1]):
+        first = (r,) + (0,) * (g - 1)
+        firsts[r, g] = (first, _format_composition(first))
+    new, last = object.__new__, len(shapes) - 1
+    cursors, current, texts = [None] * last, [None] * last, [""] * last
+    start = 0  # the classes from start to last - 1 (re)start
     while True:
-        for k in range(i + 1, len(shapes)):
-            streams[k] = weak_compositions(*shapes[k])
-            current[k] = (ram.entries[k][0], next(streams[k]))
-            if shapes[k] not in starts:
-                starts[shapes[k]] = _format_composition(current[k][1])
-            texts[k] = starts[shapes[k]]
-        vector = object.__new__(RSCTypeVector)
-        vector.__dict__.update(entries=tuple(current), text=" ".join(texts))
-        yield vector
-        for i in range(len(shapes) - 1, -1, -1):
-            composition = next(streams[i], None)
-            if composition is not None:
+        for k in range(start, last):
+            cursors[k] = None
+            composition, texts[k] = firsts[shapes[k]]
+            current[k] = (entries[k][0], composition)
+        head, prefix, lam = tuple(current), " ".join([*texts, ""]), entries[last][0]
+        for composition, text in _cursor(shapes[last], replays):
+            vector = new(RSCTypeVector)
+            vector.__dict__["entries"] = head + ((lam, composition),)
+            vector.__dict__["text"] = prefix + text
+            yield vector
+        for k in range(last - 1, -1, -1):
+            if cursors[k] is None:
+                cursors[k] = _cursor(shapes[k], replays)
+                next(cursors[k])  # the first composition, which class k holds
+            pair = next(cursors[k], None)
+            if pair is not None:
                 break
         else:
             return
-        current[i] = (current[i][0], composition)
-        texts[i] = _format_composition(composition)
+        current[k], texts[k] = (entries[k][0], pair[0]), pair[1]
+        start = k + 1
+
+
+def _cursor(shape: tuple[int, int], replays: dict) -> Iterator[tuple[tuple[int, ...], str]]:
+    """A class's (composition, text) pairs from its first composition on:
+    its shape's replay list, or else a stream of its own."""
+    replay = replays.get(shape)
+    if replay is None:
+        return ((c, _format_composition(c)) for c in weak_compositions(*shape))
+    pairs, _, length = replay
+    return iter(pairs) if len(pairs) == length else _replay(*replay)
+
+
+def _replay(
+    pairs: list, compositions: Iterator[tuple[int, ...]], length: int
+) -> Iterator[tuple[tuple[int, ...], str]]:
+    """The pairs of a shared replay list from its start, drawing from the
+    shape's shared stream and appending each pair the first time any cursor
+    of the shape reaches it.  The cursors of one shape read at their own
+    positions, so the position is an index, not a list iterator."""
+    i = 0
+    while i < length:
+        if i == len(pairs):
+            composition = next(compositions)
+            pairs.append((composition, _format_composition(composition)))
+        yield pairs[i]
+        i += 1
 
 
 def parse_ramification(text: str, n: int) -> Ramification:

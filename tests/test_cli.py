@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import shlex
@@ -510,6 +511,28 @@ class TestWriteOnlyStdout:
         assert main(list(argv)) == 0
         monkeypatch.undo()
         assert "".join(sink.chunks) == expected
+
+    def test_long_header_goes_out_in_bounded_writes(self, capsys, monkeypatch):
+        # the u0 of [1048576] is about 7.3 MB of text: it is written in
+        # batches of about cli._HEADER_BATCH characters, never as one string,
+        # and the first type vector still comes in its own write after the
+        # third newline, where the benchmark's first-item probe looks for it
+        argv = ["reps", "1048576", "--ramification", "[1048576]:1", "--limit", "1"]
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and len(expected) > 100 * ramsys.cli._HEADER_BATCH
+        sink = WriteOnlySink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert "".join(sink.chunks) == expected
+        # a 4,096-point piece of 7-digit points is under 8 * 4,096 characters;
+        # the last write is the type-vector line
+        assert max(map(len, sink.chunks[:-1])) < ramsys.cli._HEADER_BATCH + 8 * 4096
+        newlines = list(itertools.accumulate(chunk.count("\n") for chunk in sink.chunks))
+        third = newlines.index(3)
+        assert sink.chunks[third].endswith("\n")
+        # gamma of the 2^20-cycle is 2^20: the one line has that many parts
+        assert sink.chunks[third + 1 :] == ["(1" + ",0" * (2**20 - 1) + ")\n"]
 
 
 class TestParserReuse:

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import random
 import sys
+import tracemalloc
 from math import prod
 
 import pytest
@@ -283,6 +285,91 @@ class TestEnumerateTypes:
             vectors = list(itertools.islice(enumerate_types(ram), k))
             assert len(vectors) == k
             assert drawn <= support + 2 * k
+
+    @staticmethod
+    def count_draws(monkeypatch):
+        # compositions drawn from weak_compositions by enumerate_types, per
+        # shape (r, gamma)
+        drawn = collections.Counter()
+
+        def counting_compositions(total, parts):
+            for composition in weak_compositions(total, parts):
+                drawn[total, parts] += 1
+                yield composition
+
+        monkeypatch.setattr(ramsys.counting, "weak_compositions", counting_compositions)
+        return drawn
+
+    @pytest.mark.parametrize("n, spec", [(5, "all:1"), (4, "all:2"), (3, "1^1 2^1:2;1^3:2")])
+    def test_full_drain_draws_each_shape_once(self, monkeypatch, n, spec):
+        # restarted classes replay their shape's list; a shape shared by
+        # several classes, the first among them, is drawn once in all
+        drawn = self.count_draws(monkeypatch)
+        ram = parse_ramification(spec, n)
+        assert sum(1 for _ in enumerate_types(ram)) == count_rsc(ram)
+        shapes = {(r, gamma(lam)) for lam, r in ram.entries}
+        assert dict(drawn) == {(r, g): multiset_coefficient(g, r) for r, g in shapes}
+
+    def test_long_prefix_draws_each_shape_at_most_once(self, monkeypatch):
+        # S_7 all:2 has about 5.2e21 vectors; 20,000 of them run its last
+        # classes through many restarts without drawing any composition twice
+        drawn = self.count_draws(monkeypatch)
+        ram = parse_ramification("all:2", 7)
+        assert len(list(itertools.islice(enumerate_types(ram), 20000))) == 20000
+        for (r, g), k in drawn.items():
+            assert k <= multiset_coefficient(g, r)
+        last_r, last_lam = ram.entries[-1][1], ram.entries[-1][0]
+        assert drawn[last_r, gamma(last_lam)] == multiset_coefficient(gamma(last_lam), last_r)
+
+    def test_shape_over_the_budget_restarts_its_own_stream(self, monkeypatch):
+        # 1^2 3^1 5^1 at r = 3 has 4,960 compositions of 30 parts, over the
+        # replay budget: it is drawn afresh after each of the 10 carries
+        drawn = self.count_draws(monkeypatch)
+        ram = parse_ramification("[10]:1;1^2 3^1 5^1:3", 10)
+        assert ramsys.counting._REPLAY_PARTS < 4960 * 30
+        assert sum(1 for _ in enumerate_types(ram)) == 49600
+        assert dict(drawn) == {(1, 10): 10, (3, 30): 10 * 4960}
+
+    def test_any_budget_gives_the_product_order(self, monkeypatch):
+        # with a small budget some shapes replay and others restart their
+        # own streams; either way the vectors are the itertools.product ones
+        rng = random.Random(53)
+        rams = [
+            parse_ramification(spec, n)
+            for n, spec in [
+                (5, "all:1"),  # (1, 4) shared by classes 1, 4, 5 and (1, 6) by 2, 3
+                (4, "4^1:2;1^1 3^1:1;1^2 2^1:2"),  # the last class's shape is the first's
+                (3, "1^1 2^1:2;1^3:2"),  # ... and it is the only shape
+                (5, "1^1 4^1:1;1^3 2^1:3;1^5:4"),
+            ]
+        ] + [random_ramification(rng, rng.choice((3, 4)), max_r=2) for _ in range(4)]
+        for ram in rams:
+            classes = [lam for lam, _ in ram.entries]
+            compositions = [list(weak_compositions(r, gamma(lam))) for lam, r in ram.entries]
+            expected = [
+                RSCTypeVector(tuple(zip(classes, combo)))
+                for combo in itertools.product(*compositions)
+            ]
+            lines = [str(v) for v in expected]
+            for budget in (0, 12, 40, 150, 10**9):
+                monkeypatch.setattr(ramsys.counting, "_REPLAY_PARTS", budget)
+                observed = list(enumerate_types(ram))
+                assert observed == expected, (str(ram), budget)
+                assert [str(v) for v in observed] == lines, (str(ram), budget)
+
+    def test_drain_memory_is_bounded(self):
+        # the replay lists hold at most _REPLAY_PARTS parts, and the first
+        # class, which never restarts, keeps none: draining 22,880 vectors
+        # whose first class has 11,440 compositions holds a few KB
+        ram = parse_ramification("1^10:1;[10]:7", 10)
+        tracemalloc.start()
+        try:
+            drained = sum(1 for _ in enumerate_types(ram))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert drained == 22880
+        assert peak < 2**20
 
     def test_vector_validation(self):
         lam = CycleType.parse("3^1")
