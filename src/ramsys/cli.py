@@ -19,7 +19,6 @@ from .counting import (
     decimal_string,
     enumerate_types,
     parse_ramification,
-    printable_gammas,
 )
 from .perm import (
     CycleType,
@@ -135,21 +134,23 @@ def cmd_count(args: argparse.Namespace) -> int:
 # Most numbers one reps line may print: Σ γ_C parts on a type-vector line and
 # Σ (n - fixed points) u0 points on the `# classes:` header, over the support.
 # On a 2-core Xeon VM a line took about 0.15 µs and 23 bytes per part (1.9 s
-# and 297 MB at S_32 all:1, 12.9 M parts); a header at the bound, written in
-# batches, took 0.8 s and 47 MB for u0 of [4194304], 0.5 s and 49 MB for u0
-# of 2^2097152 (peak RSS of the whole process).
+# and 297 MB at S_32 all:1, 12.9 M parts); a header at the bound, written as
+# its pieces are made, took 0.8 s and 17 MB for u0 of [4194304], 0.5 s and
+# 17 MB for u0 of 2^2097152 (peak RSS of the whole process).
 # S_29 all:1 (4,047,081 parts) is the largest all:1 line that fits, and S_45
 # all:1 (3,559,529 u0 points) the largest all:r header.
 MAX_LINE_PARTS = 2**22
 
-# Characters of the `# classes:` header that cmd_reps joins into one write.
+# Characters of u0 text that the `# classes:` header gathers into one write.
 _HEADER_BATCH = 2**16
 
 
 def cmd_reps(args: argparse.Namespace) -> int:
     ram = parse_ramification(args.ramification, args.n)
-    gammas = printable_gammas(ram)
-    parts = sum(gammas)
+    # (γ, r) per support class in class order, as cmd_count builds them
+    shapes = [(gamma(lam), r) for lam, r in ram.entries]
+    _refuse_long_count(ram.n, shapes)
+    parts = sum([g for g, _ in shapes])
     if args.limit != 0 and parts > MAX_LINE_PARTS:
         raise InputError(
             f"a reps line of S_{ram.n} with this ramification has {decimal_string(parts)} parts "
@@ -162,27 +163,23 @@ def cmd_reps(args: argparse.Namespace) -> int:
             f"u0 points (moved points summed over the support), over the limit of {MAX_LINE_PARTS}"
         )
     print(f"# n = {ram.n}, ramification: {ram}")
-    pieces, separator = ["# classes: "], ""
-    for (lam, _), g in zip(ram.entries, gammas):
-        pieces += [separator, f"{lam} (gamma={decimal_string(g)}, u0="]
-        pieces += canonical_cycle_pieces(lam)
+    # u0's pieces are written as they are made, joined each time
+    # _HEADER_BATCH characters of them have gathered, so a u0 of millions of
+    # points is never held whole; a shorter header is one write
+    pieces, size, separator = ["# classes: "], 0, ""
+    for (lam, _), (g, _) in zip(ram.entries, shapes):
+        pieces.append(f"{separator}{lam} (gamma={decimal_string(g)}, u0=")
+        for piece in canonical_cycle_pieces(lam):
+            pieces.append(piece)
+            size += len(piece)
+            if size >= _HEADER_BATCH:
+                sys.stdout.write("".join(pieces))
+                pieces, size = [], 0
         pieces.append(")")
         separator = "; "
     pieces.append("\n")
-    if moved <= _HEADER_BATCH // 16:
-        # at most 4,096 u0 points: one write, as the batch loop costs a few
-        # µs more than the join on the headers of n <= 10
-        sys.stdout.write("".join(pieces))
-    else:
-        # writes of about _HEADER_BATCH characters, so a u0 of millions of
-        # points is held once, as its pieces, and never joined whole
-        start = size = 0
-        for end, piece in enumerate(pieces, 1):
-            size += len(piece)
-            if size >= _HEADER_BATCH or end == len(pieces):
-                sys.stdout.write("".join(pieces[start:end]))
-                start, size = end, 0
-    print(f"# count = {decimal_string(count_rsc(ram))}")
+    sys.stdout.write("".join(pieces))
+    print(f"# count = {decimal_string(_count_and_factors(shapes)[0])}")
     for type_vector in itertools.islice(enumerate_types(ram), args.limit):
         sys.stdout.write(f"{type_vector}\n")
     return 0

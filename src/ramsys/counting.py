@@ -396,14 +396,6 @@ class CountTooLargeError(InputError, ValueError):
     """The count of a ramification may have more than MAX_COUNT_DIGITS digits."""
 
 
-def printable_gammas(ram: Ramification) -> list[int]:
-    """γ of each support class, in order, once the count of ram is known to
-    have at most MAX_COUNT_DIGITS decimal digits (see _refuse_long_count)."""
-    gammas = [gamma(lam) for lam, _ in ram.entries]
-    _refuse_long_count(ram.n, [(g, r) for g, (_, r) in zip(gammas, ram.entries)])
-    return gammas
-
-
 def _refuse_long_count(n: int, shapes: Iterable[tuple[int, int]]) -> None:
     """CountTooLargeError, before any factor is built, if the count of the
     shapes (γ, r), one per support class in class order, may have more than
@@ -424,11 +416,13 @@ def _refuse_long_count(n: int, shapes: Iterable[tuple[int, int]]) -> None:
 def count_report(ram: Ramification) -> dict:
     """JSON-ready report: n, the support with γ per class, and the count as a
     decimal string (exact; CountTooLargeError past MAX_COUNT_DIGITS digits)."""
+    shapes = [(gamma(lam), mult) for lam, mult in ram.entries]
+    _refuse_long_count(ram.n, shapes)
     return {
         "n": ram.n,
         "ramification": [
             {"class": str(lam), "r": mult, "gamma": g}
-            for (lam, mult), g in zip(ram.entries, printable_gammas(ram))
+            for (lam, mult), (g, _) in zip(ram.entries, shapes)
         ],
         "count": decimal_string(count_rsc(ram)),
     }

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from array import array
 from math import factorial
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from ramsys.counting import (
     count_report,
     count_rsc,
     parse_ramification,
-    printable_gammas,
 )
 from ramsys.oracle import OracleBudgetError
 from ramsys.perm import ClassListTooLargeError, CycleType, InputError, enumerate_cycle_types
@@ -175,13 +175,13 @@ class TestAllRows:
     """`count n --ramification all:r` reads its rows off the class walk that
     `classes` reads, not off a Ramification of CycleTypes."""
 
-    def test_walk_rows_are_the_classes_and_their_gammas(self):
-        # every n up to the class-list bound: 540,634 classes, about 4 s
-        for n in range(1, 46):
-            rows = [(text, g) for text, g, _, _ in ramsys.cli._class_walk(n)]
-            classes = enumerate_cycle_types(n)
-            assert rows == list(zip(map(str, classes), map(gamma, classes))), n
-            gamma.cache_clear()
+    def test_walk_rows_are_the_classes_and_their_gammas(self, class_walks):
+        # every n up to the class-list bound, against the classes of the
+        # shared walk of S_1..S_45
+        for n, walk in class_walks.items():
+            rows = list(ramsys.cli._class_walk(n))
+            assert "\n".join([text for text, _, _, _ in rows]) == walk.texts, n
+            assert array("Q", [g for _, g, _, _ in rows]) == walk.gammas, n
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_s20_all1_is_the_count_report(self, capsys, fmt):
@@ -223,8 +223,10 @@ class TestAllRows:
         for n, r in ((7, 1), (20, 2), (24, 3)):
             bounded.clear()
             assert run(capsys, "count", str(n), "--ramification", f"all:{r}")[0] == 0
-            printable_gammas(parse_ramification(f"all:{r}", n))
-            assert bounded[0] == bounded[1] == [(gamma(lam), r) for lam in enumerate_cycle_types(n)]
+            assert run(capsys, "reps", str(n), "--ramification", f"all:{r}", "--limit", "0")[0] == 0
+            count_report(parse_ramification(f"all:{r}", n))
+            expected = [(gamma(lam), r) for lam in enumerate_cycle_types(n)]
+            assert bounded == [expected] * 3
 
 
 class TestReps:
@@ -534,6 +536,36 @@ class TestWriteOnlyStdout:
         # gamma of the 2^20-cycle is 2^20: the one line has that many parts
         assert sink.chunks[third + 1 :] == ["(1" + ",0" * (2**20 - 1) + ")\n"]
 
+    def test_header_is_written_while_its_pieces_are_made(self, monkeypatch):
+        # S_25 all:1 has 1,958 classes and a header of 188,597 characters:
+        # its first write goes out before the last class's u0 pieces are
+        # made, so the pieces of every class are never held at once
+        pieces = ramsys.cli.canonical_cycle_pieces
+        sink, written = WriteOnlySink(), []
+
+        def spy(lam):
+            written.append(any(chunk.startswith("# classes: ") for chunk in sink.chunks))
+            return pieces(lam)
+
+        monkeypatch.setattr(ramsys.cli, "canonical_cycle_pieces", spy)
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["reps", "25", "--ramification", "all:1", "--limit", "0"]) == 0
+        monkeypatch.undo()
+        assert len(written) == 1958 and written[-1] and not written[0]
+
+    def test_short_header_is_one_write(self, capsys, monkeypatch):
+        # S_10 all:1: 42 classes, 323 u0 points, a header of 1,887 characters
+        argv = ["reps", "10", "--ramification", "all:1", "--limit", "0"]
+        code, out, _ = run(capsys, *argv)
+        header = out.splitlines(keepends=True)[1]
+        assert code == 0 and header.startswith("# classes: ")
+        assert len(header) < ramsys.cli._HEADER_BATCH
+        sink = WriteOnlySink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert header in sink.chunks
+
 
 class TestParserReuse:
     S3_CLASSES = (
@@ -636,15 +668,49 @@ class TestErrors:
             main(["count", "3", "--ramification", "all:1"])
 
 
+def checkout_env():
+    """The environment of a new interpreter that imports this checkout's ramsys."""
+    return {**os.environ, "PYTHONPATH": str(Path(ramsys.__file__).resolve().parents[1])}
+
+
 def fresh_python(*args, timeout=60):
     """Run a new interpreter that imports this checkout's ramsys."""
-    env = {**os.environ, "PYTHONPATH": str(Path(ramsys.__file__).resolve().parents[1])}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *args], env=checkout_env(), capture_output=True, text=True, timeout=timeout
     )
 
 
 class TestFreshProcess:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_million_point_header_peaks_under_25_mb(self):
+        # u0 of [4194304] is 32 MB of text; written as its pieces are made,
+        # the whole process peaks at about 17 MB, where a header whose
+        # pieces were all gathered first peaked at 47 MB, and one joined
+        # whole at more.  The peak is the process's own VmHWM: a child's
+        # ru_maxrss starts from the RSS of the process that forked it, here
+        # the test runner's
+        script = (
+            "import sys\n"
+            "from ramsys.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.stdout.flush()\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(*[line.split()[1] for line in status if line.startswith('VmHWM:')], file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["reps", "4194304", "--ramification", "[4194304]:1", "--limit", "0"]
+        with subprocess.Popen(
+            [sys.executable, "-c", script, *argv], env=checkout_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as process:
+            digest = hashlib.sha256()
+            while chunk := process.stdout.read(2**20):
+                digest.update(chunk)
+            peak_kb = int(process.stderr.read())
+        assert process.returncode == 0
+        assert digest.hexdigest()[:16] == "ca5416c82bcaf545"
+        assert peak_kb <= 25 * 1024
+
     def test_only_verify_loads_the_oracle(self):
         script = (
             "import sys\n"

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 
 from ramsys.perm import (
+    _TEXT_BATCH,
     MAX_CLASS_LIST_N,
     ClassListTooLargeError,
     CycleType,
@@ -391,10 +392,10 @@ class TestEnumerateCycleTypes:
             assert [hash(lam) for lam in types] == [hash(lam) for lam in expected]
             assert [str(lam) for lam in types] == [str(lam) for lam in expected]
 
-    def test_length_is_partition_count(self):
+    def test_length_is_partition_count(self, class_walks):
+        # every n up to the class-list bound, off the shared walk
         counts = partition_counts(MAX_CLASS_LIST_N)
-        for n in [*range(1, 41), MAX_CLASS_LIST_N]:
-            assert len(enumerate_cycle_types(n)) == counts[n]
+        assert [walk.count for walk in class_walks.values()] == counts[1:]
 
     def test_builds_no_validated_cycle_type(self, monkeypatch):
         calls = []
@@ -420,10 +421,11 @@ class TestEnumerateCycleTypes:
 
 
 class TestWalkCycleTypes:
-    def test_pairs_are_the_enumerated_classes(self):
+    def test_pairs_are_the_enumerated_classes(self, class_walks):
+        # against the pairs of the shared walk's classes, by hash
         for n in range(1, 31):
-            walked = [pairs for _, pairs in walk_cycle_types(n)]
-            assert walked == [lam.cycles for lam in enumerate_cycle_types(n)]
+            walked = tuple([pairs for _, pairs in walk_cycle_types(n)])
+            assert hash(walked) == class_walks[n].cycles, n
             assert all(type(pairs) is tuple for pairs in walked)
 
     def test_kept_is_the_prefix_shared_with_the_previous_class(self):
@@ -501,17 +503,19 @@ class TestCanonicalCycleString:
 
     @pytest.mark.parametrize("text", ["[1048576]", "2^524288"])
     def test_a_text_of_a_million_points_is_joined_in_batches(self, text):
-        # joined in one go, the 2^20-point cycle peaked at 73 MB and the
-        # 2^19 transpositions at 46 MB; each text is about 7.5 MB
+        # each text is about 7.5 MB; no piece holds more than _TEXT_BATCH of
+        # its points, at most 7 digits and 2 marks each.  That the reps
+        # header writes these pieces without holding them all is
+        # test_cli's subprocess peak-RSS bound
         lam = CycleType.parse(text)
-        tracemalloc.start()
-        try:
-            joined = canonical_cycle_string(lam)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2**20
-        assert joined == str(canonical_representative(lam))
+        pieces = list(canonical_cycle_pieces(lam))
+        assert len(pieces) > 250
+        assert max(map(len, pieces)) <= _TEXT_BATCH * 9
+        if text == "[1048576]":
+            expected = "(" + " ".join(map(str, range(1, 2**20 + 1))) + ")"
+        else:
+            expected = "".join([f"({k} {k + 1})" for k in range(1, 2**20, 2)])
+        assert "".join(pieces) == expected
 
 
 class TestCycleString:

@@ -137,3 +137,10 @@ def test_every_public_method_of_an_exported_class_is_used_by_the_library_or_the_
         fields = {field.name for field in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
         unused += sorted(f"{name}.{attr}" for attr in vars(cls).keys() - fields - used if attr[0] != "_")
     assert not unused, unused
+
+
+def test_oracle_stays_within_its_line_cap():
+    # the brute-force oracle grows (the joint orbit count, larger n) within
+    # 559 lines, so it stays small enough to read as evidence
+    lines = (LIBRARY / "oracle.py").read_text(encoding="utf-8").count("\n")
+    assert lines <= 559
