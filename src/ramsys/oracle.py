@@ -1,11 +1,11 @@
 """Brute-force verification engine over explicit small symmetric groups.
 
 Everything here is computed from first principles at desk scale (n <= 5):
-centralizers by exhaustive commutation test over S_n, commutator subgroups
-generated from the commutators [a, s] with s in a generating set, abelian
-quotients with a greedy cyclic decomposition, and their full character
-groups.  That work runs on padded image tuples (0, p(1), ..., p(n)), which
-sort by images and multiply in one C-level call, a·b = ``itemgetter(*b)(a)``.
+centralizers by exhaustive commutation test over S_n, and their full
+character groups as the homomorphisms into Z/m that agree on every edge of
+a breadth-first walk over the group by its generators (``_characters``).
+That work runs on padded image tuples (0, p(1), ..., p(n)), which sort by
+images and multiply in one C-level call, a·b = ``itemgetter(*b)(a)``.
 ``character_basis`` returns tuples too.  ``Permutation``s are made only by
 ``class_action`` (u0, the n - 1 adjacent transpositions it conjugates by,
 and each base point it newly reaches) and by ``class_points``.
@@ -35,8 +35,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, lcm, prod
-from operator import itemgetter, mul
-from typing import Container, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .perm import CycleType, InputError, Permutation, UnsupportedGroupError
 from .perm import _trusted_permutation, canonical_representative, cycle_type
@@ -77,10 +77,10 @@ def _centralizer(s: Images) -> list[Images]:
     return [g for g in _group(len(s) - 1) if _commutes(g, s)]
 
 
-def _generate(identity: Images, candidates: Iterable[Images]) -> tuple[set[Images], list[Images]]:
-    """The subgroup generated by ``candidates`` and the candidates kept as its
-    generators.  The span grows by breadth-first right multiplication with
-    the generators; a candidate is kept only if it is not yet in the span."""
+def _generate(identity: Images, candidates: Iterable[Images]) -> list[Images]:
+    """The candidates kept as generators of the subgroup they generate.  The
+    span grows by breadth-first right multiplication with the generators; a
+    candidate is kept only if it is not yet in the span."""
     span = {identity}
     generators: list[Images] = []
     times = []  # times[i](a) = a·generators[i]
@@ -99,94 +99,54 @@ def _generate(identity: Images, candidates: Iterable[Images]) -> tuple[set[Image
                         span.add(product)
                         fresh.append(product)
             frontier = fresh
-    return span, generators
+    return generators
 
 
-def _derived(elements: list[Images]) -> set[Images]:
-    """H' for H given as its sorted elements: the closure of the commutators
-    [a, s] for a in H and s in a generating set of H chosen greedily in sorted
-    order.  [ab, s] = a·[b, s]·a⁻¹·[a, s], so they generate a normal N with
-    every s central modulo N; H/N is abelian and N = H'."""
-    identity = tuple(range(len(elements[0])))
-    _, generators = _generate(identity, elements)
-    # [a, s] = a·s·a⁻¹·s⁻¹ is a·s·a⁻¹, the map a(i) -> a(s(i)), read at s⁻¹(x)
-    at_inverse = [itemgetter(*sorted(range(len(s)), key=s.__getitem__)) for s in generators]
-    commutators = (
-        at(dict(zip(a, itemgetter(*s)(a)))) for s, at in zip(generators, at_inverse) for a in elements
-    )
-    return _generate(identity, commutators)[0]
-
-
-def _abelian_quotient(elements: list[Images]) -> tuple[list, list, dict]:
-    """H/H' for H given as its sorted elements: the carrier (each coset's
-    smallest member), (generator, order) pairs with orders weakly decreasing,
-    and each element's coordinates.  Each generator has maximal coset order
-    modulo the span so far and is a pure lift (its own order is that order;
-    one exists because the span stays a direct summand).  Its powers g^k
-    extend every old span element's coordinates by k, and must all be new,
-    or the sum is not direct."""
-    times_derived = [itemgetter(*d) for d in _derived(elements)]
-    # in sorted order, a coset's first unseen member is its smallest
-    rep_of: dict[Images, Images] = {}
-    reps: list[Images] = []
-    for h in elements:
-        if h not in rep_of:
-            reps.append(h)
-            rep_of.update((times_d(h), h) for times_d in times_derived)
-    identity_rep = rep_of[tuple(range(len(elements[0])))]
-
-    def qmul(a: Images, b: Images) -> Images:
-        return rep_of[itemgetter(*b)(a)]
-
-    def order_modulo(q: Images, span: Container[Images]) -> int:
-        power, steps = q, 1
-        while power not in span:
-            power = qmul(power, q)
-            steps += 1
-            if steps > len(reps):
-                raise AssertionError("order computation did not terminate")
-        return steps
-
-    own_orders = {q: order_modulo(q, {identity_rep}) for q in reps}
-    chosen: list[tuple[Images, int]] = []
-    coordinates: dict[Images, tuple[int, ...]] = {identity_rep: ()}
-    while len(coordinates) < len(reps):
-        orders_mod = {q: order_modulo(q, coordinates) for q in reps}
-        largest = max(orders_mod.values())
-        # reps is sorted, so the first pure lift is the smallest
-        generator = next((q for q in reps if orders_mod[q] == largest == own_orders[q]), None)
-        if generator is None:
-            raise AssertionError("no pure lift found; quotient is not abelian?")
-        chosen.append((generator, largest))
-        grown: dict[Images, tuple[int, ...]] = {}
-        for member, coords in coordinates.items():
-            power = member
-            for k in range(largest):
-                grown[power] = coords + (k,)
-                power = qmul(power, generator)
-        if len(grown) != len(coordinates) * largest:
-            raise AssertionError("cyclic decomposition is not a direct sum")
-        coordinates = grown
-
-    return reps, chosen, {h: coordinates[rep_of[h]] for h in elements}
-
-
-def _character_tables(generators: Sequence[tuple], coordinates: Iterable[tuple]) -> tuple[int, list]:
-    """The modulus and the value tables, at the given coordinate tuples, of
-    every character of the direct sum of cyclic groups of the generators'
-    orders, in lexicographic order of their coefficient tuples."""
-    orders = [order for _, order in generators]
+def _characters(elements: list[Images]) -> tuple[int, list[tuple[int, ...]]]:
+    """The modulus m and the value tables, on H given as its sorted elements,
+    of every one-dimensional character of H.  With s_i of order d_i the
+    generators ``_generate`` keeps and m = lcm(d_i), a character is a
+    homomorphism H -> Z/m, fixed by its values on the s_i, each a multiple
+    of m/d_i.  Each choice of those values is spread over H breadth-first
+    along the first edge a -> a·s_i into each element, χ(a·s_i) = χ(a) +
+    χ(s_i), and kept only if every edge agrees: then χ(a·w) = χ(a) + χ(w)
+    for every word w in the s_i, so χ is a homomorphism.  Characters come
+    in lexicographic order of their values on the generators."""
+    identity = elements[0]
+    generators = _generate(identity, elements)
+    times = [itemgetter(*s) for s in generators]
+    orders = []
+    for s, times_s in zip(generators, times):
+        power, order = s, 1
+        while power != identity:
+            power, order = times_s(power), order + 1
+        orders.append(order)
     modulus = lcm(*orders)
-    weighted = [tuple([x * modulus // order for x, order in zip(coords, orders)]) for coords in coordinates]
-    coefficients = itertools.product(*map(range, orders))
-    return modulus, [tuple([sum(map(mul, c, w)) % modulus for w in weighted]) for c in coefficients]
+    position = {h: i for i, h in enumerate(elements)}
+    edges, tree, walk, reached = [], [], [0], {0}  # (a, i, b): b = a·s_i, as positions
+    for a in walk:
+        for i, times_s in enumerate(times):
+            b = position[times_s(elements[a])]
+            edges.append((a, i, b))
+            if b not in reached:
+                reached.add(b)
+                walk.append(b)
+                tree.append((a, i, b))
+    tables = []
+    for values in itertools.product(*[range(0, modulus, modulus // d) for d in orders]):
+        chi = [0] * len(elements)
+        for a, i, b in tree:
+            chi[b] = (chi[a] + values[i]) % modulus
+        if all((chi[a] + values[i]) % modulus == chi[b] for a, i, b in edges):
+            tables.append(tuple(chi))
+    return modulus, tables
 
 
 @dataclass(frozen=True)
 class Character:
     """A one-dimensional character in additive form: values are residues mod
-    ``modulus`` (the exponent of the abelianized domain), and
-    χ(xy) = χ(x) + χ(y) with χ(identity) = 0."""
+    ``modulus`` (the lcm of the orders of the generators ``_generate`` keeps
+    for the domain), and χ(xy) = χ(x) + χ(y) with χ(identity) = 0."""
 
     modulus: int
     domain: tuple[Permutation, ...]
@@ -210,12 +170,12 @@ def character_basis(u: Permutation) -> tuple[int, tuple[tuple[int, ...], ...], t
     """The indexed character group of Z_u as tuple data ``(modulus, domain,
     tables)``: ``domain`` is Z_u as sorted unpadded image tuples, the format
     of ``ClassAction.domains``, and ``tables[c]`` is character c's values on
-    it mod ``modulus``.  Characters are numbered by their coordinate tuples
-    in ``_abelian_quotient``, in lexicographic order, which fixes the type
-    vectors' character numbering.  No permutation is made."""
+    it mod ``modulus``.  Characters are numbered in lexicographic order of
+    their values on the generators of Z_u that ``_generate`` keeps from its
+    sorted elements (see ``_characters``), which fixes the type vectors'
+    character numbering.  No permutation is made."""
     elements = _centralizer(_padded(u))
-    _, chosen, projection = _abelian_quotient(elements)
-    modulus, tables = _character_tables(chosen, map(projection.__getitem__, elements))
+    modulus, tables = _characters(elements)
     return modulus, tuple([x[1:] for x in elements]), tuple(tables)
 
 

@@ -12,33 +12,26 @@ they hold the oracle to a group it did not enumerate.
 
 ``ramsys.oracle`` works on image tuples end to end.  The tests hold it to
 explicit objects instead: frozensets of ``Permutation``s for centralizers,
-commutator subgroups and abelian quotients, ``Character``s over a domain of
-``Permutation``s, and ``act``, the relabelling action on one ``RSCPoint`` at
-a time.  The group views are thin converters over the oracle's private
-tuple core; ``act`` and ``fixed_point_count`` move explicit points, one
-character at a time, and are the independent reference that the oracle's
-index maps are checked against.  ``beta`` counts the class members that
-commute with g by multiplying ``Permutation``s, so the fixed-point law and
-the Burnside sums hold ``support_orbit_count``, which reads β off the
-centralizers the class walk carried, to products it did not make.
+``Character``s over a domain of ``Permutation``s, and ``act``, the
+relabelling action on one ``RSCPoint`` at a time.  ``centralizer`` and
+``character_basis`` are thin converters over the oracle's private tuple
+core.  ``commutator_subgroup`` and ``quotient_representatives`` are the
+tests' own, by explicit products, so the character counts are held to a
+Z/Z' that the oracle did not compute.  ``act`` and ``fixed_point_count``
+move explicit points, one character at a time, and are the independent
+reference that the oracle's index maps are checked against.  ``beta``
+counts the class members that commute with g by multiplying
+``Permutation``s, so the fixed-point law and the Burnside sums hold
+``support_orbit_count``, which reads β off the centralizers the class walk
+carried, to products it did not make.
 """
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, lcm
 
 import ramsys.oracle
-from ramsys.oracle import (
-    Character,
-    RSCPoint,
-    _abelian_quotient,
-    _centralizer,
-    _derived,
-    _padded,
-    class_action,
-    class_points,
-)
+from ramsys.oracle import Character, RSCPoint, _centralizer, _padded, class_action, class_points
 from ramsys.counting import Ramification
 from ramsys.perm import (
     CycleType,
@@ -163,36 +156,27 @@ def centralizer(sigma: Permutation) -> frozenset[Permutation]:
 
 
 def commutator_subgroup(H: frozenset[Permutation]) -> frozenset[Permutation]:
-    """H' as the closure of the commutators [a, s] with s in a greedily
-    chosen generating set of H (see ``ramsys.oracle._derived``)."""
-    return frozenset(map(_permutation, _derived(sorted(map(_padded, H)))))
+    """H' as the closure of every commutator a·b·a⁻¹·b⁻¹ with a, b in H, by
+    explicit products of ``Permutation``s."""
+    elements = {identity(next(iter(H)).n)} | {
+        compose(compose(a, b), compose(inverse(a), inverse(b))) for a in H for b in H
+    }
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(elements):
+                product = compose(a, b)
+                if product not in elements:
+                    elements.add(product)
+                    fresh.append(product)
+        frontier = fresh
+    return frozenset(elements)
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteAbelianGroup:
-    """The quotient H/H' realized concretely.
-
-    carrier     one canonical representative per coset of H'
-    generators  (representative, order) pairs of an internal direct-sum
-                cyclic decomposition, orders weakly decreasing
-    projection  every element of H mapped to its coordinate tuple
-    """
-
-    carrier: tuple[Permutation, ...]
-    generators: tuple[tuple[Permutation, int], ...]
-    projection: dict[Permutation, tuple[int, ...]]
-
-    def exponent(self) -> int:
-        return lcm(*(order for _, order in self.generators))
-
-
-def abelian_quotient(H: frozenset[Permutation]) -> FiniteAbelianGroup:
-    """Explicit H/H' with the greedy cyclic decomposition of
-    ``ramsys.oracle._abelian_quotient``."""
-    reps, chosen, projection = _abelian_quotient(sorted(map(_padded, H)))
-    generators = tuple([(_permutation(g), order) for g, order in chosen])
-    projection = {_permutation(h): coords for h, coords in projection.items()}
-    return FiniteAbelianGroup(tuple(map(_permutation, reps)), generators, projection)
+def quotient_representatives(H, derived):
+    """One member of each coset of ``derived`` in H, the smallest by images."""
+    return {min((compose(h, d) for d in derived), key=lambda p: p.images) for h in H}
 
 
 def character_basis(u: Permutation) -> tuple[Character, ...]:

@@ -42,6 +42,7 @@ from reference import (
     fixed_point_count,
     image,
     is_even,
+    quotient_representatives,
     symmetric_group,
 )
 
@@ -142,9 +143,8 @@ def check_structure_theorems():
             characters = character_basis(sigma)
             assert len(characters) == gamma(lam)
             Z_derived = commutator_subgroup(Z)
-            quotient_reps = {min((compose(h, d) for d in Z_derived), key=lambda p: p.images) for h in Z}
             observed = Counter(
-                coset_order(rep, Z_derived) for rep in quotient_reps
+                coset_order(rep, Z_derived) for rep in quotient_representatives(Z, Z_derived)
             )
             assert observed == cyclic_product_order_histogram(abelianization_invariants(lam))
         for lam in enumerate_cycle_types(n):

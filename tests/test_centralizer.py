@@ -16,7 +16,13 @@ from ramsys.perm import (
     enumerate_cycle_types,
 )
 import reference
-from reference import coset_order, cyclic_product_order_histogram, parts, symmetric_group
+from reference import (
+    coset_order,
+    cyclic_product_order_histogram,
+    parts,
+    quotient_representatives,
+    symmetric_group,
+)
 
 
 class TestAbelianization:
@@ -136,8 +142,9 @@ class TestOracleAgreement:
     def test_quotient_order_is_gamma_small_n(self):
         for n in range(1, 5):
             for sigma in symmetric_group(n):
-                quotient = reference.abelian_quotient(reference.centralizer(sigma))
-                assert len(quotient.carrier) == gamma(cycle_type(sigma))
+                H = reference.centralizer(sigma)
+                derived = reference.commutator_subgroup(H)
+                assert len(quotient_representatives(H, derived)) == gamma(cycle_type(sigma))
 
     def test_commutator_of_double_transposition_centralizer(self):
         # C_2 wr S_2 has derived subgroup of order |B-bar| * |A_2| = 2 * 1
@@ -152,9 +159,8 @@ class TestOracleAgreement:
             for sigma in symmetric_group(n):
                 H = reference.centralizer(sigma)
                 derived = reference.commutator_subgroup(H)
-                quotient = reference.abelian_quotient(H)
                 observed = Counter(
-                    coset_order(rep, derived) for rep in quotient.carrier
+                    coset_order(rep, derived) for rep in quotient_representatives(H, derived)
                 )
                 factors = abelianization_invariants(cycle_type(sigma))
                 assert observed == cyclic_product_order_histogram(factors)
