@@ -7,25 +7,27 @@ a breadth-first walk over the group by its generators (``_characters``).
 That work runs on padded image tuples (0, p(1), ..., p(n)), which sort by
 images and multiply in one C-level call, a·b = ``itemgetter(*b)(a)``.
 ``character_basis`` returns tuples too.  ``Permutation``s are made only by
-``class_action`` (u0, the n - 1 adjacent transpositions it conjugates by,
-and each base point it newly reaches) and by ``class_points``.
+``class_action`` (u0, the generators (1 2) and (1 2 ... n) of S_n it
+conjugates by, and each base point it newly reaches) and by ``class_points``.
 
 Orbits of the relabelling action are counted on integer-coded points.  Per
-class, one breadth-first walk of conjugations by adjacent transpositions
-finds the class from its canonical representative u0 and carries the
-character basis, built once at u0, to the rest of it as index maps
-(``class_action``); the orbits of the maps on ``range(|C|·γ^r)`` are found
-by a walk over positions.  The maps are observed, never assumed: that moving
-a character around a loop of conjugations brings it back to itself is what
-the closed form relies on.  The test suite holds the maps to ``act`` in
-``tests/reference.py``, which moves one point at a time on explicit
-objects; the frozenset views of the group work live there too.
-``support_orbit_count`` counts the orbits of S_n on a support's tuples of
-class members under simultaneous conjugation, by Burnside's lemma over the
-centralizers the walk carried.  Nothing here uses the closed form: the only
-import from the package is the permutation primitives of ``perm``, and the
-point budget is the oracle's own class size times its own basis size to the
-r, so agreement between the two paths is evidence, not circularity.
+class, one breadth-first walk of conjugations by (1 2) and (1 2 ... n) finds
+the class from its canonical representative u0 (the generators of a finite
+group reach a whole orbit without their inverses, since each inverse is a
+power) and carries the character basis, built once at u0, to the rest of it
+as index maps (``class_action``); the orbits of the maps on
+``range(|C|·γ^r)`` are found by a walk over positions.  The maps are
+observed, never assumed: that moving a character around a loop of
+conjugations brings it back to itself is what the closed form relies on.
+The test suite holds the maps to ``act`` in ``tests/reference.py``, which
+moves one point at a time on explicit objects; the frozenset views of the
+group work live there too.  ``support_orbit_count`` counts the orbits of S_n
+on a support's tuples of class members under simultaneous conjugation, by
+Burnside's lemma over the centralizers the walk carried.  Nothing here uses
+the closed form: the only import from the package is the permutation
+primitives of ``perm``, and the point budget is the oracle's own class size
+times its own basis size to the r, so agreement between the two paths is
+evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -181,17 +183,18 @@ def character_basis(u: Permutation) -> tuple[int, tuple[tuple[int, ...], ...], t
 
 @dataclass(frozen=True)
 class ClassAction:
-    """The adjacent transpositions s_k = (k+1 k+2) of S_n acting on one
-    class's (base point, character) pairs, as index maps.
+    """The generators g_0 = (1 2) and g_1 = (1 2 ... n) of S_n acting on one
+    class's (base point, character) pairs, as index maps; one generator at
+    n = 2, none at n = 1.
 
     base_points     the class, sorted; base point b is base_points[b]
     modulus         the modulus of every character's values
     domains         domains[b]: base point b's centralizer, sorted images
     tables          tables[b][c]: character c's values on domains[b], carried
                     from base point 0 by conjugation
-    base_maps       base_maps[k][b]: index of s_k·u_b·s_k⁻¹
+    base_maps       base_maps[k][b]: index of g_k·u_b·g_k⁻¹
     character_maps  character_maps[k][b][c]: index, in the target's basis,
-                    of the character that s_k moves character c of b to
+                    of the character that g_k moves character c of b to
     """
 
     base_points: tuple[Permutation, ...]
@@ -202,11 +205,11 @@ class ClassAction:
     character_maps: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _conjugate_images(swap: tuple, elements: list) -> list[tuple[int, ...]]:
-    """s·x·s⁻¹ for each image tuple x, where ``swap = (pick, values)`` prepares
-    the transposition s: the conjugate sends point j + 1 to s(x(s(j + 1))),
-    ``values`` is s padded and ``pick(x)`` is x at the positions s(j + 1) - 1."""
-    pick, values = swap
+def _conjugate_images(g: tuple, elements: list) -> list[tuple[int, ...]]:
+    """g·x·g⁻¹ for each image tuple x, where ``g = (pick, values)`` prepares
+    the generator g: the conjugate sends point j to g(x(g⁻¹(j))), ``values``
+    is g padded and ``pick(x)`` is x at the positions g⁻¹(j) - 1."""
+    pick, values = g
     return [itemgetter(*picked)(values) for picked in map(pick, elements)]
 
 
@@ -218,8 +221,9 @@ def class_action(lam: CycleType) -> ClassAction:
     reaches them, each new one checked for cycle type ``lam``, then sorted;
     u0, the smallest member of its class, stays base point 0.
 
-    Along every (base point, s) edge, the base point and each element of its
-    centralizer are conjugated by s once, as image tuples
+    Along every (base point, g) edge, g one of ``ClassAction``'s generators,
+    the base point and each element of its centralizer are conjugated by g
+    once, as image tuples
     (``_conjugate_images``).  Sorting the conjugates gives the target's
     domain and one index map for the edge; every character of the basis is
     moved by permuting its value tuple through that map, as the test
@@ -234,19 +238,18 @@ def class_action(lam: CycleType) -> ClassAction:
     found = [canonical_representative(lam)]
     index = {found[0].images: 0}
     modulus, domain, table = character_basis(found[0])
-    # s_k = (k+1 k+2) as a getter of the positions s_k(j) - 1 and as padded images; for
-    # n >= 2 every domain has two or more elements, so each itemgetter returns a tuple
-    swaps = [
-        (itemgetter(*[v - 1 for v in s.images]), _padded(s))
-        for s in (Permutation.from_cycles(lam.n, [(i, i + 1)]) for i in range(1, lam.n))
-    ]
+    n = lam.n
+    generators = [Permutation.from_cycles(n, [c]) for c in [(1, 2), range(1, n + 1)][: n - 1]]
+    # g as a getter of the positions g⁻¹(j) - 1 and as padded images; for n >= 2
+    # every domain has two or more elements, so each itemgetter returns a tuple
+    prepared = [(itemgetter(*sorted(range(n), key=g.images.__getitem__)), _padded(g)) for g in generators]
     domains, tables = [domain], [table]
     lookups = [{values: c for c, values in enumerate(table)}]  # lookups[b][values]: c
-    base_maps: list[list[int]] = [[] for _ in swaps]
-    character_maps: list[list[tuple[int, ...]]] = [[] for _ in swaps]
+    base_maps: list[list[int]] = [[] for _ in generators]
+    character_maps: list[list[tuple[int, ...]]] = [[] for _ in generators]
     for b, u in enumerate(found):
-        for k, swap in enumerate(swaps):
-            conjugates = _conjugate_images(swap, [u.images, *domains[b]])
+        for k, g in enumerate(generators):
+            conjugates = _conjugate_images(prepared[k], [u.images, *domains[b]])
             target = index.get(conjugates[0])
             moved = conjugates[1:]
             # the j-th index of reorder is the position, in b's domain, of the
@@ -257,7 +260,7 @@ def class_action(lam: CycleType) -> ClassAction:
             if target is None:
                 w = _trusted_permutation(conjugates[0])
                 if cycle_type(w) != lam:
-                    raise AssertionError(f"({k + 1} {k + 2}) moves {u} out of the class {lam} to {w}")
+                    raise AssertionError(f"{g} moves {u} out of the class {lam} to {w}")
                 target = index[w.images] = len(found)
                 found.append(w)
                 domains.append(domain)
@@ -265,13 +268,11 @@ def class_action(lam: CycleType) -> ClassAction:
                 lookups.append({values: c for c, values in enumerate(images)})
             elif domain != domains[target]:
                 raise AssertionError(
-                    f"({k + 1} {k + 2}) does not carry the centralizer of {u} onto that of {found[target]}"
+                    f"{g} does not carry the centralizer of {u} onto that of {found[target]}"
                 )
             row = tuple(map(lookups[target].get, images))
             if None in row:
-                raise AssertionError(
-                    f"({k + 1} {k + 2}) moves a character at {u} off the basis at {found[target]}"
-                )
+                raise AssertionError(f"{g} moves a character at {u} off the basis at {found[target]}")
             base_maps[k].append(target)
             character_maps[k].append(row)
     sort = sorted(range(len(found)), key=lambda b: found[b].images)  # sort[i]: walk number of base point i
@@ -321,8 +322,9 @@ def class_points(lam: CycleType, r: int) -> tuple[RSCPoint, ...]:
 
 def index_moves(lam: CycleType, r: int) -> list[list[int]]:
     """The generators of S_n × S_r as maps on the positions of
-    ``class_points(lam, r)``: first the adjacent transpositions of S_n with
-    the slots fixed, then the adjacent transpositions of the r slots."""
+    ``class_points(lam, r)``: first the generators of S_n that
+    ``class_action`` conjugates by, (1 2) and (1 2 ... n), with the slots
+    fixed, then the adjacent transpositions of the r slots."""
     action = class_action(lam)
     gam = len(action.tables[0])
     width = gam**r

@@ -422,6 +422,26 @@ class TestClassAction:
                 class_action(lam)
                 assert len(made) <= class_size(lam) - 1
 
+    def test_walk_conjugates_by_two_generators(self, monkeypatch):
+        # a cold walk over every class of S_1..S_5 has one map per generator,
+        # (1 2) and (1 2 ... n), and conjugates once per (base point,
+        # generator) edge, min(n - 1, 2) of them per base point
+        calls = []
+        true_conjugates = ramsys.oracle._conjugate_images
+
+        def counting(g, elements):
+            calls.append(g)
+            return true_conjugates(g, elements)
+
+        monkeypatch.setattr(ramsys.oracle, "_conjugate_images", counting)
+        for n in range(1, 6):
+            for lam in enumerate_cycle_types(n):
+                class_action.cache_clear()
+                calls.clear()
+                action = class_action(lam)
+                assert len(action.base_maps) == len(action.character_maps) == min(n - 1, 2)
+                assert len(calls) == len(action.base_points) * min(n - 1, 2)
+
     def test_observed_character_maps_are_identity(self):
         # conjugating around a loop in the class lands in the centralizer,
         # which fixes every character: the fact the closed form relies on
@@ -434,9 +454,11 @@ class TestClassAction:
 
     @pytest.mark.parametrize("r, n", [(1, 3), (1, 4), (2, 3), (2, 4), (1, 5)])
     def test_index_moves_agree_with_act(self, n, r):
-        # maps run over S_n's adjacent transpositions, then the slots'
+        # maps run over S_n's generators (1 2) and (1 2 ... n), then the
+        # slots' adjacent transpositions
         id_n, id_r = identity(n), identity(r)
-        generators = [(s, id_r) for s in adjacent_transpositions(n)]
+        s_n = [Permutation.from_cycles(n, [c]) for c in [(1, 2), range(1, n + 1)][: n - 1]]
+        generators = [(g, id_r) for g in s_n]
         generators += [(id_n, pi) for pi in adjacent_transpositions(r)]
         for lam in enumerate_cycle_types(n):
             points = class_points(lam, r)
@@ -928,4 +950,4 @@ class TestCharacterNumbering:
                 digest.update(repr(action.character_maps).encode())
                 for r in range(1, (2 if n == 5 else 3) + 1):
                     digest.update(repr(orbit_partition_class(lam, r)).encode())
-        assert digest.hexdigest()[:16] == "009bb17fc5cec1eb"
+        assert digest.hexdigest()[:16] == "c7050ce6cabc7a0b"
