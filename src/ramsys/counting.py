@@ -12,8 +12,8 @@ composition of r_C into γ_C parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from math import comb, factorial, log10, prod
+from itertools import repeat, tee
+from math import factorial, log10, prod
 from typing import Iterable, Iterator, Sequence
 
 from .centralizer import gamma
@@ -69,7 +69,8 @@ class Ramification:
         object.__setattr__(self, "entries", normalized)
 
     def __str__(self) -> str:
-        """Round-trippable text form, `class:count` entries joined by `;`."""
+        """`class:count` entries joined by `;`, which parse_ramification reads
+        back; the empty ramification is `(empty)`, which it does not."""
         return ";".join(f"{lam}:{mult}" for lam, mult in self.entries) or "(empty)"
 
 
@@ -162,11 +163,11 @@ def count_rsc_stirling(ram: Ramification) -> int:
     return total
 
 
-# Most parts (compositions times γ_C) that the replay lists of one
+# Most parts (compositions times γ_C) that the replay tees of one
 # enumeration hold, over all their shapes.  On a 2-core Xeon VM, 600 requests
-# of the benchmark's reps-stream workload took 356 ms with no lists, 295 ms
+# of the benchmark's reps-stream workload took 356 ms with no replay, 295 ms
 # at 2^12 parts and 288-289 ms from 2^16 to 2^20 (in-process, best of 5);
-# about 2% of those requests have shapes past 2^16.  The lists then hold at
+# about 2% of those requests have shapes past 2^16.  The tees then hold at
 # most about 8 MB, at γ_C = 2, where a composition's tuple, text and pair
 # outweigh its parts, and at most about 3 MB from γ_C = 4.
 _REPLAY_PARTS = 2**16
@@ -191,14 +192,15 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     without re-checking the compositions just generated.
 
     A restart replays.  Each distinct shape (r_C, γ_C) of a class that can
-    restart (any but the first) gets one list of (composition, text) pairs,
-    grown lazily from one shared weak_compositions stream, and every cursor
-    of that shape reads it: a composition is drawn and formatted once
-    however often its classes restart, and a full drain draws each listed
-    shape's compositions once.  The lists hold at most _REPLAY_PARTS parts
-    per enumeration, given out from the last class leftwards, since the
-    right classes restart most often; a shape whose full list,
-    C(γ_C + r_C - 1, r_C)·γ_C parts, does not fit gives each cursor a
+    restart (any but the first) gets one itertools.tee over its stream of
+    (composition, text) pairs.  That tee is never advanced, and every cursor
+    of the shape is a copy of it, which reads the pairs from the start: the
+    copies share what any of them has drawn, so a composition is drawn and
+    formatted once however often its classes restart, and a full drain
+    draws each replayed shape's compositions once.  The tees hold at most
+    _REPLAY_PARTS parts per enumeration, given out from the last class
+    leftwards, since the right classes restart most often; a shape whose
+    pairs, C(γ_C + r_C - 1, r_C)·γ_C parts, do not fit gives each cursor a
     stream of its own and formats each composition it draws.
 
     A carry joins the texts of the classes before the last once, into the
@@ -213,15 +215,16 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
         return
     entries = ram.entries
     shapes = [(mult, gamma(lam)) for lam, mult in entries]
-    replays: dict[tuple[int, int], tuple[list, Iterator, int]] = {}
+    replays: dict[tuple[int, int], Iterator] = {}
     room = _REPLAY_PARTS
     for r, g in dict.fromkeys(shapes[:0:-1]):  # distinct shapes, the last class's first
-        # C(g + r - 1, r) is at least r and at least g once g >= 2, so the
-        # first test keeps a huge shape's arguments away from comb
+        # C(g + r - 1, r) is at least r and at least g once g >= 2, so the first
+        # test keeps a huge shape's arguments away from multiset_coefficient
         if max(r, g) * g <= room:
-            length = comb(g + r - 1, r)
+            length = multiset_coefficient(g, r)
             if length * g <= room:
-                replays[r, g] = ([], weak_compositions(r, g), length)
+                pairs = ((c, _format_composition(c)) for c in weak_compositions(r, g))
+                replays[r, g] = tee(pairs, 1)[0]
                 room -= length * g
     # the first composition, (r_C, 0, ..., 0), and its text of each shape
     # before the last class: what a class holds until it first advances,
@@ -258,29 +261,12 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
 
 
 def _cursor(shape: tuple[int, int], replays: dict) -> Iterator[tuple[tuple[int, ...], str]]:
-    """A class's (composition, text) pairs from its first composition on:
-    its shape's replay list, or else a stream of its own."""
+    """A class's (composition, text) pairs from its first composition on: a
+    copy of its shape's replay tee, or else a stream of its own."""
     replay = replays.get(shape)
-    if replay is None:
-        return ((c, _format_composition(c)) for c in weak_compositions(*shape))
-    pairs, _, length = replay
-    return iter(pairs) if len(pairs) == length else _replay(*replay)
-
-
-def _replay(
-    pairs: list, compositions: Iterator[tuple[int, ...]], length: int
-) -> Iterator[tuple[tuple[int, ...], str]]:
-    """The pairs of a shared replay list from its start, drawing from the
-    shape's shared stream and appending each pair the first time any cursor
-    of the shape reaches it.  The cursors of one shape read at their own
-    positions, so the position is an index, not a list iterator."""
-    i = 0
-    while i < length:
-        if i == len(pairs):
-            composition = next(compositions)
-            pairs.append((composition, _format_composition(composition)))
-        yield pairs[i]
-        i += 1
+    if replay is not None:
+        return replay.__copy__()
+    return ((c, _format_composition(c)) for c in weak_compositions(*shape))
 
 
 def parse_ramification(text: str, n: int) -> Ramification:

@@ -91,16 +91,13 @@ def _generate(identity: Images, candidates: Iterable[Images]) -> list[Images]:
             continue
         generators.append(candidate)
         times.append(itemgetter(*candidate))
-        frontier = list(span)
-        while frontier:
-            fresh: list[Images] = []
-            for a in frontier:
-                for times_s in times:
-                    product = times_s(a)
-                    if product not in span:
-                        span.add(product)
-                        fresh.append(product)
-            frontier = fresh
+        walk = list(span)
+        for a in walk:
+            for times_s in times:
+                product = times_s(a)
+                if product not in span:
+                    span.add(product)
+                    walk.append(product)
     return generators
 
 
@@ -109,11 +106,11 @@ def _characters(elements: list[Images]) -> tuple[int, list[tuple[int, ...]]]:
     of every one-dimensional character of H.  With s_i of order d_i the
     generators ``_generate`` keeps and m = lcm(d_i), a character is a
     homomorphism H -> Z/m, fixed by its values on the s_i, each a multiple
-    of m/d_i.  Each choice of those values is spread over H breadth-first
-    along the first edge a -> a·s_i into each element, χ(a·s_i) = χ(a) +
-    χ(s_i), and kept only if every edge agrees: then χ(a·w) = χ(a) + χ(w)
-    for every word w in the s_i, so χ is a homomorphism.  Characters come
-    in lexicographic order of their values on the generators."""
+    of m/d_i.  A choice of those values spreads over H in one pass over the
+    breadth-first edges a -> a·s_i, χ(a·s_i) = χ(a) + χ(s_i): the first edge
+    into an element sets it, and a later one that disagrees drops the choice.
+    A kept choice agrees on every edge, so χ(a·w) = χ(a) + χ(w) for every word
+    w in the s_i.  Characters come in lexicographic order of generator values."""
     identity = elements[0]
     generators = _generate(identity, elements)
     times = [itemgetter(*s) for s in generators]
@@ -125,7 +122,7 @@ def _characters(elements: list[Images]) -> tuple[int, list[tuple[int, ...]]]:
         orders.append(order)
     modulus = lcm(*orders)
     position = {h: i for i, h in enumerate(elements)}
-    edges, tree, walk, reached = [], [], [0], {0}  # (a, i, b): b = a·s_i, as positions
+    edges, walk, reached = [], [0], {0}  # (a, i, b): b = a·s_i, as positions
     for a in walk:
         for i, times_s in enumerate(times):
             b = position[times_s(elements[a])]
@@ -133,13 +130,16 @@ def _characters(elements: list[Images]) -> tuple[int, list[tuple[int, ...]]]:
             if b not in reached:
                 reached.add(b)
                 walk.append(b)
-                tree.append((a, i, b))
     tables = []
     for values in itertools.product(*[range(0, modulus, modulus // d) for d in orders]):
-        chi = [0] * len(elements)
-        for a, i, b in tree:
-            chi[b] = (chi[a] + values[i]) % modulus
-        if all((chi[a] + values[i]) % modulus == chi[b] for a, i, b in edges):
+        chi = [0] + [None] * (len(elements) - 1)  # the identity, position 0, has value 0
+        for a, i, b in edges:
+            value = (chi[a] + values[i]) % modulus
+            if chi[b] is None:
+                chi[b] = value
+            elif chi[b] != value:
+                break
+        else:
             tables.append(tuple(chi))
     return modulus, tables
 
