@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from json.encoder import encode_basestring_ascii as _json_string
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -78,8 +77,7 @@ def _class_walk(n: int, centralizers: bool = False) -> Iterator[tuple[str, int, 
             if part is None:
                 lam = CycleType(pair[0] * pair[1], (pair,))
                 invariants = abelianization_invariants(lam)
-                # "%d^%d " % pair is f"{lam} " at a third of the cost
-                part = ("%d^%d " % pair, prod(invariants), 1, "")
+                part = (f"{lam} ", prod(invariants), 1, "")
                 if centralizers:
                     part = part[:2] + (centralizer_order(lam), "".join([f"{f}x" for f in invariants]))
                 of_pair[pair] = part
@@ -111,13 +109,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.format == "json":
         # the bytes of json.dumps(count_report(ram), indent=2), laid out by
         # hand: an indent sends json.dumps to its pure-Python encoder, which
-        # is several times slower.  Strings go through json's C string encoder.
+        # is several times slower.  Class texts (digits, ^, spaces) need no escaping.
         tails = {
             (g, r): f',\n      "r": {r},\n      "gamma": {decimal_string(g)}\n    }}'
             for g, r in factors
         }
         entries = ",\n".join(
-            [f'    {{\n      "class": {_json_string(text)}{tails[g, r]}' for text, r, g in rows]
+            [f'    {{\n      "class": "{text}"{tails[g, r]}' for text, r, g in rows]
         )
         ramification = f"[\n{entries}\n  ]" if entries else "[]"
         print(

@@ -3,7 +3,7 @@
 Everything here is computed from first principles at desk scale (n <= 5):
 centralizers by exhaustive commutation test over S_n, and their full
 character groups as the homomorphisms into Z/m that agree on every edge of
-a breadth-first walk over the group by its generators (``_characters``).
+the one walk that also keeps the group's generators (``_characters``).
 That work runs on padded image tuples (0, p(1), ..., p(n)), which sort by
 images and multiply in one C-level call, a·b = ``itemgetter(*b)(a)``.
 ``character_basis`` returns tuples too.  ``Permutation``s are made only by
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, lcm, prod
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .perm import CycleType, InputError, Permutation, UnsupportedGroupError
 from .perm import _trusted_permutation, canonical_representative, cycle_type
@@ -79,57 +79,40 @@ def _centralizer(s: Images) -> list[Images]:
     return [g for g in _group(len(s) - 1) if _commutes(g, s)]
 
 
-def _generate(identity: Images, candidates: Iterable[Images]) -> list[Images]:
-    """The candidates kept as generators of the subgroup they generate.  The
-    span grows by breadth-first right multiplication with the generators; a
-    candidate is kept only if it is not yet in the span."""
-    span = {identity}
-    generators: list[Images] = []
-    times = []  # times[i](a) = a·generators[i]
-    for candidate in candidates:
-        if candidate in span:
-            continue
-        generators.append(candidate)
-        times.append(itemgetter(*candidate))
-        walk = list(span)
-        for a in walk:
-            for times_s in times:
-                product = times_s(a)
-                if product not in span:
-                    span.add(product)
-                    walk.append(product)
-    return generators
-
-
 def _characters(elements: list[Images]) -> tuple[int, list[tuple[int, ...]]]:
     """The modulus m and the value tables, on H given as its sorted elements,
-    of every one-dimensional character of H.  With s_i of order d_i the
-    generators ``_generate`` keeps and m = lcm(d_i), a character is a
-    homomorphism H -> Z/m, fixed by its values on the s_i, each a multiple
-    of m/d_i.  A choice of those values spreads over H in one pass over the
-    breadth-first edges a -> a·s_i, χ(a·s_i) = χ(a) + χ(s_i): the first edge
-    into an element sets it, and a later one that disagrees drops the choice.
-    A kept choice agrees on every edge, so χ(a·w) = χ(a) + χ(w) for every word
-    w in the s_i.  Characters come in lexicographic order of generator values."""
+    of every one-dimensional character of H.  One walk keeps the generators
+    and records each edge a -> a·s_i once: an element not yet reached is the
+    next generator s_i, applied to every element reached so far, and every
+    generator is applied to each element that s_i newly reaches.  With d_i
+    the order of s_i and m = lcm(d_i), a character is a homomorphism
+    H -> Z/m, fixed by its values on the s_i, each a multiple of m/d_i.  A
+    choice of those values spreads over H in one pass over the edges,
+    χ(a·s_i) = χ(a) + χ(s_i): the first edge into an element sets it, and a
+    later one that disagrees drops the choice.  A kept choice agrees on every
+    edge, so χ(a·w) = χ(a) + χ(w) for every word w in the s_i.  Characters
+    come in lexicographic order of generator values."""
     identity = elements[0]
-    generators = _generate(identity, elements)
-    times = [itemgetter(*s) for s in generators]
-    orders = []
-    for s, times_s in zip(generators, times):
+    position = {h: i for i, h in enumerate(elements)}
+    times, orders = [], []  # times[i](a) = a·s_i
+    edges, walk, reached = [], [0], {0}  # (a, i, b): b = a·s_i, as positions
+    for candidate, s in enumerate(elements):
+        if candidate in reached:
+            continue
+        times.append(itemgetter(*s))
         power, order = s, 1
         while power != identity:
-            power, order = times_s(power), order + 1
+            power, order = times[-1](power), order + 1
         orders.append(order)
+        new, old = len(times) - 1, len(walk)
+        for j, a in enumerate(walk):  # s_new on the old elements, every s_i on the new
+            for i in range(new if j < old else 0, new + 1):
+                b = position[times[i](elements[a])]
+                edges.append((a, i, b))
+                if b not in reached:
+                    reached.add(b)
+                    walk.append(b)
     modulus = lcm(*orders)
-    position = {h: i for i, h in enumerate(elements)}
-    edges, walk, reached = [], [0], {0}  # (a, i, b): b = a·s_i, as positions
-    for a in walk:
-        for i, times_s in enumerate(times):
-            b = position[times_s(elements[a])]
-            edges.append((a, i, b))
-            if b not in reached:
-                reached.add(b)
-                walk.append(b)
     tables = []
     for values in itertools.product(*[range(0, modulus, modulus // d) for d in orders]):
         chi = [0] + [None] * (len(elements) - 1)  # the identity, position 0, has value 0
@@ -147,8 +130,8 @@ def _characters(elements: list[Images]) -> tuple[int, list[tuple[int, ...]]]:
 @dataclass(frozen=True)
 class Character:
     """A one-dimensional character in additive form: values are residues mod
-    ``modulus`` (the lcm of the orders of the generators ``_generate`` keeps
-    for the domain), and χ(xy) = χ(x) + χ(y) with χ(identity) = 0."""
+    ``modulus`` (the lcm of the orders of the generators ``_characters``
+    keeps for the domain), and χ(xy) = χ(x) + χ(y) with χ(identity) = 0."""
 
     modulus: int
     domain: tuple[Permutation, ...]
@@ -173,9 +156,9 @@ def character_basis(u: Permutation) -> tuple[int, tuple[tuple[int, ...], ...], t
     tables)``: ``domain`` is Z_u as sorted unpadded image tuples, the format
     of ``ClassAction.domains``, and ``tables[c]`` is character c's values on
     it mod ``modulus``.  Characters are numbered in lexicographic order of
-    their values on the generators of Z_u that ``_generate`` keeps from its
-    sorted elements (see ``_characters``), which fixes the type vectors'
-    character numbering.  No permutation is made."""
+    their values on the generators of Z_u that ``_characters`` keeps from
+    its sorted elements, which fixes the type vectors' character numbering.
+    No permutation is made."""
     elements = _centralizer(_padded(u))
     modulus, tables = _characters(elements)
     return modulus, tuple([x[1:] for x in elements]), tuple(tables)
@@ -291,7 +274,8 @@ def _point_count(lam: CycleType, r: int) -> int:
     """The oracle's own count of one class's points, base points times basis
     size to the r; OracleBudgetError past ORBIT_POINT_BUDGET.  The power is
     taken to at most the budget's bit length: with two or more characters,
-    that much of it already passes the budget."""
+    that much of it already passes the budget.  r is held to the budget
+    after that, which only γ = 1, one point at any r, reaches."""
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
     action = class_action(lam)
@@ -302,6 +286,8 @@ def _point_count(lam: CycleType, r: int) -> int:
         raise OracleBudgetError(
             f"class {lam} with r = {r} needs {needs} points, over the budget of {ORBIT_POINT_BUDGET}"
         )
+    if r > ORBIT_POINT_BUDGET:
+        raise OracleBudgetError(f"class {lam} with r = {r} has r slots, over the budget of {ORBIT_POINT_BUDGET}")
     return points
 
 

@@ -725,6 +725,24 @@ class TestFreshProcess:
         assert result.stderr == "False\n"
         assert result.stdout.endswith("# count = 12\n(1,0,0) (1,0) (1,0)\n")
 
+    def test_closed_form_commands_load_no_json(self):
+        # `count --format json` lays its bytes out by hand, and its class
+        # texts need no escaping, so the closed-form commands never import json
+        script = (
+            "import sys\n"
+            "from ramsys.cli import main\n"
+            "for argv in (['classes', '3'], ['count', '3', '--ramification', 'all:1'],\n"
+            "             ['count', '3', '--ramification', 'all:1', '--format', 'json'],\n"
+            "             ['count', '3', '--ramification', '1^1 2^1:2', '--format', 'json'],\n"
+            "             ['reps', '3', '--ramification', 'all:1', '--limit', '1']):\n"
+            "    assert main(argv) == 0\n"
+            "print('json' in sys.modules, file=sys.stderr)\n"
+        )
+        result = fresh_python("-c", script)
+        assert result.returncode == 0
+        assert result.stderr == "False\n"
+        assert '"class": "1^1 2^1"' in result.stdout
+
     def test_verify_range_exits_2(self):
         result = fresh_python("-m", "ramsys", "verify", "6")
         assert result.returncode == 2

@@ -301,8 +301,8 @@ class TestEnumerateTypes:
 
     @pytest.mark.parametrize("n, spec", [(5, "all:1"), (4, "all:2"), (3, "1^1 2^1:2;1^3:2")])
     def test_full_drain_draws_each_shape_once(self, monkeypatch, n, spec):
-        # restarted classes replay their shape's list; a shape shared by
-        # several classes, the first among them, is drawn once in all
+        # restarted classes read copies of their shape's one tee; a shape
+        # shared by several classes, the first among them, is drawn once in all
         drawn = self.count_draws(monkeypatch)
         ram = parse_ramification(spec, n)
         assert sum(1 for _ in enumerate_types(ram)) == count_rsc(ram)
@@ -357,7 +357,7 @@ class TestEnumerateTypes:
                 assert [str(v) for v in observed] == lines, (str(ram), budget)
 
     def test_drain_memory_is_bounded(self):
-        # the replay lists hold at most _REPLAY_PARTS parts, and the first
+        # the replay tees hold at most _REPLAY_PARTS parts, and the first
         # class, which never restarts, keeps none: draining 22,880 vectors
         # whose first class has 11,440 compositions holds a few KB
         ram = parse_ramification("1^10:1;[10]:7", 10)

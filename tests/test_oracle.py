@@ -7,6 +7,7 @@ import random
 import time
 from collections import Counter
 from math import factorial, gcd, prod
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,42 @@ class TestDualCharacters:
                 assert all(len(values) == len(domain) for values in tables)
                 assert all(0 <= value < modulus for values in tables for value in values)
 
+    def test_one_walk_keeps_the_generators_and_records_the_edges(self, monkeypatch):
+        # on the centralizer of every element of S_1..S_5, _characters makes
+        # one product per edge a -> a·s_i, |H| for each generator s_i it
+        # keeps, and d_i - 1 more to find the order d_i of s_i: the span is
+        # walked once, not again each time a generator is kept
+        kept, products = [], []
+
+        def counting_itemgetter(*s):
+            kept.append(s)
+            times = itemgetter(*s)
+
+            def counted(a):
+                products.append(a)
+                return times(a)
+
+            return counted
+
+        def order(s):
+            power, d = s, 1
+            while power != tuple(range(len(s))):
+                power, d = tuple([power[i] for i in s]), d + 1
+            return d
+
+        monkeypatch.setattr(ramsys.oracle, "itemgetter", counting_itemgetter)
+        total = 0
+        for n in range(1, 6):
+            for s in _group(n):
+                elements = ramsys.oracle._centralizer(s)
+                kept.clear()
+                products.clear()
+                ramsys.oracle._characters(elements)
+                assert len(products) == len(elements) * len(kept) + sum(order(g) - 1 for g in kept)
+                assert len(set(kept)) == len(kept)
+                total += len(products)
+        assert total == 2594
+
     def test_characters_are_homomorphisms(self):
         for lam in enumerate_cycle_types(4):
             for chi in character_basis(canonical_representative(lam)):
@@ -588,6 +625,17 @@ class TestOrbitCounts:
         with pytest.raises(OracleBudgetError, match=f"needs more than {ORBIT_POINT_BUDGET} points"):
             orbit_count_class(CycleType.parse("3^1"), 10**12)
         assert time.perf_counter() - start < 1
+
+    def test_budget_refuses_a_huge_r_at_gamma_1(self):
+        # 1^1 has one point at any r, so only r itself can pass the budget;
+        # at r = 10^12 its r - 1 slot maps and r-tuples would never finish
+        lam = CycleType.parse("1^1")
+        for count in (orbit_count_class, class_points):
+            start = time.perf_counter()
+            with pytest.raises(OracleBudgetError, match=f"over the budget of {ORBIT_POINT_BUDGET}"):
+                count(lam, 10**12)
+            assert time.perf_counter() - start < 1
+        assert orbit_count_class(lam, 1000) == 1
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
