@@ -24,13 +24,9 @@ from .perm import (
     ClassListTooLargeError,
     CycleType,
     InputError,
-    Permutation,
     UnsupportedGroupError,
-    canonical_representative,
     centralizer_order,
     class_size,
-    cycle_decomposition,
-    cycle_type,
     enumerate_cycle_types,
 )
 
@@ -39,20 +35,16 @@ __all__ = [
     "CycleType",
     "InputError",
     "MAX_CLASS_LIST_N",
-    "Permutation",
     "Ramification",
     "RamificationParseError",
     "RSCTypeVector",
     "UnsupportedGroupError",
     "abelianization_invariants",
-    "canonical_representative",
     "centralizer_order",
     "class_size",
     "count_report",
     "count_rsc",
     "count_rsc_stirling",
-    "cycle_decomposition",
-    "cycle_type",
     "decimal_string",
     "enumerate_cycle_types",
     "enumerate_types",

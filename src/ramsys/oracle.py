@@ -5,10 +5,9 @@ centralizers by exhaustive commutation test over S_n, and their full
 character groups as the homomorphisms into Z/m that agree on every edge of
 the one walk that also keeps the group's generators (``_characters``).
 That work runs on padded image tuples (0, p(1), ..., p(n)), which sort by
-images and multiply in one C-level call, a·b = ``itemgetter(*b)(a)``.
-``character_basis`` returns tuples too.  ``Permutation``s are made only by
-``class_action`` (u0, the generators (1 2) and (1 2 ... n) of S_n it
-conjugates by, and each base point it newly reaches) and by ``class_points``.
+images and multiply in one C-level call, a·b = ``itemgetter(*b)(a)``.  u0
+(laid out by ``_u0``), the generators, the base points and every result are
+unpadded image tuples (p(1), ..., p(n)); no permutation object is made.
 
 Orbits of the relabelling action are counted on integer-coded points.  Per
 class, one breadth-first walk of conjugations by (1 2) and (1 2 ... n) finds
@@ -24,10 +23,10 @@ moves one point at a time on explicit objects; the frozenset views of the
 group work live there too.  ``support_orbit_count`` counts the orbits of S_n
 on a support's tuples of class members under simultaneous conjugation, by
 Burnside's lemma over the centralizers the walk carried.  Nothing here uses
-the closed form: the only import from the package is the permutation
-primitives of ``perm``, and the point budget is the oracle's own class size
-times its own basis size to the r, so agreement between the two paths is
-evidence, not circularity.
+the closed form: the package gives it only ``CycleType`` and the two error
+classes, and the point budget is the oracle's own class size times its own
+basis size to the r, so agreement between the two paths is evidence, not
+circularity.
 """
 
 from __future__ import annotations
@@ -40,15 +39,14 @@ from math import factorial, lcm, prod
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .perm import CycleType, InputError, Permutation, UnsupportedGroupError
-from .perm import _trusted_permutation, canonical_representative, cycle_type
+from .perm import CycleType, InputError, UnsupportedGroupError
 
 ORACLE_MAX_N = 5
 
 # Largest per-class point set (|C| · γ^r) the orbit machinery will materialize.
 ORBIT_POINT_BUDGET = 250_000
 
-Images = tuple[int, ...]  # a padded image tuple (0, p(1), ..., p(n))
+Images = tuple[int, ...]  # (p(1), ..., p(n)), padded as (0, p(1), ..., p(n)) in the group work
 
 
 class OracleBudgetError(InputError, RuntimeError):
@@ -60,8 +58,32 @@ def _ensure_scale(n: int) -> None:
         raise UnsupportedGroupError(f"oracle supports 1 <= n <= {ORACLE_MAX_N}, got n = {n}")
 
 
-def _padded(p: Permutation) -> Images:
-    return (0, *p.images)
+def _u0(lam: CycleType) -> Images:
+    """The class's base point u0, its smallest member: cycles of ascending
+    length on consecutive points from 1, each sending p to p + 1 cyclically."""
+    images: list[int] = []
+    for length, mult in reversed(lam.cycles):
+        for first in range(len(images) + 1, len(images) + length * mult + 1, length):
+            images += [*range(first + 1, first + length), first]
+    return tuple(images)
+
+
+def _cycles(p: Images) -> list[list[int]]:
+    """The cycles of p, fixed points included, each from its smallest point;
+    read only for the class check and for the text of an AssertionError."""
+    cycles, seen = [], set()
+    for start in range(1, len(p) + 1):
+        if start not in seen:
+            cycles.append([start])
+            while (point := p[cycles[-1][-1] - 1]) != start:
+                cycles[-1].append(point)
+            seen.update(cycles[-1])
+    return cycles
+
+
+def _text(p: Images) -> str:
+    """p in cycle notation without fixed points, e.g. (1 2)(4 5); () for the identity."""
+    return "".join(["(" + " ".join(map(str, c)) + ")" for c in _cycles(p) if len(c) > 1]) or "()"
 
 
 def _commutes(a: Images, b: Images) -> bool:
@@ -127,39 +149,15 @@ def _characters(elements: list[Images]) -> tuple[int, list[tuple[int, ...]]]:
     return modulus, tables
 
 
-@dataclass(frozen=True)
-class Character:
-    """A one-dimensional character in additive form: values are residues mod
-    ``modulus`` (the lcm of the orders of the generators ``_characters``
-    keeps for the domain), and χ(xy) = χ(x) + χ(y) with χ(identity) = 0."""
-
-    modulus: int
-    domain: tuple[Permutation, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.domain) != len(self.values):
-            raise ValueError("domain and values differ in length")
-
-
-@dataclass(frozen=True)
-class RSCPoint:
-    """One per-class constituent of a ramification system: a base point u in
-    the class together with r characters of the centralizer of u."""
-
-    base_point: Permutation
-    characters: tuple[Character, ...]
-
-
-def character_basis(u: Permutation) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The indexed character group of Z_u as tuple data ``(modulus, domain,
-    tables)``: ``domain`` is Z_u as sorted unpadded image tuples, the format
-    of ``ClassAction.domains``, and ``tables[c]`` is character c's values on
-    it mod ``modulus``.  Characters are numbered in lexicographic order of
-    their values on the generators of Z_u that ``_characters`` keeps from
-    its sorted elements, which fixes the type vectors' character numbering.
-    No permutation is made."""
-    elements = _centralizer(_padded(u))
+def character_basis(u: Images) -> tuple[int, tuple[Images, ...], tuple[tuple[int, ...], ...]]:
+    """The indexed character group of Z_u, for u an image tuple, as tuple
+    data ``(modulus, domain, tables)``: ``domain`` is Z_u as sorted image
+    tuples, the format of ``ClassAction.domains``, and ``tables[c]`` is
+    character c's values on it mod ``modulus``.  Characters are numbered in
+    lexicographic order of their values on the generators of Z_u that
+    ``_characters`` keeps from its sorted elements, which fixes the type
+    vectors' character numbering."""
+    elements = _centralizer((0, *u))
     modulus, tables = _characters(elements)
     return modulus, tuple([x[1:] for x in elements]), tuple(tables)
 
@@ -170,7 +168,7 @@ class ClassAction:
     class's (base point, character) pairs, as index maps; one generator at
     n = 2, none at n = 1.
 
-    base_points     the class, sorted; base point b is base_points[b]
+    base_points     the class as sorted image tuples; base point b is base_points[b]
     modulus         the modulus of every character's values
     domains         domains[b]: base point b's centralizer, sorted images
     tables          tables[b][c]: character c's values on domains[b], carried
@@ -180,9 +178,9 @@ class ClassAction:
                     of the character that g_k moves character c of b to
     """
 
-    base_points: tuple[Permutation, ...]
+    base_points: tuple[Images, ...]
     modulus: int
-    domains: tuple[tuple[tuple[int, ...], ...], ...]
+    domains: tuple[tuple[Images, ...], ...]
     tables: tuple[tuple[tuple[int, ...], ...], ...]
     base_maps: tuple[tuple[int, ...], ...]
     character_maps: tuple[tuple[tuple[int, ...], ...], ...]
@@ -199,10 +197,11 @@ def _conjugate_images(g: tuple, elements: list) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def class_action(lam: CycleType) -> ClassAction:
     """Find one class and build its index maps in one breadth-first walk of
-    conjugations from u0 = ``canonical_representative(lam)``, the only base
-    point ``character_basis`` runs at.  Base points are numbered as the walk
-    reaches them, each new one checked for cycle type ``lam``, then sorted;
-    u0, the smallest member of its class, stays base point 0.
+    conjugations from u0 = ``_u0(lam)``, the only base point
+    ``character_basis`` runs at.  Base points are image tuples, numbered as
+    the walk reaches them, each one, u0 too, checked for cycle type ``lam``
+    by its sorted cycle lengths, then sorted; u0, the smallest member of its
+    class, stays base point 0.
 
     Along every (base point, g) edge, g one of ``ClassAction``'s generators,
     the base point and each element of its centralizer are conjugated by g
@@ -211,28 +210,31 @@ def class_action(lam: CycleType) -> ClassAction:
     domain and one index map for the edge; every character of the basis is
     moved by permuting its value tuple through that map, as the test
     reference ``act`` moves it.  Along the first edge into a base point, the
-    conjugates and the moved tables become its domain and basis, and only
-    the base point is made a permutation.  Along every other edge, the
-    conjugates must be exactly the target's domain, and along every edge,
-    each moved character is looked up by its value table in the target's
-    basis; a mismatch or a miss raises ``AssertionError``.  So the maps
-    record what conjugation does; none is assumed to be the identity.
+    conjugates and the moved tables become its domain and basis.  Along
+    every other edge, the conjugates must be exactly the target's domain,
+    and along every edge, each moved character is looked up by its value
+    table in the target's basis; a mismatch or a miss raises
+    ``AssertionError``.  So the maps record what conjugation does; none is
+    assumed to be the identity.
     """
-    found = [canonical_representative(lam)]
-    index = {found[0].images: 0}
+    parts = [i for i, m in reversed(lam.cycles) for _ in range(m)]  # ascending, as sorted() gives
+    found = [_u0(lam)]
+    if sorted(map(len, _cycles(found[0]))) != parts:
+        raise AssertionError(f"u0 = {_text(found[0])} is out of the class {lam}")
+    index = {found[0]: 0}
     modulus, domain, table = character_basis(found[0])
     n = lam.n
-    generators = [Permutation.from_cycles(n, [c]) for c in [(1, 2), range(1, n + 1)][: n - 1]]
+    generators = [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)][: n - 1]  # (1 2), (1 2 ... n)
     # g as a getter of the positions g⁻¹(j) - 1 and as padded images; for n >= 2
     # every domain has two or more elements, so each itemgetter returns a tuple
-    prepared = [(itemgetter(*sorted(range(n), key=g.images.__getitem__)), _padded(g)) for g in generators]
+    prepared = [(itemgetter(*sorted(range(n), key=g.__getitem__)), (0, *g)) for g in generators]
     domains, tables = [domain], [table]
     lookups = [{values: c for c, values in enumerate(table)}]  # lookups[b][values]: c
     base_maps: list[list[int]] = [[] for _ in generators]
     character_maps: list[list[tuple[int, ...]]] = [[] for _ in generators]
     for b, u in enumerate(found):
         for k, g in enumerate(generators):
-            conjugates = _conjugate_images(prepared[k], [u.images, *domains[b]])
+            conjugates = _conjugate_images(prepared[k], [u, *domains[b]])
             target = index.get(conjugates[0])
             moved = conjugates[1:]
             # the j-th index of reorder is the position, in b's domain, of the
@@ -241,24 +243,24 @@ def class_action(lam: CycleType) -> ClassAction:
             domain = reorder(moved)
             images = tuple(map(reorder, tables[b]))
             if target is None:
-                w = _trusted_permutation(conjugates[0])
-                if cycle_type(w) != lam:
-                    raise AssertionError(f"{g} moves {u} out of the class {lam} to {w}")
-                target = index[w.images] = len(found)
+                w = conjugates[0]
+                if sorted(map(len, _cycles(w))) != parts:
+                    raise AssertionError(f"{_text(g)} moves {_text(u)} out of the class {lam} to {_text(w)}")
+                target = index[w] = len(found)
                 found.append(w)
                 domains.append(domain)
                 tables.append(images)
                 lookups.append({values: c for c, values in enumerate(images)})
             elif domain != domains[target]:
                 raise AssertionError(
-                    f"{g} does not carry the centralizer of {u} onto that of {found[target]}"
+                    f"{_text(g)} does not carry the centralizer of {_text(u)} onto that of {_text(found[target])}"
                 )
             row = tuple(map(lookups[target].get, images))
             if None in row:
-                raise AssertionError(f"{g} moves a character at {u} off the basis at {found[target]}")
+                raise AssertionError(f"{_text(g)} moves a character at {_text(u)} off the basis at {_text(found[target])}")
             base_maps[k].append(target)
             character_maps[k].append(row)
-    sort = sorted(range(len(found)), key=lambda b: found[b].images)  # sort[i]: walk number of base point i
+    sort = sorted(range(len(found)), key=found.__getitem__)  # sort[i]: walk number of base point i
     rank = {b: i for i, b in enumerate(sort)}
     return ClassAction(
         tuple([found[b] for b in sort]),
@@ -291,26 +293,24 @@ def _point_count(lam: CycleType, r: int) -> int:
     return points
 
 
-def class_points(lam: CycleType, r: int) -> tuple[RSCPoint, ...]:
-    """Every (base point, r characters) pair for one class: the per-class
-    factor of the full RSC space.  The point at position b·γ^r + Σ c_i·γ^(r-i)
-    (i = 1..r) carries base point b and characters c_1..c_r of its basis in
-    ``class_action(lam)``; ``index_moves`` works on these positions."""
+def class_points(lam: CycleType, r: int) -> tuple[tuple[Images, tuple[tuple[int, ...], ...]], ...]:
+    """Every (base point, r characters) pair for one class, the per-class
+    factor of the full RSC space, as plain tuples: base point b's images and
+    the value tables, on ``class_action(lam).domains[b]``, of r characters
+    of its basis.  The point at position b·γ^r + Σ c_i·γ^(r-i) (i = 1..r)
+    carries base point b and characters c_1..c_r; ``index_moves`` works on
+    these positions.  Past the point budget, ``OracleBudgetError``."""
     _point_count(lam, r)
     action = class_action(lam)
-    points = []
-    for u, domain, tables in zip(action.base_points, action.domains, action.tables):
-        wrapped = tuple(map(_trusted_permutation, domain))
-        basis = [Character(action.modulus, wrapped, values) for values in tables]
-        points += [RSCPoint(u, chars) for chars in itertools.product(basis, repeat=r)]
-    return tuple(points)
+    bases = zip(action.base_points, action.tables)
+    return tuple([(u, chars) for u, tables in bases for chars in itertools.product(tables, repeat=r)])
 
 
 def index_moves(lam: CycleType, r: int) -> list[list[int]]:
     """The generators of S_n × S_r as maps on the positions of
-    ``class_points(lam, r)``: first the generators of S_n that
-    ``class_action`` conjugates by, (1 2) and (1 2 ... n), with the slots
-    fixed, then the adjacent transpositions of the r slots."""
+    ``class_points(lam, r)``, made without a point: first the generators of
+    S_n that ``class_action`` conjugates by, (1 2) and (1 2 ... n), with the
+    slots fixed, then the adjacent transpositions of the r slots."""
     action = class_action(lam)
     gam = len(action.tables[0])
     width = gam**r

@@ -1,16 +1,18 @@
-"""Permutations of {1..n} and conjugacy-class arithmetic in symmetric groups.
+"""Conjugacy-class arithmetic in symmetric groups, and the text layout of
+each class's base point u0.
 
-Points are 1-based throughout.  A permutation is stored in one-line image
-form; cycle types double as conjugacy-class identifiers.  A cycle type is
-stored as its (length, multiplicity) pairs, longest first, so its size is
-the number of distinct cycle lengths, not n, and the order of the stored
-pairs is the canonical class order.  All counts are exact Python integers.
+Points are 1-based throughout; cycle types are the conjugacy-class
+identifiers.  A cycle type is stored as its (length, multiplicity) pairs,
+longest first, so its size is the number of distinct cycle lengths, not n,
+and the order of the stored pairs is the canonical class order.  All counts
+are exact Python integers.
 ``walk_cycle_types`` lists the classes of S_n by Algorithm P, and says for
 each class how many leading pairs it keeps from the class before it, so a
 caller can update per-class values from the pairs that changed;
 ``enumerate_cycle_types`` makes the same classes as ``CycleType``s.
 ``centralizer_order`` holds the rule for the centralizer order z_λ, and
-``class_size`` reads it.  Base points u0 are laid out from the pairs.
+``class_size`` reads it.  u0's cycle notation is laid out from the pairs,
+at the cost of its text; no permutation is made here.
 """
 
 from __future__ import annotations
@@ -32,47 +34,6 @@ class InputError(Exception):
 class UnsupportedGroupError(InputError, ValueError):
     """Raised for a group a path does not serve: S_6 for the count, where the
     counting hypothesis fails, and S_n past ``ORACLE_MAX_N`` for the oracle."""
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..n}; ``images[i - 1]`` is the image of point ``i``."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"images {self.images!r} are not a bijection of 1..{n}")
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
-        """Build a permutation of {1..n} from disjoint cycles; omitted points stay fixed."""
-        images = list(range(1, n + 1))
-        seen: set[int] = set()
-        for cycle in cycles:
-            points = list(cycle)
-            if not points:
-                raise ValueError("cycles must be non-empty")
-            for point in points:
-                if not 1 <= point <= n:
-                    raise ValueError(f"point {point} outside 1..{n}")
-                if point in seen:
-                    raise ValueError(f"point {point} appears in two cycles")
-                seen.add(point)
-            for src, dst in zip(points, points[1:] + points[:1]):
-                images[src - 1] = dst
-        return cls(tuple(images))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __str__(self) -> str:
-        """Cycle notation without fixed points, e.g. ``(1 2)(4 5)``; the
-        identity renders as ``()``."""
-        cycles = [c for c in cycle_decomposition(self) if len(c) > 1]
-        return "".join(["(" + " ".join(map(str, c)) + ")" for c in cycles]) or "()"
 
 
 _TYPE_TOKEN = re.compile(r"^(\d+)\^(\d+)$")
@@ -145,47 +106,6 @@ class CycleType:
         return " ".join([f"{i}^{m}" for i, m in reversed(self.cycles)])
 
 
-def _trusted_permutation(images: tuple[int, ...]) -> Permutation:
-    """A Permutation built without __post_init__, for image tuples already
-    known to be bijections: the base points the oracle's class walk reaches
-    and the points ``oracle.class_points`` builds."""
-    p = object.__new__(Permutation)
-    object.__setattr__(p, "images", images)
-    return p
-
-
-def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
-    """Disjoint cycles of p as point tuples, fixed points included as 1-cycles.
-
-    One pass over the images: cycles are ordered by smallest contained point
-    and start at it, so ``cycle[j]`` is the j-th forward image of its anchor.
-    """
-    images = p.images
-    seen = [False] * (len(images) + 1)
-    cycles = []
-    for start in range(1, len(images) + 1):
-        if seen[start]:
-            continue
-        cycle = [start]
-        point = images[start - 1]
-        while point != start:
-            seen[point] = True
-            cycle.append(point)
-            point = images[point - 1]
-        cycles.append(tuple(cycle))
-    return cycles
-
-
-def cycle_type(p: Permutation) -> CycleType:
-    """The cycle lengths of p, counted over cycle_decomposition."""
-    if not p.n:
-        raise ValueError("the empty permutation has no cycle type")
-    counts = [0] * (p.n + 1)  # counts[i] is the number of i-cycles
-    for cycle in cycle_decomposition(p):
-        counts[len(cycle)] += 1
-    return _trusted_cycle_type(p.n, tuple([(i, counts[i]) for i in range(p.n, 0, -1) if counts[i]]))
-
-
 def class_size(lam: CycleType) -> int:
     """Number of permutations of cycle type lam: n! / centralizer_order(lam)."""
     return factorial(lam.n) // centralizer_order(lam)
@@ -214,8 +134,8 @@ class ClassListTooLargeError(InputError, ValueError):
 
 def _trusted_cycle_type(n: int, cycles: tuple[tuple[int, int], ...]) -> CycleType:
     """A CycleType built without __post_init__, for the (length,
-    multiplicity) pairs that walk_cycle_types and cycle_type count out
-    themselves, already longest first.  The fields go straight into the
+    multiplicity) pairs that walk_cycle_types counts out itself, already
+    longest first.  The fields go straight into the
     instance dict, where the frozen dataclass's own __init__ puts them too;
     that is cheaper than two object.__setattr__ calls."""
     lam = object.__new__(CycleType)
@@ -293,20 +213,15 @@ def _canonical_runs(lam: CycleType) -> Iterator[tuple[int, range]]:
         first += length * mult
 
 
-def canonical_representative(lam: CycleType) -> Permutation:
-    """The class's base point u0, its smallest member by image tuple, on all n points."""
-    cycles = (run[k : k + i] for i, run in _canonical_runs(lam) for k in range(0, len(run), i))
-    return Permutation.from_cycles(lam.n, cycles)
-
-
 _TEXT_BATCH = 4096
 
 
 def canonical_cycle_pieces(lam: CycleType) -> Iterator[str]:
-    """str(canonical_representative(lam)), at the cost of its text, as a
-    stream of pieces whose join is that text.  Each piece holds at most
-    _TEXT_BATCH points: whole short cycles by one %-template, or a slice of
-    a longer cycle after its "(" or a space, that cycle's ")" its own piece.
+    """The cycle notation of lam's base point u0, its smallest member by
+    image tuple, at the cost of its text, as a stream of pieces whose join
+    is that text.  Each piece holds at most _TEXT_BATCH points: whole short
+    cycles by one %-template, or a slice of a longer cycle after its "(" or
+    a space, that cycle's ")" its own piece.
     So a text of millions of points is never held as a str per point, nor
     whole: the `reps` header, which writes the pieces as they come, peaks
     at 17 MB of RSS for u0 of [4194304], a 32 MB text (subprocess, 2-core

@@ -1,21 +1,25 @@
 """Reference code for the test suite, and the one home of every helper that
 more than one test file uses.
 
-The permutation products (``compose``, ``inverse``, ``conjugate``),
-``identity``, ``image`` and ``cycle_count`` live here because only the tests
-multiply ``Permutation``s or read one point at a time:
-the closed form needs conjugacy classes, centralizer invariants and
-multiset coefficients, and the oracle multiplies image tuples.
-``all_ones``, r_C = 1 on every class of S_n, lives here because three test
-files use it.  ``symmetric_group`` lists S_n by the tests themselves, so
-they hold the oracle to a group it did not enumerate.
+``Permutation``, a checked bijection of {1..n} in one-line image form, lives
+here with everything made of it, because only the tests make permutation
+objects: the closed form needs conjugacy classes, centralizer invariants and
+multiset coefficients, and the oracle works on plain image tuples.  So do
+``cycle_decomposition`` and ``cycle_type``, which read a permutation's
+cycles; ``canonical_representative``, u0 built as a ``Permutation`` from the
+runs that ``ramsys.perm`` lays u0's text out from; the products
+(``compose``, ``inverse``, ``conjugate``); and ``identity``, ``image`` and
+``cycle_count``.  ``all_ones``, r_C = 1 on every class of S_n, lives here
+because three test files use it.  ``symmetric_group`` lists S_n by the tests
+themselves, so they hold the oracle to a group it did not enumerate.
 
 ``ramsys.oracle`` works on image tuples end to end.  The tests hold it to
 explicit objects instead: frozensets of ``Permutation``s for centralizers,
 ``Character``s over a domain of ``Permutation``s, and ``act``, the
-relabelling action on one ``RSCPoint`` at a time.  ``centralizer`` and
-``character_basis`` are thin converters over the oracle's private tuple
-core.  ``commutator_subgroup`` and ``quotient_representatives`` are the
+relabelling action on one ``RSCPoint`` at a time.  ``centralizer``,
+``character_basis``, ``conjugacy_class`` and ``class_points`` are thin
+converters that wrap the oracle's tuples as these objects.
+``commutator_subgroup`` and ``quotient_representatives`` are the
 tests' own, by explicit products, so the character counts are held to a
 Z/Z' that the oracle did not compute.  ``act`` and ``fixed_point_count``
 move explicit points, one character at a time, and are the independent
@@ -28,18 +32,100 @@ carried, to products it did not make.
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from math import gcd, lcm
+from typing import Iterable
 
 import ramsys.oracle
-from ramsys.oracle import Character, RSCPoint, _centralizer, _padded, class_action, class_points
+from ramsys.oracle import _centralizer, class_action
 from ramsys.counting import Ramification
-from ramsys.perm import (
-    CycleType,
-    Permutation,
-    _trusted_permutation,
-    cycle_decomposition,
-    enumerate_cycle_types,
-)
+from ramsys.perm import CycleType, _canonical_runs, enumerate_cycle_types
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A bijection of {1..n}; ``images[i - 1]`` is the image of point ``i``."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.images)
+        if sorted(self.images) != list(range(1, n + 1)):
+            raise ValueError(f"images {self.images!r} are not a bijection of 1..{n}")
+
+    @classmethod
+    def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
+        """Build a permutation of {1..n} from disjoint cycles; omitted points stay fixed."""
+        images = list(range(1, n + 1))
+        seen: set[int] = set()
+        for cycle in cycles:
+            points = list(cycle)
+            if not points:
+                raise ValueError("cycles must be non-empty")
+            for point in points:
+                if not 1 <= point <= n:
+                    raise ValueError(f"point {point} outside 1..{n}")
+                if point in seen:
+                    raise ValueError(f"point {point} appears in two cycles")
+                seen.add(point)
+            for src, dst in zip(points, points[1:] + points[:1]):
+                images[src - 1] = dst
+        return cls(tuple(images))
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    def __str__(self) -> str:
+        """Cycle notation without fixed points, e.g. ``(1 2)(4 5)``; the
+        identity renders as ``()``."""
+        cycles = [c for c in cycle_decomposition(self) if len(c) > 1]
+        return "".join(["(" + " ".join(map(str, c)) + ")" for c in cycles]) or "()"
+
+
+def _trusted_permutation(images: tuple[int, ...]) -> Permutation:
+    """A Permutation built without __post_init__, for image tuples already
+    known to be bijections: products of permutations and the oracle's
+    tuples."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
+def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
+    """Disjoint cycles of p as point tuples, fixed points included as 1-cycles.
+
+    One pass over the images: cycles are ordered by smallest contained point
+    and start at it, so ``cycle[j]`` is the j-th forward image of its anchor.
+    """
+    images = p.images
+    seen = [False] * (len(images) + 1)
+    cycles = []
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        cycle = [start]
+        point = images[start - 1]
+        while point != start:
+            seen[point] = True
+            cycle.append(point)
+            point = images[point - 1]
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def cycle_type(p: Permutation) -> CycleType:
+    """The cycle lengths of p, counted over cycle_decomposition; the empty
+    permutation has none and raises ``ValueError``."""
+    return CycleType.from_parts(map(len, cycle_decomposition(p)))
+
+
+def canonical_representative(lam: CycleType) -> Permutation:
+    """The class's base point u0, its smallest member by image tuple, on all
+    n points, from the runs of equal cycles that ``ramsys.perm`` writes
+    u0's text from."""
+    cycles = (run[k : k + i] for i, run in _canonical_runs(lam) for k in range(0, len(run), i))
+    return Permutation.from_cycles(lam.n, cycles)
 
 
 def identity(n: int) -> Permutation:
@@ -150,6 +236,10 @@ def _permutation(x):
     return _trusted_permutation(x[1:])
 
 
+def _padded(p: Permutation) -> tuple[int, ...]:
+    return (0, *p.images)
+
+
 def centralizer(sigma: Permutation) -> frozenset[Permutation]:
     """{g : g·sigma = sigma·g}, by exhaustive commutation test."""
     return frozenset(map(_permutation, _centralizer(_padded(sigma))))
@@ -179,18 +269,60 @@ def quotient_representatives(H, derived):
     return {min((compose(h, d) for d in derived), key=lambda p: p.images) for h in H}
 
 
+@dataclass(frozen=True)
+class Character:
+    """A one-dimensional character in additive form: values are residues mod
+    ``modulus`` (the lcm of the orders of the generators the oracle's
+    ``_characters`` keeps for the domain), and χ(xy) = χ(x) + χ(y) with
+    χ(identity) = 0."""
+
+    modulus: int
+    domain: tuple[Permutation, ...]
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.domain) != len(self.values):
+            raise ValueError("domain and values differ in length")
+
+
+@dataclass(frozen=True)
+class RSCPoint:
+    """One per-class constituent of a ramification system: a base point u in
+    the class together with r characters of the centralizer of u."""
+
+    base_point: Permutation
+    characters: tuple[Character, ...]
+
+
 def character_basis(u: Permutation) -> tuple[Character, ...]:
-    """``ramsys.oracle.character_basis(u)`` as ``Character``s whose shared
-    domain is the sorted centralizer wrapped as ``Permutation``s."""
-    modulus, domain, tables = ramsys.oracle.character_basis(u)
+    """``ramsys.oracle.character_basis(u.images)`` as ``Character``s whose
+    shared domain is the sorted centralizer wrapped as ``Permutation``s."""
+    modulus, domain, tables = ramsys.oracle.character_basis(u.images)
     wrapped = tuple(map(_trusted_permutation, domain))
     return tuple([Character(modulus, wrapped, values) for values in tables])
 
 
 def conjugacy_class(lam: CycleType) -> tuple[Permutation, ...]:
     """All permutations of the given cycle type, sorted: the base points the
-    walk of ``class_action`` reaches."""
-    return class_action(lam).base_points
+    walk of ``class_action`` reaches, checked as ``Permutation``s."""
+    return tuple(map(Permutation, class_action(lam).base_points))
+
+
+def class_points(lam: CycleType, r: int) -> tuple[RSCPoint, ...]:
+    """``ramsys.oracle.class_points(lam, r)``, budget check included, as
+    ``RSCPoint``s in its position order: each point's value tables become
+    ``Character``s on its base point's domain in ``class_action(lam)``."""
+    points = ramsys.oracle.class_points(lam, r)
+    action = class_action(lam)
+    domains = {
+        u: tuple(map(_trusted_permutation, domain)) for u, domain in zip(action.base_points, action.domains)
+    }
+    return tuple(
+        [
+            RSCPoint(Permutation(u), tuple([Character(action.modulus, domains[u], values) for values in chars]))
+            for u, chars in points
+        ]
+    )
 
 
 def beta(g: Permutation, lam: CycleType) -> int:

@@ -21,15 +21,9 @@ from ramsys.counting import (
     enumerate_types,
 )
 from ramsys.oracle import oracle_count, orbit_count_class
-from ramsys.perm import (
-    CycleType,
-    Permutation,
-    centralizer_order,
-    cycle_decomposition,
-    cycle_type,
-    enumerate_cycle_types,
-)
+from ramsys.perm import CycleType, centralizer_order, enumerate_cycle_types
 from reference import (
+    Permutation,
     all_ones,
     beta,
     centralizer,
@@ -38,6 +32,8 @@ from reference import (
     compose,
     coset_order,
     cycle_count,
+    cycle_decomposition,
+    cycle_type,
     cyclic_product_order_histogram,
     fixed_point_count,
     image,

@@ -9,15 +9,15 @@ from ramsys.centralizer import abelianization_invariants, gamma
 from ramsys.cli import main
 from ramsys.perm import (
     CycleType,
-    Permutation,
     centralizer_order,
     class_size,
-    cycle_type,
     enumerate_cycle_types,
 )
 import reference
 from reference import (
+    Permutation,
     coset_order,
+    cycle_type,
     cyclic_product_order_histogram,
     parts,
     quotient_representatives,

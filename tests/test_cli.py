@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -846,13 +848,14 @@ class TestFreshProcess:
 
 
 class TestNoPermutation:
-    def test_closed_form_commands_build_none(self, capsys, monkeypatch):
-        # only the oracle needs u0 as a Permutation; the others write its text
-        def refused(*args):
-            raise AssertionError("a Permutation was built")
-
-        monkeypatch.setattr(ramsys.perm.Permutation, "__post_init__", refused)
-        monkeypatch.setattr(ramsys.perm, "_trusted_permutation", refused)
+    def test_closed_form_commands_build_none(self, capsys):
+        # no module of the library defines a permutation type or its helpers:
+        # the commands write u0 as text, and only the tests make permutations
+        names = {"Permutation", "_trusted_permutation", "canonical_representative", "cycle_type"}
+        for info in pkgutil.iter_modules(ramsys.__path__):
+            if info.name != "__main__":
+                module = importlib.import_module(f"ramsys.{info.name}")
+                assert not names & set(vars(module)), info.name
         for argv in (
             ["classes", "8"],
             ["count", "8", "--ramification", "all:2"],

@@ -11,8 +11,7 @@ from ramsys.combinat import (
     stirling_first,
     weak_compositions,
 )
-from ramsys.perm import Permutation
-from reference import cycle_count
+from reference import Permutation, cycle_count
 
 
 def falling_factorial_coefficients(n):

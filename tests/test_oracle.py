@@ -17,13 +17,10 @@ from ramsys.centralizer import abelianization_invariants, gamma
 from ramsys.counting import Ramification, enumerate_types
 from ramsys.oracle import (
     ORBIT_POINT_BUDGET,
-    Character,
     OracleBudgetError,
-    RSCPoint,
     _group,
     _partition,
     class_action,
-    class_points,
     index_moves,
     oracle_count,
     orbit_count_class,
@@ -33,25 +30,29 @@ from ramsys.oracle import (
 from ramsys.perm import (
     CycleType,
     InputError,
-    Permutation,
     UnsupportedGroupError,
-    canonical_representative,
+    canonical_cycle_pieces,
     centralizer_order,
     class_size,
-    cycle_type,
     enumerate_cycle_types,
 )
 from reference import (
+    Character,
+    Permutation,
+    RSCPoint,
     act,
     all_ones,
     beta,
+    canonical_representative,
     centralizer,
     character_basis,
+    class_points,
     commutator_subgroup,
     compose,
     conjugacy_class,
     conjugate,
     cycle_count,
+    cycle_type,
     cyclic_product_order_histogram,
     fixed_point_count,
     identity,
@@ -174,28 +175,22 @@ class TestSymmetricGroup:
     @pytest.mark.parametrize("text", ["2^1 4^1", "1^7"])
     def test_out_of_scale_input_is_refused_before_enumeration(self, monkeypatch, text):
         # every path to n!-sized work meets the scale check before the first
-        # element of S_n is listed and before any permutation is made
+        # element of S_n is listed
         made = []
         true_permutations = itertools.permutations
-        true_trusted = ramsys.oracle._trusted_permutation
 
         def counting_permutations(*args):
             for images in true_permutations(*args):
                 made.append(images)
                 yield images
 
-        def counting_trusted(images):
-            made.append(images)
-            return true_trusted(images)
-
         lam = CycleType.parse(text)
         u = canonical_representative(lam)
         class_action.cache_clear()
         monkeypatch.setattr(itertools, "permutations", counting_permutations)
-        monkeypatch.setattr(ramsys.oracle, "_trusted_permutation", counting_trusted)
-        for call in (centralizer, ramsys.oracle.character_basis):
+        for call, arg in ((centralizer, u), (ramsys.oracle.character_basis, u.images)):
             with pytest.raises(UnsupportedGroupError, match=f"got n = {lam.n}"):
-                call(u)
+                call(arg)
         for call in (class_action, lambda lam: support_orbit_count([lam])):
             with pytest.raises(UnsupportedGroupError, match=f"got n = {lam.n}"):
                 call(lam)
@@ -276,32 +271,16 @@ class TestDualCharacters:
             assert len(characters) == gamma(cycle_type(sigma))
             assert len(set(characters)) == len(characters)
 
-    def test_character_basis_makes_no_permutations(self, monkeypatch):
-        # the group work and the result stay image tuples: at the canonical
-        # representative of every class of S_1..S_5 the library's basis makes
-        # no permutation, counted through both names of the trusted builder
-        # and the validating constructor, and its domain is all of Z_u
-        made = []
-        true_trusted = ramsys.perm._trusted_permutation
-        true_check = Permutation.__post_init__
-
-        def counting(images):
-            made.append(images)
-            return true_trusted(images)
-
-        def counting_check(p):
-            made.append(p.images)
-            true_check(p)
-
-        monkeypatch.setattr(ramsys.perm, "_trusted_permutation", counting)
-        monkeypatch.setattr(ramsys.oracle, "_trusted_permutation", counting)
-        monkeypatch.setattr(Permutation, "__post_init__", counting_check)
+    def test_character_basis_makes_no_permutations(self):
+        # the library defines no permutation type, and its basis is tuple
+        # data: at u0 of every class of S_1..S_5, image tuples for the
+        # domain, which is all of Z_u, and one value tuple per character
         for n in range(1, 6):
             for lam in enumerate_cycle_types(n):
-                u = canonical_representative(lam)
-                made.clear()
-                modulus, domain, tables = ramsys.oracle.character_basis(u)
-                assert made == []
+                modulus, domain, tables = ramsys.oracle.character_basis(canonical_representative(lam).images)
+                assert type(modulus) is int
+                assert all(type(h) is tuple and sorted(h) == list(range(1, n + 1)) for h in domain)
+                assert all(type(values) is tuple for values in tables)
                 assert len(domain) == centralizer_order(lam)
                 assert domain == tuple(sorted(domain))
                 assert len(tables) == len(set(tables))
@@ -356,7 +335,7 @@ class TestDualCharacters:
         # each order as the product of cyclic groups the closed form predicts
         for n in range(1, 6):
             for sigma in symmetric_group(n):
-                modulus, _, tables = ramsys.oracle.character_basis(sigma)
+                modulus, _, tables = ramsys.oracle.character_basis(sigma.images)
                 Z = centralizer(sigma)
                 assert len(tables) == len(Z) // len(commutator_subgroup(Z))
                 orders = Counter(modulus // gcd(modulus, *values) for values in tables)
@@ -426,9 +405,9 @@ class TestClassAction:
         for n in range(1, 6):
             for lam in enumerate_cycle_types(n):
                 action = class_action(lam)
-                members = (p for p in symmetric_group(n) if cycle_type(p) == lam)
-                assert action.base_points == tuple(sorted(members, key=lambda p: p.images))
-                bases = {u: [] for u in action.base_points}
+                members = (p.images for p in symmetric_group(n) if cycle_type(p) == lam)
+                assert action.base_points == tuple(sorted(members))
+                bases = {Permutation(u): [] for u in action.base_points}
                 for point in class_points(lam, 1):
                     bases[point.base_point].append(point.characters[0])
                 for u, basis in bases.items():
@@ -436,28 +415,41 @@ class TestClassAction:
                     assert len(set(basis)) == len(basis)
                     assert set(basis) == set(character_basis(u))
 
-    def test_walk_makes_permutations_only_for_new_base_points(self, monkeypatch):
-        # the carried groups stay image tuples from character_basis on: a cold
-        # walk over every class of S_1..S_5 makes one permutation per base
-        # point it newly reaches, |C| - 1 in all, counted through both names
-        # of the trusted builder
-        made = []
-        true_trusted = ramsys.perm._trusted_permutation
-
-        def counting(images):
-            made.append(images)
-            return true_trusted(images)
-
-        monkeypatch.setattr(ramsys.perm, "_trusted_permutation", counting)
-        monkeypatch.setattr(ramsys.oracle, "_trusted_permutation", counting)
+    def test_walk_keeps_base_points_and_groups_as_image_tuples(self):
+        # a cold walk over every class of S_1..S_5 keeps its base points in
+        # the format of the carried domains, plain image tuples of 1..n,
+        # and base point 0's domain is the one character_basis found there
         for n in range(1, 6):
+            class_action.cache_clear()
             for lam in enumerate_cycle_types(n):
-                for value in vars(ramsys.oracle).values():
-                    if hasattr(value, "cache_clear"):
-                        value.cache_clear()
-                made.clear()
-                class_action(lam)
-                assert len(made) <= class_size(lam) - 1
+                action = class_action(lam)
+                for u, domain in zip(action.base_points, action.domains):
+                    for x in (u, *domain):
+                        assert type(x) is tuple and sorted(x) == list(range(1, n + 1))
+                assert action.domains[0] == ramsys.oracle.character_basis(action.base_points[0])[1]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_u0_text_is_the_oracle_base_point_zero(self, n):
+        # two layouts of u0 hold each other: the reps header's text, from
+        # perm's runs, is the cycle notation of the oracle's own u0, and
+        # that u0 is the smallest member of its class of S_n
+        smallest = {}
+        for p in symmetric_group(n):
+            smallest.setdefault(cycle_type(p), p)
+        for lam in enumerate_cycle_types(n):
+            u0 = class_action(lam).base_points[0]
+            assert "".join(canonical_cycle_pieces(lam)) == str(Permutation(u0))
+            assert u0 == smallest[lam].images
+
+    def test_u0_out_of_the_class_is_caught(self, monkeypatch):
+        # u0 is checked like every base point the walk reaches: a layout
+        # that gives a 3-cycle for the class of transpositions fails
+        lam = CycleType.parse("1^1 2^1")
+        class_action.cache_clear()
+        monkeypatch.setattr(ramsys.oracle, "_u0", lambda lam: (2, 3, 1))
+        with pytest.raises(AssertionError, match=r"u0 = \(1 2 3\) is out of the class 1\^1 2\^1"):
+            class_action(lam)
+        class_action.cache_clear()
 
     def test_walk_conjugates_by_two_generators(self, monkeypatch):
         # a cold walk over every class of S_1..S_5 has one map per generator,
@@ -544,16 +536,16 @@ class TestClassAction:
             class_action(lam)
 
     def test_class_is_found_without_scanning_the_group(self, monkeypatch):
-        # one cycle type test per base point the walk reaches, not one per
-        # element of S_n
+        # one cycle reading per base point the walk reaches, u0 included,
+        # not one per element of S_n
         calls = []
-        true_cycle_type = ramsys.oracle.cycle_type
+        true_cycles = ramsys.oracle._cycles
 
         def counting(p):
             calls.append(p)
-            return true_cycle_type(p)
+            return true_cycles(p)
 
-        monkeypatch.setattr(ramsys.oracle, "cycle_type", counting)
+        monkeypatch.setattr(ramsys.oracle, "_cycles", counting)
         for lam in enumerate_cycle_types(5):
             for value in vars(ramsys.oracle).values():
                 if hasattr(value, "cache_clear"):
@@ -659,7 +651,7 @@ class TestOrbitCounts:
         recorded = {case: orbit_count_class(*case) for case in cases}
 
         def refuse(lam, r):
-            raise AssertionError("the orbit count built RSCPoints")
+            raise AssertionError("the orbit count built points")
 
         orbit_partition_class.cache_clear()
         monkeypatch.setattr(ramsys.oracle, "class_points", refuse)
@@ -972,6 +964,8 @@ class TestIndependenceFromTheClosedForm:
             assert orbit_count_class(*case) == recorded[case]
 
     def test_oracle_imports_only_perm_from_the_package(self):
+        # exactly the class type and the two error classes: no closed-form
+        # name, and no permutation helper either, since u0 is laid out here
         tree = ast.parse(Path(ramsys.oracle.__file__).read_text(encoding="utf-8"))
         imported = []
         for node in ast.walk(tree):
@@ -980,7 +974,7 @@ class TestIndependenceFromTheClosedForm:
             elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ramsys")):
                 assert (node.level, node.module) in [(1, "perm"), (0, "ramsys.perm")]
                 imported += [alias.name for alias in node.names]
-        assert imported
+        assert sorted(imported) == ["CycleType", "InputError", "UnsupportedGroupError"]
         assert not set(imported) & set(self.CLOSED_FORM)
 
 

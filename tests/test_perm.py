@@ -12,20 +12,20 @@ from ramsys.perm import (
     MAX_CLASS_LIST_N,
     ClassListTooLargeError,
     CycleType,
-    Permutation,
     canonical_cycle_pieces,
-    canonical_representative,
     centralizer_order,
     class_size,
-    cycle_decomposition,
-    cycle_type,
     enumerate_cycle_types,
     walk_cycle_types,
 )
 from reference import (
+    Permutation,
+    canonical_representative,
     compose,
     conjugate,
     cycle_count,
+    cycle_decomposition,
+    cycle_type,
     identity,
     image,
     inverse,
@@ -463,8 +463,8 @@ class TestCanonicalRepresentative:
                 assert cycle_type(canonical_representative(lam)) == lam
 
     def test_is_the_smallest_member_of_its_class(self):
-        # the oracle walks each class from here and keeps it as base point 0
-        # of the sorted class, which pins the character numbering
+        # the runs that the reps header writes u0's text from lay out the
+        # smallest member of the class, which the oracle keeps as base point 0
         for n in range(1, 8):
             smallest = {}
             for images in itertools.permutations(range(1, n + 1)):
@@ -481,7 +481,7 @@ def canonical_cycle_string(lam):
 
 class TestCanonicalCycleString:
     def test_matches_the_built_representative(self):
-        # the built u0, which the oracle needs as a Permutation, is the reference
+        # u0 built as a Permutation from the same runs is the reference
         classes = [lam for n in range(1, 15) for lam in enumerate_cycle_types(n)]
         assert len(classes) == 507
         for lam in classes:
