@@ -20,8 +20,8 @@ from .counting import (
     parse_ramification,
 )
 from .perm import (
-    CycleType,
     InputError,
+    _trusted_cycle_type,
     canonical_cycle_pieces,
     centralizer_order,
     enumerate_cycle_types,
@@ -58,15 +58,17 @@ def _class_walk(n: int, centralizers: bool = False) -> Iterator[tuple[str, int, 
     """Each class of S_n in canonical order as (type text, γ, z_λ, factor
     text), for `classes` and for `count` on an `all` spec.  z_λ and the
     factor text are worked out only when ``centralizers`` is set; else they
-    read 1 and "".
+    read 1 and "" (carrying them always made the benchmark's count-sweep
+    8-10% slower at the median).
 
     The centralizer is a direct product over the cycle lengths present, so
     γ and z_λ multiply and the texts concatenate pair by pair, each pair's
-    part computed once, from a CycleType of that pair alone.  A class keeps
-    the first `kept` pairs of the one before it: prefix[k] holds the values
-    of its first k pairs, and only the pairs after `kept` are pushed.  Both
-    texts run shortest cycle first, so a pair's text goes in front, with a
-    trailing separator that the yield drops."""
+    part computed once, from an unchecked CycleType of that pair alone:
+    Algorithm P makes only valid pairs.  A class keeps the first `kept`
+    pairs of the one before it: prefix[k] holds the values of its first k
+    pairs, and only the pairs after `kept` are pushed.  Both texts run
+    shortest cycle first, so a pair's text goes in front, with a trailing
+    separator that the yield drops."""
     prefix = [("", 1, 1, "")]
     of_pair: dict[tuple[int, int], tuple[str, int, int, str]] = {}
     for kept, pairs in walk_cycle_types(n):
@@ -75,7 +77,7 @@ def _class_walk(n: int, centralizers: bool = False) -> Iterator[tuple[str, int, 
         for pair in pairs[kept:]:
             part = of_pair.get(pair)
             if part is None:
-                lam = CycleType(pair[0] * pair[1], (pair,))
+                lam = _trusted_cycle_type(pair[0] * pair[1], (pair,))
                 invariants = abelianization_invariants(lam)
                 part = (f"{lam} ", prod(invariants), 1, "")
                 if centralizers:
@@ -87,11 +89,10 @@ def _class_walk(n: int, centralizers: bool = False) -> Iterator[tuple[str, int, 
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
+    rows = list(_class_walk(args.n, centralizers=True))  # refuses a long list before n!
     n_factorial = factorial(args.n)
-    rows = [
-        (text, str(n_factorial // z), str(z), str(g), factor_text or "1")
-        for text, g, z, factor_text in _class_walk(args.n, centralizers=True)
-    ]
+    for i, (text, g, z, factor_text) in enumerate(rows):  # in place, so one list is held
+        rows[i] = (text, str(n_factorial // z), str(z), str(g), factor_text or "1")
     _print_table(("type", "size", "centralizer", "gamma", "factors"), rows)
     return 0
 
@@ -178,7 +179,8 @@ def cmd_reps(args: argparse.Namespace) -> int:
     pieces.append("\n")
     sys.stdout.write("".join(pieces))
     print(f"# count = {decimal_string(_count_and_factors(shapes)[0])}")
-    for type_vector in itertools.islice(enumerate_types(ram), args.limit):
+    limit = args.limit if args.limit is None else min(args.limit, sys.maxsize)  # islice refuses more
+    for type_vector in itertools.islice(enumerate_types(ram), limit):
         sys.stdout.write(f"{type_vector}\n")
     return 0
 
@@ -262,6 +264,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

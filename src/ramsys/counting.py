@@ -188,10 +188,11 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     to its right restarts.  A (re)started class before the last holds its
     shape's first composition, (r_C, 0, ..., 0), whose text is made once per
     shape, and makes its cursor only when it first advances, so the first
-    vector draws one composition, the last class's.  Vectors are built
-    without re-checking the compositions just generated.
+    vector draws one composition, the last class's (drawing it at each
+    restart took S_20 all:1's first vector from 2.4 to 11.4 ms in-process).
+    Vectors are built without re-checking the compositions just generated.
 
-    A restart replays.  Each distinct shape (r_C, γ_C) of a class that can
+    A restart replays.  Each distinct shape (γ_C, r_C) of a class that can
     restart (any but the first) gets one itertools.tee over its stream of
     (composition, text) pairs.  That tee is never advanced, and every cursor
     of the shape is a copy of it, which reads the pairs from the start: the
@@ -214,25 +215,24 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
         yield RSCTypeVector(())
         return
     entries = ram.entries
-    shapes = [(mult, gamma(lam)) for lam, mult in entries]
+    shapes = [(gamma(lam), mult) for lam, mult in entries]
     replays: dict[tuple[int, int], Iterator] = {}
     room = _REPLAY_PARTS
-    for r, g in dict.fromkeys(shapes[:0:-1]):  # distinct shapes, the last class's first
+    for g, r in dict.fromkeys(shapes[:0:-1]):  # distinct shapes, the last class's first
         # C(g + r - 1, r) is at least r and at least g once g >= 2, so the first
         # test keeps a huge shape's arguments away from multiset_coefficient
         if max(r, g) * g <= room:
             length = multiset_coefficient(g, r)
             if length * g <= room:
-                pairs = ((c, _format_composition(c)) for c in weak_compositions(r, g))
-                replays[r, g] = tee(pairs, 1)[0]
+                replays[g, r] = tee(_cursor((g, r), {}), 1)[0]
                 room -= length * g
     # the first composition, (r_C, 0, ..., 0), and its text of each shape
     # before the last class: what a class holds until it first advances,
     # when its cursor is made
     firsts = {}
-    for r, g in dict.fromkeys(shapes[:-1]):
+    for g, r in dict.fromkeys(shapes[:-1]):
         first = (r,) + (0,) * (g - 1)
-        firsts[r, g] = (first, _format_composition(first))
+        firsts[g, r] = (first, _format_composition(first))
     new, last = object.__new__, len(shapes) - 1
     cursors, current, texts = [None] * last, [None] * last, [""] * last
     start = 0  # the classes from start to last - 1 (re)start
@@ -262,11 +262,11 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
 
 def _cursor(shape: tuple[int, int], replays: dict) -> Iterator[tuple[tuple[int, ...], str]]:
     """A class's (composition, text) pairs from its first composition on: a
-    copy of its shape's replay tee, or else a stream of its own."""
+    copy of the replay tee of its shape (γ, r), or else a stream of its own."""
     replay = replays.get(shape)
     if replay is not None:
         return replay.__copy__()
-    return ((c, _format_composition(c)) for c in weak_compositions(*shape))
+    return ((c, _format_composition(c)) for c in weak_compositions(shape[1], shape[0]))
 
 
 def parse_ramification(text: str, n: int) -> Ramification:

@@ -38,7 +38,11 @@ class Mutant(NamedTuple):
 
 
 ORACLE = "src/ramsys/oracle.py"
+COUNTING = "src/ramsys/counting.py"
+CLI = "src/ramsys/cli.py"
 TEST_ORACLE = "tests/test_oracle.py"
+TEST_COUNTING = "tests/test_counting.py"
+TEST_CLI = "tests/test_cli.py"
 
 MUTANTS = (
     Mutant(
@@ -96,6 +100,63 @@ MUTANTS = (
         "from .perm import CycleType, InputError, UnsupportedGroupError\n",
         "from .centralizer import gamma\nfrom .perm import CycleType, InputError, UnsupportedGroupError\n",
         (f"{TEST_ORACLE}::TestIndependenceFromTheClosedForm",),
+    ),
+    Mutant(
+        "count's class walk carries z_λ and the factor text",
+        CLI,
+        "                if centralizers:\n",
+        "                if True:\n",
+        (f"{TEST_CLI}::TestCount::test_all_r_takes_no_centralizer_order",),
+    ),
+    Mutant(
+        "a restarted class draws its first composition from a new cursor",
+        COUNTING,
+        "            cursors[k] = None\n            composition, texts[k] = firsts[shapes[k]]\n",
+        "            cursors[k] = _cursor(shapes[k], replays)\n"
+        "            composition, texts[k] = next(cursors[k])\n",
+        (f"{TEST_COUNTING}::TestEnumerateTypes::test_prefix_work_is_bounded",),
+    ),
+    Mutant(
+        "γ takes C_2 only from three equal cycles on",
+        "src/ramsys/centralizer.py",
+        "        if m > 1:\n",
+        "        if m > 2:\n",
+        ("tests/test_centralizer.py::TestAbelianization::test_examples",),
+    ),
+    Mutant(
+        "the product tree's pairwise round drops every second product",
+        COUNTING,
+        "        products = [prod(products[i : i + 2]) for i in range(0, len(products), 2)]\n",
+        "        products = [prod(products[i : i + 1]) for i in range(0, len(products), 2)]\n",
+        (f"{TEST_COUNTING}::TestCountRsc::test_balanced_product_matches_stirling_at_mid_size",),
+    ),
+    Mutant(
+        "the digit bound takes min(r, γ) for min(r, γ - 1)",
+        COUNTING,
+        "(r if r < g else g - 1) * log10",
+        "(r if r < g else g) * log10",
+        (f"{TEST_COUNTING}::TestPrintableGammas::test_bound_is_exact_at_gamma_2",),
+    ),
+    Mutant(
+        "decimal_string drops the leading zeros of a low piece",
+        COUNTING,
+        "low_text.zfill(_CHUNK_DIGITS << k)",
+        "low_text",
+        (f"{TEST_COUNTING}::TestDecimalString::test_round_trips_past_the_limit",),
+    ),
+    Mutant(
+        "the odometer leaves the class after the advanced one unrestarted",
+        COUNTING,
+        "        start = k + 1\n",
+        "        start = k + 2\n",
+        (f"{TEST_COUNTING}::TestEnumerateTypes::test_no_duplicates",),
+    ),
+    Mutant(
+        "Algorithm P drops the remainder cycle",
+        "src/ramsys/perm.py",
+        "        if remainder:\n",
+        "        if False:\n",
+        ("tests/test_perm.py::TestEnumerateCycleTypes::test_matches_recursive_reference",),
     ),
 )
 

@@ -79,12 +79,33 @@ class TestClasses:
             main(["classes", "0"])
         assert info.value.code == 2
 
+    def test_oversized_n_is_refused_before_n_factorial(self, capsys, monkeypatch):
+        # n! of n = 10^6 alone took seconds; the walk's class-list bound comes first
+        def refused(n):
+            assert n <= ramsys.perm.MAX_CLASS_LIST_N, f"took {n}! past the class-list bound"
+            return factorial(n)
+
+        monkeypatch.setattr(ramsys.cli, "factorial", refused)
+        code, out, err = run(capsys, "classes", "1000000000")
+        assert code == 2 and out == ""
+        assert err == "error: S_1000000000 has too many classes to list (n <= 45)\n"
+
 
 class TestCount:
     def test_s5_all_ones(self, capsys):
         code, out, _ = run(capsys, "count", "5", "--ramification", "all:1")
         assert code == 0
         assert out.strip().endswith("count = 23040")
+
+    def test_all_r_takes_no_centralizer_order(self, capsys, monkeypatch):
+        # count's class walk leaves z_λ out; carrying it measured 8-10% slower
+        def refused(lam):
+            raise AssertionError(f"took the centralizer order of {lam}")
+
+        monkeypatch.setattr(ramsys.cli, "centralizer_order", refused)
+        for fmt in ("table", "json"):
+            code, out, err = run(capsys, "count", "12", "--ramification", "all:1", "--format", fmt)
+            assert code == 0 and err == "" and out
 
     def test_identity_class_squared(self, capsys):
         code, out, _ = run(capsys, "count", "3", "--ramification", "1^3:2")
@@ -256,6 +277,14 @@ class TestReps:
         with pytest.raises(SystemExit) as info:
             main(["reps", "3", "--ramification", "all:1", "--limit", "-1"])
         assert info.value.code == 2
+
+    def test_limit_past_sys_maxsize_is_every_line(self, capsys):
+        # islice refuses a limit past sys.maxsize; no stream reaches it
+        expected = run(capsys, "reps", "3", "--ramification", "all:1")
+        limit = "99999999999999999999"
+        assert int(limit) > sys.maxsize
+        assert run(capsys, "reps", "3", "--ramification", "all:1", "--limit", limit) == expected
+        assert expected[0] == 0 and expected[2] == ""
 
     def test_limit_does_bounded_work_on_many_classes(self, capsys):
         # S_22 has 1,002 classes; only the two vectors asked for are built
@@ -872,13 +901,24 @@ class TestNoClassBuilt:
         # distinct (length, multiplicity) pair and none per class
         calls = []
         trusted = ramsys.perm._trusted_cycle_type
+        expected = sorted({(pair,) for lam in enumerate_cycle_types(20) for pair in lam.cycles})
 
         def counted(n, cycles):
             calls.append(cycles)
             return trusted(n, cycles)
 
         monkeypatch.setattr(ramsys.perm, "_trusted_cycle_type", counted)
+        # the walk's own CycleTypes, one per distinct pair, built unchecked
+        pairs = []
+
+        def per_pair(n, cycles):
+            pairs.append(cycles)
+            return trusted(n, cycles)
+
+        monkeypatch.setattr(ramsys.cli, "_trusted_cycle_type", per_pair)
         for fmt in ("table", "json"):
+            pairs.clear()
             code, out, err = run(capsys, "count", "20", "--ramification", "all:1", "--format", fmt)
             assert code == 0 and err == "" and out
+            assert sorted(pairs) == expected
         assert calls == []

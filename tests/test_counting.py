@@ -264,8 +264,10 @@ class TestEnumerateTypes:
         assert lines > 2000
 
     def test_prefix_work_is_bounded(self, monkeypatch):
-        # drawing k vectors costs one composition per class for the first and
-        # fewer than two for each further one, not the full per-class lists
+        # the first vector draws one composition, the last class's: the
+        # classes before it hold their shape's first composition without a
+        # cursor (drawing it at each restart drew 410 here); each further
+        # vector draws at most two.  At S_20 all:1 k = 1, 2, 7, 64 draw 1, 2, 6, 14
         import ramsys.counting
 
         drawn = 0
@@ -278,12 +280,11 @@ class TestEnumerateTypes:
 
         monkeypatch.setattr(ramsys.counting, "weak_compositions", counting_compositions)
         ram = all_ones(20)
-        support = len(ram.entries)
         for k in (1, 2, 7, 64):
             drawn = 0
             vectors = list(itertools.islice(enumerate_types(ram), k))
             assert len(vectors) == k
-            assert drawn <= support + 2 * k
+            assert drawn <= 1 + 2 * (k - 1)
 
     @staticmethod
     def count_draws(monkeypatch):
@@ -577,6 +578,12 @@ class TestPrintableGammas:
             monkeypatch.setattr(ramsys.counting, "MAX_COUNT_DIGITS", len(str(count_rsc(ram))))
             report = count_report(ram)
             assert [entry["gamma"] for entry in report["ramification"]] == [gamma(lam) for lam, _ in ram.entries]
+
+    def test_bound_is_exact_at_gamma_2(self, monkeypatch):
+        # C(2 + r - 1, r) = r + 1 = (2 + r - 1)^min(r, 2 - 1), on 1^n's γ = 2
+        for r in (1, 9, 10, 99, 12_345):
+            monkeypatch.setattr(ramsys.counting, "MAX_COUNT_DIGITS", len(str(r + 1)))
+            assert count_report(parse_ramification(f"1^5:{r}", 5))["count"] == str(r + 1)
 
     def test_s45_all2_is_printable_and_all3_is_not(self, monkeypatch):
         # bounded by 668,340 and 1,002,599 digits; the count past the bound,
