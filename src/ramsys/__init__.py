@@ -3,18 +3,12 @@ systems with characters over symmetric groups S_n (n ≠ 6), with a
 brute-force verification engine for small n."""
 
 from .centralizer import abelianization_invariants, gamma
-from .combinat import (
-    multiset_coefficient,
-    stirling_first,
-    weak_compositions,
-)
+from .combinat import multiset_coefficient, weak_compositions
 from .counting import (
     Ramification,
     RamificationParseError,
     RSCTypeVector,
-    count_report,
     count_rsc,
-    count_rsc_stirling,
     decimal_string,
     enumerate_types,
     parse_ramification,
@@ -26,7 +20,6 @@ from .perm import (
     InputError,
     UnsupportedGroupError,
     centralizer_order,
-    class_size,
     enumerate_cycle_types,
 )
 
@@ -41,16 +34,12 @@ __all__ = [
     "UnsupportedGroupError",
     "abelianization_invariants",
     "centralizer_order",
-    "class_size",
-    "count_report",
     "count_rsc",
-    "count_rsc_stirling",
     "decimal_string",
     "enumerate_cycle_types",
     "enumerate_types",
     "gamma",
     "multiset_coefficient",
     "parse_ramification",
-    "stirling_first",
     "weak_compositions",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from math import factorial, prod
 from typing import Iterator, Sequence
@@ -258,9 +259,16 @@ _PARSER = _build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # in the try: a closed pipe may first show here
+        return code
     except InputError as exc:
         # input errors exit 2; an internal failure keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): the exit-time flush goes to
+        # devnull, and the status is a shell's for a writer killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 

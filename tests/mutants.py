@@ -158,6 +158,20 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_perm.py::TestEnumerateCycleTypes::test_matches_recursive_reference",),
     ),
+    Mutant(
+        "main lets a closed pipe's BrokenPipeError through",
+        CLI,
+        "    except BrokenPipeError:\n",
+        "    except ():\n",
+        (f"{TEST_CLI}::TestFreshProcess::test_closed_pipe_ends_the_run_quietly",),
+    ),
+    Mutant(
+        "class_size re-exported from the package",
+        "src/ramsys/__init__.py",
+        "    enumerate_cycle_types,\n)\n\n__all__ = [\n",
+        "    class_size,\n    enumerate_cycle_types,\n)\n\n__all__ = [\n    \"class_size\",\n",
+        ("tests/test_public_api.py::test_every_exported_name_is_read_by_the_library",),
+    ),
 )
 
 

@@ -774,6 +774,24 @@ class TestFreshProcess:
         assert result.stderr == "False\n"
         assert '"class": "1^1 2^1"' in result.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ("reps", "10", "--ramification", "all:2"),
+        ("classes", "40"),
+    ], ids=["reps", "classes"])
+    def test_closed_pipe_ends_the_run_quietly(self, argv):
+        # `ramsys ... | head -1`: the reader takes one line and leaves while
+        # more than a pipe's worth is still to come; the run stops with a
+        # shell's SIGPIPE status, 141, and no traceback
+        with subprocess.Popen(
+            [sys.executable, "-m", "ramsys", *argv], env=checkout_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as process:
+            assert process.stdout.readline()
+            process.stdout.close()
+            err = process.stderr.read()
+        assert process.returncode == 141
+        assert err == b""
+
     def test_verify_range_exits_2(self):
         result = fresh_python("-m", "ramsys", "verify", "6")
         assert result.returncode == 2
