@@ -1,21 +1,19 @@
-"""Exact integer combinatorics, as pure functions: Stirling numbers (rows
-memoized by ``functools.lru_cache``), multiset coefficients, weak compositions."""
+"""Exact integer combinatorics, as pure functions: Stirling numbers (each
+row built by a loop, not memoized), multiset coefficients, weak compositions."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import Iterator
 
 
-@lru_cache(maxsize=None)
-def _stirling_row(n: int) -> tuple[int, ...]:
+def _stirling_row(n: int) -> list[int]:
     """s(n, k) for k = 0..n through s(m+1, k) = s(m, k-1) + m·s(m, k), by a
     loop, so there is no recursion limit."""
     row = [1]  # s(0, 0)
     for m in range(n):
         row = [0] + [row[k - 1] + m * row[k] for k in range(1, m + 1)] + [1]
-    return tuple(row)
+    return row
 
 
 def stirling_first(n: int, k: int) -> int:

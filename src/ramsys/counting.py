@@ -17,7 +17,7 @@ from math import factorial, log10, prod
 from typing import Iterable, Iterator, Sequence
 
 from .centralizer import gamma
-from .combinat import multiset_coefficient, stirling_first, weak_compositions
+from .combinat import _stirling_row, multiset_coefficient, weak_compositions
 from .perm import CycleType, InputError, UnsupportedGroupError, enumerate_cycle_types
 
 
@@ -152,8 +152,8 @@ def count_rsc_stirling(ram: Ramification) -> int:
     ensure_countable(ram.n)
     total = 1
     for lam, mult in ram.entries:
-        g = gamma(lam)
-        acc = sum(stirling_first(mult, k) * g**k for k in range(1, mult + 1))
+        g, row = gamma(lam), _stirling_row(mult)
+        acc = sum(row[k] * g**k for k in range(1, mult + 1))
         quotient, remainder = divmod(acc, factorial(mult))
         if remainder:
             raise ArithmeticError(

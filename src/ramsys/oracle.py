@@ -20,22 +20,18 @@ observed, never assumed: that moving a character around a loop of
 conjugations brings it back to itself is what the closed form relies on.
 The test suite holds the maps to ``act`` in ``tests/reference.py``, which
 moves one point at a time on explicit objects; the frozenset views of the
-group work live there too.  ``support_orbit_count`` counts the orbits of S_n
-on a support's tuples of class members under simultaneous conjugation, by
-Burnside's lemma over the centralizers the walk carried.  Nothing here uses
-the closed form: the package gives it only ``CycleType`` and the two error
-classes, and the point budget is the oracle's own class size times its own
-basis size to the r, so agreement between the two paths is evidence, not
-circularity.
+group work live there too.  Nothing here uses the closed form: the package
+gives it only ``CycleType`` and the two error classes, and the point budget
+is the oracle's own class size times its own basis size to the r, so
+agreement between the two paths is evidence, not circularity.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import lcm, prod
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -381,21 +377,3 @@ def oracle_count(ram) -> int:
     _ensure_scale(ram.n)
     return prod(orbit_count_class(lam, mult) for lam, mult in ram.entries)
 
-
-def support_orbit_count(classes: Sequence[CycleType]) -> int:
-    """ω(supp) = (1/n!) Σ_{g ∈ S_n} Π_{C ∈ supp} β(g, C): by Burnside's lemma,
-    the number of orbits of S_n on the tuples (one member of each class)
-    under simultaneous conjugation.  β(g, C) = |Z_g ∩ C| counts the members
-    v of C with g in Z_v, read off the centralizers ``class_action`` carried,
-    so no commutation test is made; a sum that n! does not divide raises
-    ``AssertionError``."""
-    sizes = {lam.n for lam in classes}
-    if len(sizes) != 1:
-        raise ValueError(f"a support is one or more classes of one S_n, got sizes {sorted(sizes)}")
-    betas = [Counter(itertools.chain.from_iterable(class_action(lam).domains)) for lam in classes]
-    total = sum(prod(beta[g] for beta in betas) for g in betas[0])
-    order = factorial(sizes.pop())
-    orbits, remainder = divmod(total, order)
-    if remainder:
-        raise AssertionError(f"the fixed-point sum {total} is not divisible by |S_n| = {order}")
-    return orbits

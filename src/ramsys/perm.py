@@ -201,34 +201,30 @@ def enumerate_cycle_types(n: int) -> list[CycleType]:
     return [_trusted_cycle_type(n, pairs) for _, pairs in walk_cycle_types(n)]
 
 
-def _canonical_runs(lam: CycleType) -> Iterator[tuple[int, range]]:
-    """Each run of equal cycles of lam's base point u0 longer than 1, as
-    (cycle length, points): cycles of ascending length on consecutive points
-    from 1, each mapping p to p+1 cyclically.  The fixed points come first
-    and are skipped in one step."""
-    first = 1
-    for length, mult in reversed(lam.cycles):
-        if length > 1:
-            yield length, range(first, first + length * mult)
-        first += length * mult
-
-
 _TEXT_BATCH = 4096
 
 
 def canonical_cycle_pieces(lam: CycleType) -> Iterator[str]:
     """The cycle notation of lam's base point u0, its smallest member by
     image tuple, at the cost of its text, as a stream of pieces whose join
-    is that text.  Each piece holds at most _TEXT_BATCH points: whole short
-    cycles by one %-template, or a slice of a longer cycle after its "(" or
-    a space, that cycle's ")" its own piece.
+    is that text.  u0 has cycles of ascending length on consecutive points
+    from 1, each mapping p to p+1 cyclically, so each run of equal cycles is
+    a range of points; the fixed points come first and are skipped in one
+    step.  Each piece holds at most _TEXT_BATCH points: whole short cycles
+    by one %-template, or a slice of a longer cycle after its "(" or a
+    space, that cycle's ")" its own piece.
     So a text of millions of points is never held as a str per point, nor
     whole: the `reps` header, which writes the pieces as they come, peaks
     at 17 MB of RSS for u0 of [4194304], a 32 MB text (subprocess, 2-core
     Xeon VM)."""
     if lam.cycles[0][0] == 1:  # only fixed points
         yield "()"
-    for length, run in _canonical_runs(lam):
+    first = 1
+    for length, mult in reversed(lam.cycles):
+        run = range(first, first + length * mult)
+        first = run.stop
+        if length == 1:
+            continue
         if length > _TEXT_BATCH:
             for cycle in (run[k : k + length] for k in range(0, len(run), length)):
                 for j in range(0, length, _TEXT_BATCH):

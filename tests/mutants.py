@@ -6,13 +6,14 @@ ids that must fail once the edit is made.  Run from anywhere, stdlib only:
     python tests/mutants.py
 
 First the named tests run once on an unedited copy, where they must pass.
-Then, per entry, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
-temporary directory, the old text, which must occur exactly once, is
-replaced by the new one, and pytest runs the entry's nodes alone.  A mutant
-is killed when pytest reports a failing test (exit status 1).  The script
-prints one line per entry and a result line, and exits 1 if any mutant
-survives or cannot be run.  ``test_mutants.py`` holds the old texts to the
-tree in the tier-1 suite, so the catalogue cannot go stale silently.
+Then, per entry, ``src/``, ``tests/``, ``bench/`` (whose names the public-API
+guards read) and ``pyproject.toml`` are copied to a temporary directory, the
+old text, which must occur exactly once, is replaced by the new one, and
+pytest runs the entry's nodes alone.  A mutant is killed when pytest
+reports a failing test (exit status 1).  The script prints one line per
+entry and a result line, and exits 1 if any mutant survives or cannot be
+run.  ``test_mutants.py`` holds the old texts to the tree in the tier-1
+suite, so the catalogue cannot go stale silently.
 """
 
 from __future__ import annotations
@@ -172,12 +173,35 @@ MUTANTS = (
         "    class_size,\n    enumerate_cycle_types,\n)\n\n__all__ = [\n    \"class_size\",\n",
         ("tests/test_public_api.py::test_every_exported_name_is_read_by_the_library",),
     ),
+    Mutant(
+        "an unused function appended to the oracle",
+        ORACLE,
+        "    return prod(orbit_count_class(lam, mult) for lam, mult in ram.entries)\n",
+        "    return prod(orbit_count_class(lam, mult) for lam, mult in ram.entries)\n\n\n"
+        "def orbit_sizes(lam: CycleType, r: int) -> list[int]:\n"
+        "    return [len(orbit) for orbit in orbit_partition_class(lam, r)]\n",
+        ("tests/test_public_api.py::test_every_module_level_name_is_read_by_the_library_or_the_benchmark",),
+    ),
+    Mutant(
+        "u0's text laid out with its runs longest first",
+        "src/ramsys/perm.py",
+        "    for length, mult in reversed(lam.cycles):\n",
+        "    for length, mult in lam.cycles:\n",
+        ("tests/test_perm.py::TestCanonicalCycleString::test_matches_the_built_representative",),
+    ),
+    Mutant(
+        "count_rsc_stirling reads the Stirling row of r + 1",
+        COUNTING,
+        "_stirling_row(mult)",
+        "_stirling_row(mult + 1)",
+        (f"{TEST_COUNTING}::TestCountRscStirling",),
+    ),
 )
 
 
 def _copy(tmp: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "bench"):
         shutil.copytree(ROOT / name, tmp / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", tmp / "pyproject.toml")
 

@@ -6,8 +6,8 @@ here with everything made of it, because only the tests make permutation
 objects: the closed form needs conjugacy classes, centralizer invariants and
 multiset coefficients, and the oracle works on plain image tuples.  So do
 ``cycle_decomposition`` and ``cycle_type``, which read a permutation's
-cycles; ``canonical_representative``, u0 built as a ``Permutation`` from the
-runs that ``ramsys.perm`` lays u0's text out from; the products
+cycles; ``canonical_representative``, u0 built as a ``Permutation`` from
+``lam.cycles`` here, apart from the code that writes u0's text; the products
 (``compose``, ``inverse``, ``conjugate``); and ``identity``, ``image`` and
 ``cycle_count``.  ``all_ones``, r_C = 1 on every class of S_n, lives here
 because three test files use it.  ``symmetric_group`` lists S_n by the tests
@@ -27,19 +27,20 @@ reference that the oracle's index maps are checked against.  ``beta``
 counts the class members that commute with g by multiplying
 ``Permutation``s, so the fixed-point law and the Burnside sums hold
 ``support_orbit_count``, which reads β off the centralizers the class walk
-carried, to products it did not make.
+carried, to products it did not make; ω, the orbit count of a support
+under simultaneous conjugation, lives here because only the tests read it.
 """
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm
-from typing import Iterable
+from math import factorial, gcd, lcm, prod
+from typing import Iterable, Sequence
 
 import ramsys.oracle
 from ramsys.oracle import _centralizer, class_action
 from ramsys.counting import Ramification
-from ramsys.perm import CycleType, _canonical_runs, enumerate_cycle_types
+from ramsys.perm import CycleType, enumerate_cycle_types
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,12 @@ def cycle_type(p: Permutation) -> CycleType:
 
 def canonical_representative(lam: CycleType) -> Permutation:
     """The class's base point u0, its smallest member by image tuple, on all
-    n points, from the runs of equal cycles that ``ramsys.perm`` writes
-    u0's text from."""
-    cycles = (run[k : k + i] for i, run in _canonical_runs(lam) for k in range(0, len(run), i))
+    n points: its parts in ascending order as cycles on consecutive points
+    from 1, each mapping p to p+1 cyclically."""
+    cycles, first = [], 1
+    for length in reversed(parts(lam)):
+        cycles.append(range(first, first + length))
+        first += length
     return Permutation.from_cycles(lam.n, cycles)
 
 
@@ -331,6 +335,26 @@ def beta(g: Permutation, lam: CycleType) -> int:
     if g.n != lam.n:
         raise ValueError(f"size mismatch: {g.n} vs {lam.n}")
     return sum(1 for h in conjugacy_class(lam) if compose(g, h) == compose(h, g))
+
+
+def support_orbit_count(classes: Sequence[CycleType]) -> int:
+    """ω(supp) = (1/n!) Σ_{g ∈ S_n} Π_{C ∈ supp} β(g, C): by Burnside's lemma,
+    the number of orbits of S_n on the tuples (one member of each class)
+    under simultaneous conjugation.  β(g, C) = |Z_g ∩ C| counts the members
+    v of C with g in Z_v, read off the centralizers ``class_action`` carried,
+    so no commutation test is made; a sum that n! does not divide raises
+    ``AssertionError``.  ``class_action`` is looked up on ``ramsys.oracle``
+    at each call, so a test that patches it there reaches this count."""
+    sizes = {lam.n for lam in classes}
+    if len(sizes) != 1:
+        raise ValueError(f"a support is one or more classes of one S_n, got sizes {sorted(sizes)}")
+    betas = [Counter(itertools.chain.from_iterable(ramsys.oracle.class_action(lam).domains)) for lam in classes]
+    total = sum(prod(beta[g] for beta in betas) for g in betas[0])
+    order = factorial(sizes.pop())
+    orbits, remainder = divmod(total, order)
+    if remainder:
+        raise AssertionError(f"the fixed-point sum {total} is not divisible by |S_n| = {order}")
+    return orbits
 
 
 def _transport(chi: Character, g: Permutation) -> Character:

@@ -1,12 +1,9 @@
 import itertools
-import random
-import threading
 from math import factorial
 
 import pytest
 
 from ramsys.combinat import (
-    _stirling_row,
     multiset_coefficient,
     stirling_first,
     weak_compositions,
@@ -86,27 +83,6 @@ class TestStirlingFirst:
         for n, k in ((3, 0), (3, 4), (0, 0), (-1, 1), (2, -1)):
             with pytest.raises(ValueError, match="stirling_first needs 1 <= k <= n"):
                 stirling_first(n, k)
-
-    def test_concurrent_reads_are_correct(self):
-        # values read one at a time, then read again by 8 threads from cold rows
-        reference = {(n, k): stirling_first(n, k) for n in range(1, 121) for k in range(1, n + 1)}
-        _stirling_row.cache_clear()
-        errors = []
-
-        def worker(seed):
-            rng = random.Random(seed)
-            for _ in range(50):
-                n = rng.randint(1, 120)
-                k = rng.randint(1, n)
-                if stirling_first(n, k) != reference[(n, k)]:
-                    errors.append((n, k))
-
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
 
 
 class TestMultisetCoefficient:

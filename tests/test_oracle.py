@@ -25,7 +25,6 @@ from ramsys.oracle import (
     oracle_count,
     orbit_count_class,
     orbit_partition_class,
-    support_orbit_count,
 )
 from ramsys.perm import (
     CycleType,
@@ -57,6 +56,7 @@ from reference import (
     fixed_point_count,
     identity,
     is_even,
+    support_orbit_count,
     symmetric_group,
 )
 

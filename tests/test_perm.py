@@ -463,8 +463,8 @@ class TestCanonicalRepresentative:
                 assert cycle_type(canonical_representative(lam)) == lam
 
     def test_is_the_smallest_member_of_its_class(self):
-        # the runs that the reps header writes u0's text from lay out the
-        # smallest member of the class, which the oracle keeps as base point 0
+        # the reference's u0 is the smallest member of the class, which the
+        # oracle keeps as base point 0
         for n in range(1, 8):
             smallest = {}
             for images in itertools.permutations(range(1, n + 1)):
@@ -481,7 +481,8 @@ def canonical_cycle_string(lam):
 
 class TestCanonicalCycleString:
     def test_matches_the_built_representative(self):
-        # u0 built as a Permutation from the same runs is the reference
+        # u0 laid out by the reference, apart from the runs the header
+        # writes, is the reference
         classes = [lam for n in range(1, 15) for lam in enumerate_cycle_types(n)]
         assert len(classes) == 507
         for lam in classes:

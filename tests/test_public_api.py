@@ -147,6 +147,28 @@ def test_every_public_method_of_an_exported_class_is_used_by_the_library_or_the_
     assert not unused, unused
 
 
+def test_every_module_level_name_is_read_by_the_library_or_the_benchmark():
+    # the same rule for every top-level function, class and constant of the
+    # library's modules: one that only the tests read belongs in
+    # tests/reference.py.  __init__.py only re-exports.
+    used = _library_names() | _benchmark_names()
+    unread = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [f"{path.stem}.{name}" for name in names if name != "__all__" and name not in used]
+    assert not unread, unread
+
+
 def test_oracle_stays_within_its_line_cap():
     # the brute-force oracle grows (the joint orbit count, larger n) within
     # 559 lines, so it stays small enough to read as evidence
