@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .centralizer import gamma
 from .combinat import _stirling_row, multiset_coefficient, weak_compositions
-from .perm import CycleType, InputError, UnsupportedGroupError, enumerate_cycle_types
+from .perm import CycleType, InputError, UnsupportedGroupError, _natural, enumerate_cycle_types
 
 
 def ensure_countable(n: int) -> None:
@@ -63,10 +63,8 @@ class Ramification:
                 raise ValueError(f"class {lam} listed twice")
             seen.add(lam)
         # the classes are distinct, so the pairs sort by class alone
-        normalized = tuple(
-            sorted(((lam, mult) for lam, mult in self.entries if mult > 0), reverse=True)
-        )
-        object.__setattr__(self, "entries", normalized)
+        entries = sorted([(lam, mult) for lam, mult in self.entries if mult > 0], reverse=True)
+        self.__dict__["entries"] = tuple(entries)
 
     def __str__(self) -> str:
         """`class:count` entries joined by `;`, which parse_ramification reads
@@ -82,8 +80,7 @@ def _listed_ramification(
     enumerate_cycle_types(n) lists them or parse_ramification sorts them;
     the counts are non-negative, and only the zeros are dropped."""
     ram = object.__new__(Ramification)
-    object.__setattr__(ram, "n", n)
-    object.__setattr__(ram, "entries", tuple([(lam, r) for lam, r in zip(classes, counts) if r]))
+    ram.__dict__.update(n=n, entries=tuple([(lam, r) for lam, r in zip(classes, counts) if r]))
     return ram
 
 
@@ -211,10 +208,12 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     however many classes the support has.
     """
     ensure_countable(ram.n)
-    if not ram.entries:
-        yield RSCTypeVector(())
+    new, entries = object.__new__, ram.entries
+    if not entries:  # one vector, of no class
+        vector = new(RSCTypeVector)
+        vector.__dict__.update(entries=(), text="")
+        yield vector
         return
-    entries = ram.entries
     shapes = [(gamma(lam), mult) for lam, mult in entries]
     replays: dict[tuple[int, int], Iterator] = {}
     room = _REPLAY_PARTS
@@ -233,7 +232,7 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     for g, r in dict.fromkeys(shapes[:-1]):
         first = (r,) + (0,) * (g - 1)
         firsts[g, r] = (first, _format_composition(first))
-    new, last = object.__new__, len(shapes) - 1
+    last = len(shapes) - 1
     cursors, current, texts = [None] * last, [None] * last, [""] * last
     start = 0  # the classes from start to last - 1 (re)start
     while True:
@@ -302,14 +301,13 @@ def _parse_spec(text: str, n: int) -> Ramification | int:
         type_text, sep, count_text = entry.rpartition(":")
         if not sep:
             raise RamificationParseError(f"entry {entry!r} is missing ':'", position)
+        number = count_text.strip()
         try:
-            count = int(count_text.strip())
+            count = _natural(number.removeprefix("-"))
         except ValueError:
-            raise RamificationParseError(
-                f"bad count {count_text.strip()!r}", position
-            ) from None
-        if count < 0:
-            raise RamificationParseError(f"negative count {count}", position)
+            raise RamificationParseError(f"bad count {number!r}", position) from None
+        if number.startswith("-"):
+            raise RamificationParseError(f"negative count {number}", position)
         if type_text.strip() == "all":
             if ";" in text:
                 raise RamificationParseError(

@@ -17,7 +17,6 @@ at the cost of its text; no permutation is made here.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
@@ -36,7 +35,13 @@ class UnsupportedGroupError(InputError, ValueError):
     counting hypothesis fails, and S_n past ``ORACLE_MAX_N`` for the oracle."""
 
 
-_TYPE_TOKEN = re.compile(r"^(\d+)\^(\d+)$")
+def _natural(text: str) -> int:
+    """The number that text writes in ASCII digits alone, the one rule for a
+    number in a spec; ValueError for any other text, where int() would also
+    take blanks, a sign, underscores or another script's digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a number in ASCII digits: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True, order=True)
@@ -85,16 +90,17 @@ class CycleType:
             if not body:
                 raise ValueError("empty part list")
             try:
-                parts = [int(tok) for tok in body.split(",")]
+                parts = [_natural(tok.strip()) for tok in body.split(",")]
             except ValueError:
                 raise ValueError(f"bad part list: {text!r}") from None
             return cls.from_parts(parts)
         mults: dict[int, int] = {}  # cycle length -> multiplicity
         for token in text.split():
-            match = _TYPE_TOKEN.match(token)
-            if match is None:
-                raise ValueError(f"bad cycle-type token: {token!r}")
-            length, mult = int(match.group(1)), int(match.group(2))
+            length_text, _, mult_text = token.partition("^")
+            try:
+                length, mult = _natural(length_text), _natural(mult_text)
+            except ValueError:
+                raise ValueError(f"bad cycle-type token: {token!r}") from None
             if length < 1 or mult < 1:
                 raise ValueError(f"bad cycle-type token: {token!r}")
             if length in mults:
@@ -133,11 +139,11 @@ class ClassListTooLargeError(InputError, ValueError):
 
 
 def _trusted_cycle_type(n: int, cycles: tuple[tuple[int, int], ...]) -> CycleType:
-    """A CycleType built without __post_init__, for the (length,
-    multiplicity) pairs that walk_cycle_types counts out itself, already
-    longest first.  The fields go straight into the
-    instance dict, where the frozen dataclass's own __init__ puts them too;
-    that is cheaper than two object.__setattr__ calls."""
+    """A CycleType built without __post_init__, for (length, multiplicity)
+    pairs the library has counted out or checked itself, longest first: the
+    walk's, and those of parse and from_parts.  The fields go straight into
+    the instance dict, where the frozen dataclass's own __init__ puts them
+    too; that is cheaper than two object.__setattr__ calls."""
     lam = object.__new__(CycleType)
     fields = lam.__dict__
     fields["n"] = n
@@ -146,10 +152,10 @@ def _trusted_cycle_type(n: int, cycles: tuple[tuple[int, int], ...]) -> CycleTyp
 
 
 def _counted_cycle_type(mults: Mapping[int, int]) -> CycleType:
-    """The cycle type with mults[i] cycles of each positive length i, built
-    from the pairs alone at any degree Σ i·mults[i]."""
+    """The cycle type with mults[i] >= 1 cycles of each length i >= 1, which
+    the caller has checked, built unchecked at any degree Σ i·mults[i]."""
     n = sum([length * mult for length, mult in mults.items()])
-    return CycleType(n, tuple(sorted(mults.items(), reverse=True)))
+    return _trusted_cycle_type(n, tuple(sorted(mults.items(), reverse=True)))
 
 
 def walk_cycle_types(n: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:

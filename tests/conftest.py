@@ -11,19 +11,15 @@ from ramsys.perm import MAX_CLASS_LIST_N, enumerate_cycle_types
 
 @pytest.fixture
 def no_class_built(monkeypatch):
-    """Fail at the first class the walk yields and at the first CycleType
-    enumerate_cycle_types builds, so that a missing class-list bound fails
-    the test instead of running out of memory.  `classes` reads the walk and
-    builds no CycleType, so the walk needs its own guard."""
-
-    def refuse(n, cycles):
-        raise AssertionError(f"built a class of S_{n} past the class-list bound")
+    """Fail at the first class the walk yields, so that a missing class-list
+    bound fails the test instead of running out of memory.  The walk is the
+    one source of class lists: `classes`, `count` and enumerate_cycle_types
+    all read it, while a parsed class is built from its own pairs."""
 
     def refuse_walk(n):
         raise AssertionError(f"walked the classes of S_{n} past the class-list bound")
         yield
 
-    monkeypatch.setattr(ramsys.perm, "_trusted_cycle_type", refuse)
     monkeypatch.setattr(ramsys.perm, "_algorithm_p", refuse_walk)
 
 

@@ -41,9 +41,11 @@ class Mutant(NamedTuple):
 ORACLE = "src/ramsys/oracle.py"
 COUNTING = "src/ramsys/counting.py"
 CLI = "src/ramsys/cli.py"
+PERM = "src/ramsys/perm.py"
 TEST_ORACLE = "tests/test_oracle.py"
 TEST_COUNTING = "tests/test_counting.py"
 TEST_CLI = "tests/test_cli.py"
+CHECKED_ONCE = f"{TEST_CLI}::TestCheckedOnce::test_entry_point_runs_no_post_init"
 
 MUTANTS = (
     Mutant(
@@ -154,7 +156,7 @@ MUTANTS = (
     ),
     Mutant(
         "Algorithm P drops the remainder cycle",
-        "src/ramsys/perm.py",
+        PERM,
         "        if remainder:\n",
         "        if False:\n",
         ("tests/test_perm.py::TestEnumerateCycleTypes::test_matches_recursive_reference",),
@@ -184,7 +186,7 @@ MUTANTS = (
     ),
     Mutant(
         "u0's text laid out with its runs longest first",
-        "src/ramsys/perm.py",
+        PERM,
         "    for length, mult in reversed(lam.cycles):\n",
         "    for length, mult in lam.cycles:\n",
         ("tests/test_perm.py::TestCanonicalCycleString::test_matches_the_built_representative",),
@@ -195,6 +197,58 @@ MUTANTS = (
         "_stirling_row(mult)",
         "_stirling_row(mult + 1)",
         (f"{TEST_COUNTING}::TestCountRscStirling",),
+    ),
+    Mutant(
+        "a parsed class is checked again by CycleType's __post_init__",
+        PERM,
+        "    return _trusted_cycle_type(n, tuple(sorted(mults.items(), reverse=True)))\n",
+        "    return CycleType(n, tuple(sorted(mults.items(), reverse=True)))\n",
+        (f"{CHECKED_ONCE}[CycleType.parse-tokens]", f"{CHECKED_ONCE}[CycleType.from_parts]"),
+    ),
+    Mutant(
+        "a parsed spec is checked again by Ramification's __post_init__",
+        COUNTING,
+        "    return _listed_ramification(n, classes, map(entries.__getitem__, classes))\n",
+        "    return Ramification(n, tuple([(lam, entries[lam]) for lam in classes]))\n",
+        (f"{CHECKED_ONCE}[count-9-spec]", f"{CHECKED_ONCE}[parse_ramification-spec]"),
+    ),
+    Mutant(
+        "the walk's classes are checked again by CycleType's __post_init__",
+        PERM,
+        "    return [_trusted_cycle_type(n, pairs) for _, pairs in walk_cycle_types(n)]\n",
+        "    return [CycleType(n, pairs) for _, pairs in walk_cycle_types(n)]\n",
+        (f"{CHECKED_ONCE}[enumerate_cycle_types]", f"{CHECKED_ONCE}[reps-8-all1]"),
+    ),
+    Mutant(
+        "verify's cases are checked again by Ramification's __post_init__",
+        CLI,
+        "        ram = _listed_ramification(args.n, classes, multiplicities)\n",
+        "        from .counting import Ramification\n"
+        "        ram = Ramification(args.n, tuple(zip(classes, multiplicities)))\n",
+        (f"{CHECKED_ONCE}[verify-4]",),
+    ),
+    Mutant(
+        "the class walk without its class-list bound",
+        PERM,
+        "    if n > MAX_CLASS_LIST_N:\n",
+        "    if False:\n",
+        ("tests/test_perm.py::TestEnumerateCycleTypes::test_bound_on_n",
+         f"{TEST_CLI}::TestCount::test_class_list_bound_exits_2"),
+    ),
+    Mutant(
+        "spec numbers read by int(), which takes signs, underscores and other scripts' digits",
+        PERM,
+        "    if not (text.isascii() and text.isdigit()):\n",
+        "    if False:\n",
+        (f"{TEST_CLI}::TestCount::test_spec_numbers_are_ascii_digits",),
+    ),
+    Mutant(
+        "index_moves sends each base point where the next one goes",
+        ORACLE,
+        "        for target, chars in zip(targets, maps):\n",
+        "        for target, chars in zip(targets[1:] + targets[:1], maps):\n",
+        (f"{TEST_ORACLE}::TestJointReading::test_every_support_of_s2_and_s3",
+         f"{TEST_ORACLE}::TestJointReading::test_pinned_supports"),
     ),
 )
 

@@ -29,6 +29,9 @@ counts the class members that commute with g by multiplying
 ``support_orbit_count``, which reads β off the centralizers the class walk
 carried, to products it did not make; ω, the orbit count of a support
 under simultaneous conjugation, lives here because only the tests read it.
+So does ``joint_orbit_count``, the orbits of one conjugation of every
+class at once together with each class's slot permutations, which the
+tests hold to count_rsc · ω.
 """
 
 import itertools
@@ -355,6 +358,41 @@ def support_orbit_count(classes: Sequence[CycleType]) -> int:
     if remainder:
         raise AssertionError(f"the fixed-point sum {total} is not divisible by |S_n| = {order}")
     return orbits
+
+
+def joint_orbit_count(entries: Sequence[tuple[CycleType, int]]) -> int:
+    """Orbits of S_n × Π_C S_{r_C} on the product of the support's class
+    points, one conjugation acting on every class at once: the joint
+    reading, which Burnside's lemma and the fixed-point law put at
+    count_rsc · ω.  A point is a mixed-radix number with one digit per
+    (class, r) entry, that class's position in ``index_moves``; S_n's
+    generators map every digit at once, each by its class's map k, and a
+    class's slot swaps map its own digit alone.  The product of the
+    ``_point_count``s is held to ``ORBIT_POINT_BUDGET`` before any map is
+    built.  The oracle's functions are looked up on ``ramsys.oracle`` at
+    each call, so a test that patches them there reaches this count."""
+    oracle = ramsys.oracle
+    sizes = [oracle._point_count(lam, r) for lam, r in entries]
+    if prod(sizes) > oracle.ORBIT_POINT_BUDGET:
+        raise oracle.OracleBudgetError(
+            f"the joint points number {prod(sizes)}, over the budget of {oracle.ORBIT_POINT_BUDGET}"
+        )
+    moves = [oracle.index_moves(lam, r) for lam, r in entries]
+    generators = len(oracle.class_action(entries[0][0]).base_maps)
+
+    def lifted(digit_maps):
+        image = [0]
+        for size, digit_map in zip(sizes, digit_maps):
+            image = [x * size + y for x in image for y in digit_map]
+        return image
+
+    maps = [lifted([class_moves[k] for class_moves in moves]) for k in range(generators)]
+    for c, class_moves in enumerate(moves):
+        identities = [range(size) for size in sizes]
+        for swap in class_moves[generators:]:
+            identities[c] = swap
+            maps.append(lifted(identities))
+    return len(oracle._partition(prod(sizes), maps))
 
 
 def _transport(chi: Character, g: Permutation) -> Character:

@@ -26,9 +26,11 @@ from ramsys.counting import (
     CountTooLargeError,
     Ramification,
     RamificationParseError,
+    RSCTypeVector,
     UnsupportedGroupError,
     count_report,
     count_rsc,
+    enumerate_types,
     parse_ramification,
 )
 from ramsys.oracle import OracleBudgetError
@@ -167,6 +169,24 @@ class TestCount:
         assert code != 0
         assert "position 6" in err
 
+    # a spec number is ASCII digits alone; int() would also read each of these
+    @pytest.mark.parametrize("spec, error", [
+        ("3^1:1;1^3:1_0", "bad count '1_0' (at position 6)"),
+        ("3^1:1; 1_0^1:1", "bad cycle-type token: '1_0^1' (at position 7)"),
+        ("3^1:1;1^3:+1", "bad count '+1' (at position 6)"),
+        ("3^1:1;[+3]:1", "bad part list: '[+3]' (at position 6)"),
+        ("3^1:1;１^３:1", "bad cycle-type token: '１^３' (at position 6)"),
+        ("3^1:1;[2,１]:1", "bad part list: '[2,１]' (at position 6)"),
+        ("3^1:1;1^3:-1", "negative count -1 (at position 6)"),
+    ], ids=["underscore-count", "underscore-token", "sign-count", "sign-part", "fullwidth-token",
+            "fullwidth-part", "minus-count"])
+    def test_spec_numbers_are_ascii_digits(self, capsys, spec, error):
+        assert run(capsys, "count", "3", "--ramification", spec) == (2, "", f"error: {error}\n")
+
+    def test_blanks_around_bracket_parts_are_kept(self, capsys):
+        spaced = run(capsys, "count", "3", "--ramification", "[ 2 , 1 ] : 1")
+        assert spaced == run(capsys, "count", "3", "--ramification", "1^1 2^1:1")
+
     def test_json_output_schema(self, capsys):
         code, out, _ = run(capsys, "count", "3", "--ramification", "all:1", "--format", "json")
         assert code == 0
@@ -298,22 +318,6 @@ class TestReps:
             assert len(compositions) == 1002
             assert all(c.startswith("(") and c.endswith(")") for c in compositions)
 
-    def test_explicit_spec_builds_no_validated_ramification(self, capsys, monkeypatch):
-        # parse_ramification checks each entry once, so the Ramification it
-        # returns is not checked again
-        calls = []
-        original = Ramification.__post_init__
-
-        def counting(self):
-            calls.append(self)
-            original(self)
-
-        monkeypatch.setattr(Ramification, "__post_init__", counting)
-        code, out, _ = run(capsys, "reps", "9", "--ramification", "[4,3,2]:6;1^9:8", "--limit", "1")
-        assert code == 0
-        assert out.startswith("# n = 9, ramification: 2^1 3^1 4^1:6;1^9:8\n")
-        assert calls == []
-
     def test_count_header_past_the_digit_limit(self, capsys):
         limit = digit_limit()
         code, out, err = run(capsys, "reps", "25", "--ramification", "all:1", "--limit", "1")
@@ -396,21 +400,6 @@ class TestVerify:
     def test_s1_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "1")
         assert code == 2
-
-    def test_cases_build_no_validated_object(self, capsys, monkeypatch):
-        # the cases come from enumerate_cycle_types, so none is checked again
-        calls = []
-        original = Ramification.__post_init__
-
-        def counting(self):
-            calls.append(self)
-            original(self)
-
-        monkeypatch.setattr(Ramification, "__post_init__", counting)
-        code, out, _ = run(capsys, "verify", "4", "--max-r", "1")
-        assert code == 0
-        assert out.endswith("S_4, r_C <= 1: 32 cases, 32 passed, 0 failed\n")
-        assert calls == []
 
     def test_mismatch_fails_the_case_and_exits_1(self, capsys, monkeypatch):
         # a closed form one too high on one case fails that case alone
@@ -940,3 +929,55 @@ class TestNoClassBuilt:
             assert code == 0 and err == "" and out
             assert sorted(pairs) == expected
         assert calls == []
+
+
+class TestCheckedOnce:
+    """Input is checked once, where it is parsed; what the library builds
+    after that, or makes itself (the walk's classes, the odometer's
+    vectors, verify's cases), is built without __post_init__.  Each case
+    runs one entry point with the three __post_init__ methods made to raise,
+    then unpatched, and the two runs must give the same bytes or value."""
+
+    SPEC = "[4,3,2]:6;1^9:8"
+    ENTRY_POINTS = {
+        "classes-8": ("classes", "8"),
+        "count-20-all1-table": ("count", "20", "--ramification", "all:1"),
+        "count-20-all1-json": ("count", "20", "--ramification", "all:1", "--format", "json"),
+        "count-9-spec": ("count", "9", "--ramification", SPEC),
+        "reps-9-spec": ("reps", "9", "--ramification", SPEC, "--limit", "1"),
+        "reps-8-all1": ("reps", "8", "--ramification", "all:1", "--limit", "3"),
+        "reps-3-all0": ("reps", "3", "--ramification", "all:0"),
+        "verify-4": ("verify", "4", "--max-r", "1"),
+        "parse_ramification-all1": lambda: parse_ramification("all:1", 20),
+        "parse_ramification-spec": lambda: parse_ramification(TestCheckedOnce.SPEC, 9),
+        "enumerate_cycle_types": lambda: enumerate_cycle_types(20),
+        "enumerate_types-spec": lambda: [
+            (v.entries, str(v)) for v in enumerate_types(parse_ramification("[4,3,2]:2;1^9:1", 9))
+        ],
+        "enumerate_types-empty": lambda: [
+            (v.entries, str(v)) for v in enumerate_types(parse_ramification("all:0", 3))
+        ],
+        "CycleType.parse-tokens": lambda: CycleType.parse("1^2 3^1"),
+        "CycleType.parse-parts": lambda: CycleType.parse("[3, 1, 1]"),
+        "CycleType.from_parts": lambda: CycleType.from_parts([1, 3, 1]),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_entry_point_runs_no_post_init(self, capsys, monkeypatch, entry):
+        call = self.ENTRY_POINTS[entry]
+        outcome = call if callable(call) else lambda: run(capsys, *call)
+
+        def refuse(obj):
+            raise AssertionError(f"{type(obj).__name__}.__post_init__ ran")
+
+        with monkeypatch.context() as patch:
+            for cls in (CycleType, Ramification, RSCTypeVector):
+                patch.setattr(cls, "__post_init__", refuse)
+            unchecked = outcome()
+            # the control: direct construction still runs the (patched) check
+            for cls, args in ((CycleType, (1, ((1, 1),))), (Ramification, (1, ())), (RSCTypeVector, ((),))):
+                with pytest.raises(AssertionError, match=f"{cls.__name__}.__post_init__ ran"):
+                    cls(*args)
+        expected = outcome()
+        assert unchecked == expected
+        assert repr(unchecked) == repr(expected)

@@ -476,22 +476,6 @@ class TestParseRamification:
                 spec = ";".join(f"{rng.choice((lam, list(parts(lam))))}:{r}" for lam, r in entries)
                 same(parse_ramification(spec, n), Ramification(n, tuple(entries)))
 
-    def test_all_r_builds_no_validated_object(self, monkeypatch):
-        expected = all_ones(20)  # built, and checked, before the count starts
-        calls = []
-        for cls in (CycleType, Ramification):
-            original = cls.__post_init__
-
-            def counting(self, original=original):
-                calls.append(self)
-                original(self)
-
-            monkeypatch.setattr(cls, "__post_init__", counting)
-        ram = parse_ramification("all:1", 20)
-        assert len(ram.entries) == 627
-        assert calls == []
-        assert ram == expected
-
     def test_all_r_is_bounded(self, no_class_built):
         with pytest.raises(ClassListTooLargeError):
             parse_ramification("all:1", 90)

@@ -14,12 +14,13 @@ import pytest
 
 import ramsys.oracle
 from ramsys.centralizer import abelianization_invariants, gamma
-from ramsys.counting import Ramification, enumerate_types
+from ramsys.counting import Ramification, count_rsc, enumerate_types
 from ramsys.oracle import (
     ORBIT_POINT_BUDGET,
     OracleBudgetError,
     _group,
     _partition,
+    _point_count,
     class_action,
     index_moves,
     oracle_count,
@@ -56,6 +57,7 @@ from reference import (
     fixed_point_count,
     identity,
     is_even,
+    joint_orbit_count,
     support_orbit_count,
     symmetric_group,
 )
@@ -789,6 +791,69 @@ class TestSupportOrbitCount:
             support_orbit_count([])
         with pytest.raises(ValueError):
             support_orbit_count([CycleType.parse("1^3"), CycleType.parse("1^4")])
+
+
+class TestJointReading:
+    """One conjugation acting on every class at once: the joint orbit count
+    of a support, from the oracle's index maps alone, is count_rsc times ω
+    (ROADMAP item 1's identity)."""
+
+    @staticmethod
+    def closed_form(entries):
+        return count_rsc(Ramification(entries[0][0].n, tuple(entries))) * support_orbit_count(
+            [lam for lam, _ in entries]
+        )
+
+    @staticmethod
+    def cases(n):
+        # every support of at most three classes of S_n, each class at r = 1 or 2
+        classes = enumerate_cycle_types(n)
+        for size in range(1, min(3, len(classes)) + 1):
+            for support in itertools.combinations(classes, size):
+                for rs in itertools.product((1, 2), repeat=size):
+                    yield list(zip(support, rs))
+
+    def test_every_support_of_s2_and_s3(self):
+        cases = [entries for n in (2, 3) for entries in self.cases(n)]
+        assert len(cases) == 34
+        for entries in cases:
+            assert joint_orbit_count(entries) == self.closed_form(entries), entries
+
+    def test_seeded_sample_of_s4_and_s5(self):
+        # the supports whose joint points fit the budget: 126 at S_4, 180 at S_5
+        rng = random.Random(35)
+        for n, draws in ((4, 12), (5, 3)):
+            fitting = [
+                entries for entries in self.cases(n)
+                if prod(_point_count(lam, r) for lam, r in entries) <= ORBIT_POINT_BUDGET
+            ]
+            for entries in rng.sample(fitting, draws):
+                assert joint_orbit_count(entries) == self.closed_form(entries), entries
+
+    PINNED = [
+        ((("2^2", 1), ("1^2 2^1", 1)), 32),
+        ((("1^2 3^1", 1), ("2^1 3^1", 2)), 630),
+        ((("1^1 2^2", 2), ("1^1 4^1", 2)), 500),
+        ((("1^3", 2), ("1^1 2^1", 2), ("3^1", 2)), 54),
+    ]
+
+    @pytest.mark.parametrize("support, joint", PINNED, ids=["32", "630", "500", "54"])
+    def test_pinned_supports(self, support, joint):
+        entries = [(CycleType.parse(text), r) for text, r in support]
+        assert joint_orbit_count(entries) == joint == self.closed_form(entries)
+
+    def test_over_budget_support_is_refused_before_any_map(self, monkeypatch):
+        # 600 · 480 · 720 · 720 points, about 1.5·10^11
+        entries = [(CycleType.parse(text), 2) for text in ("5^1", "1^1 4^1", "2^1 3^1", "1^2 3^1")]
+
+        def refuse(lam, r):
+            raise AssertionError("built an index map of an over-budget support")
+
+        monkeypatch.setattr(ramsys.oracle, "index_moves", refuse)
+        start = time.perf_counter()
+        with pytest.raises(OracleBudgetError, match="149299200000"):
+            joint_orbit_count(entries)
+        assert time.perf_counter() - start < 1
 
 
 class TestFixedPointCount:
