@@ -22,6 +22,9 @@ from .counting import (
 )
 from .perm import (
     InputError,
+    NumberTooLongError,
+    _echo,
+    _natural,
     _trusted_cycle_type,
     canonical_cycle_pieces,
     centralizer_order,
@@ -31,16 +34,24 @@ from .perm import (
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+    return _cli_natural(text, 1, "a positive")
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return _cli_natural(text, 0, "a non-negative")
+
+
+def _cli_natural(text: str, least: int, kind: str) -> int:
+    # the spec numbers' rule, ASCII digits alone, so int()'s signs, blanks,
+    # underscores and other scripts' digits are usage errors here too
+    try:
+        value = _natural(text)
+    except NumberTooLongError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        value = -1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected {kind} integer, got {_echo(text)!r}")
     return value
 
 
@@ -182,7 +193,7 @@ def cmd_reps(args: argparse.Namespace) -> int:
     print(f"# count = {decimal_string(_count_and_factors(shapes)[0])}")
     limit = args.limit if args.limit is None else min(args.limit, sys.maxsize)  # islice refuses more
     for type_vector in itertools.islice(enumerate_types(ram), limit):
-        sys.stdout.write(f"{type_vector}\n")
+        sys.stdout.write(str(type_vector) + "\n")
     return 0
 
 

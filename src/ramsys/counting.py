@@ -14,11 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat, tee
 from math import factorial, log10, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .centralizer import gamma
 from .combinat import _stirling_row, multiset_coefficient, weak_compositions
-from .perm import CycleType, InputError, UnsupportedGroupError, _natural, enumerate_cycle_types
+from .perm import (
+    CycleType,
+    InputError,
+    NumberTooLongError,
+    UnsupportedGroupError,
+    _echo,
+    _natural,
+    enumerate_cycle_types,
+)
 
 
 def ensure_countable(n: int) -> None:
@@ -108,8 +116,14 @@ class RSCTypeVector:
 
 
 def _format_composition(composition: tuple[int, ...]) -> str:
-    # the tuple's repr without spaces, and without the comma of a 1-tuple
-    return repr(composition).replace(" ", "").replace(",)", ")")
+    return _template(len(composition)) % composition
+
+
+def _template(parts: int) -> str:
+    """The %-template of a composition of that many parts, the one rule of
+    its text: `(a,b,...)`, the tuple's repr without spaces, and `(a)` for
+    one part."""
+    return "(" + "%d," * (parts - 1) + "%d)"
 
 
 def count_rsc(ram: Ramification) -> int:
@@ -178,14 +192,14 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     itertools.product (the last class varies fastest); its length equals
     count_rsc(ram) and it contains no duplicates.
 
-    It is lazy: an odometer keeps one cursor per class.  Each line takes the
-    next composition of the last class; when that class runs out, the
-    rightmost class before it with another composition advances (the carry,
-    a loop, so any number of classes works: S_22 has 1,002) and every class
-    to its right restarts.  A (re)started class before the last holds its
-    shape's first composition, (r_C, 0, ..., 0), whose text is made once per
-    shape, and makes its cursor only when it first advances, so the first
-    vector draws one composition, the last class's (drawing it at each
+    It is lazy: an odometer (_lines) keeps one cursor per class.  Each line
+    takes the next composition of the last class; when that class runs out,
+    the rightmost class before it with another composition advances (the
+    carry, a loop, so any number of classes works: S_22 has 1,002) and every
+    class to its right restarts.  A (re)started class before the last holds
+    its shape's first composition, (r_C, 0, ..., 0), whose text is made once
+    per shape, and makes its cursor only when it first advances, so the
+    first vector draws one composition, the last class's (drawing it at each
     restart took S_20 all:1's first vector from 2.4 to 11.4 ms in-process).
     Vectors are built without re-checking the compositions just generated.
 
@@ -195,16 +209,26 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     of the shape is a copy of it, which reads the pairs from the start: the
     copies share what any of them has drawn, so a composition is drawn and
     formatted once however often its classes restart, and a full drain
-    draws each replayed shape's compositions once.  The tees hold at most
-    _REPLAY_PARTS parts per enumeration, given out from the last class
-    leftwards, since the right classes restart most often; a shape whose
-    pairs, C(γ_C + r_C - 1, r_C)·γ_C parts, do not fit gives each cursor a
-    stream of its own and formats each composition it draws.
+    draws each replayed shape's compositions once.  Each composition's text
+    comes from one %-template per shape.  A shape whose pairs,
+    C(γ_C + r_C - 1, r_C)·γ_C parts, do not fit gives each cursor a stream
+    of its own and formats each composition it draws.
 
-    A carry joins the texts of the classes before the last once, into the
+    The last classes restart most often, so the product of the last t >= 2
+    of them (not the first) is replayed as one block of (entries suffix,
+    text suffix) pairs: the odometer, run over those classes, yields them,
+    one tee records them while the stream first walks the block, and every
+    restart copies it, so the classes before the block carry once per block
+    rather than once per pass of the last class (Knuth, TAOCP 7.2.1.1,
+    Algorithm M, with the low digits unrolled).  Its parts, the block's
+    lines times Σ γ_C over its classes, are the most that fit what the
+    shapes' tees left of _REPLAY_PARTS, given out from the last class
+    leftwards; the tees hold at most _REPLAY_PARTS parts per enumeration.
+
+    A carry joins the texts of the classes before the block once, into the
     line's prefix, and makes the tuple of their entries.  A line is then the
-    prefix plus the last class's text, and its entries that tuple plus the
-    last class's entry: one string and one tuple concatenation per line,
+    prefix plus the block's text suffix, and its entries that tuple plus the
+    block's entries suffix: one string and one tuple concatenation per line,
     however many classes the support has.
     """
     ensure_countable(ram.n)
@@ -225,6 +249,22 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
             if length * g <= room:
                 replays[g, r] = tee(_cursor((g, r), {}), 1)[0]
                 room -= length * g
+    last = len(shapes) - 1
+    lam, shape = entries[last][0], shapes[last]
+
+    def last_class():  # the last class's (entries suffix, text) pairs
+        return ((((lam, c),), text) for c, text in _cursor(shape, replays))
+
+    restart = tee(last_class(), 1)[0].__copy__ if shape in replays else last_class
+    # the block, classes b to last: the most, from the last leftwards, whose
+    # lines times parts fit the room the shapes left (the same first test)
+    b, lines, parts = last + 1, 1, 0
+    while b > 1 and max(shapes[b - 1]) * shapes[b - 1][0] <= room:
+        g, r = shapes[b - 1]
+        if lines * multiset_coefficient(g, r) * (parts + g) > room:
+            break
+        b, lines, parts = b - 1, lines * multiset_coefficient(g, r), parts + g
+    b = min(b, last)
     # the first composition, (r_C, 0, ..., 0), and its text of each shape
     # before the last class: what a class holds until it first advances,
     # when its cursor is made
@@ -232,7 +272,27 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     for g, r in dict.fromkeys(shapes[:-1]):
         first = (r,) + (0,) * (g - 1)
         firsts[g, r] = (first, _format_composition(first))
-    last = len(shapes) - 1
+    if b < last:
+        restart = tee(_lines(entries[b:last], shapes[b:last], replays, firsts, restart), 1)[0].__copy__
+    for line, text in _lines(entries[:b], shapes[:b], replays, firsts, restart):
+        vector = new(RSCTypeVector)
+        fields = vector.__dict__
+        fields["entries"], fields["text"] = line, text
+        yield vector
+
+
+def _lines(
+    entries: Sequence[tuple[CycleType, int]],
+    shapes: Sequence[tuple[int, int]],
+    replays: dict,
+    firsts: dict,
+    restart: Callable[[], Iterator[tuple[tuple, str]]],
+) -> Iterator[tuple[tuple, str]]:
+    """The odometer of enumerate_types: (entries, text) of each line of the
+    product of the classes of ``entries`` (pairs (class, r_C), with their
+    shapes) and the (entries suffix, text suffix) pairs that each call of
+    ``restart`` streams from the start."""
+    last = len(entries)
     cursors, current, texts = [None] * last, [None] * last, [""] * last
     start = 0  # the classes from start to last - 1 (re)start
     while True:
@@ -240,12 +300,9 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
             cursors[k] = None
             composition, texts[k] = firsts[shapes[k]]
             current[k] = (entries[k][0], composition)
-        head, prefix, lam = tuple(current), " ".join([*texts, ""]), entries[last][0]
-        for composition, text in _cursor(shapes[last], replays):
-            vector = new(RSCTypeVector)
-            vector.__dict__["entries"] = head + ((lam, composition),)
-            vector.__dict__["text"] = prefix + text
-            yield vector
+        head, prefix = tuple(current), " ".join([*texts, ""])
+        for suffix, text in restart():
+            yield head + suffix, prefix + text
         for k in range(last - 1, -1, -1):
             if cursors[k] is None:
                 cursors[k] = _cursor(shapes[k], replays)
@@ -265,7 +322,8 @@ def _cursor(shape: tuple[int, int], replays: dict) -> Iterator[tuple[tuple[int, 
     replay = replays.get(shape)
     if replay is not None:
         return replay.__copy__()
-    return ((c, _format_composition(c)) for c in weak_compositions(shape[1], shape[0]))
+    template = _template(shape[0])
+    return ((c, template % c) for c in weak_compositions(shape[1], shape[0]))
 
 
 def parse_ramification(text: str, n: int) -> Ramification:
@@ -300,14 +358,16 @@ def _parse_spec(text: str, n: int) -> Ramification | int:
             raise RamificationParseError("empty entry", position)
         type_text, sep, count_text = entry.rpartition(":")
         if not sep:
-            raise RamificationParseError(f"entry {entry!r} is missing ':'", position)
+            raise RamificationParseError(f"entry {_echo(entry)!r} is missing ':'", position)
         number = count_text.strip()
         try:
             count = _natural(number.removeprefix("-"))
+        except NumberTooLongError as exc:
+            raise RamificationParseError(str(exc), position) from None
         except ValueError:
-            raise RamificationParseError(f"bad count {number!r}", position) from None
+            raise RamificationParseError(f"bad count {_echo(number)!r}", position) from None
         if number.startswith("-"):
-            raise RamificationParseError(f"negative count {number}", position)
+            raise RamificationParseError(f"negative count {_echo(number)}", position)
         if type_text.strip() == "all":
             if ";" in text:
                 raise RamificationParseError(

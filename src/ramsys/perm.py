@@ -17,6 +17,7 @@ at the cost of its text; no permutation is made here.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
@@ -35,13 +36,32 @@ class UnsupportedGroupError(InputError, ValueError):
     counting hypothesis fails, and S_n past ``ORACLE_MAX_N`` for the oracle."""
 
 
+class NumberTooLongError(InputError, ValueError):
+    """A number in ASCII digits longer than int() reads, refused by its length."""
+
+
 def _natural(text: str) -> int:
     """The number that text writes in ASCII digits alone, the one rule for a
-    number in a spec; ValueError for any other text, where int() would also
-    take blanks, a sign, underscores or another script's digits."""
+    number in a spec or an argument; ValueError for any other text, where
+    int() would also take blanks, a sign, underscores or another script's
+    digits, and NumberTooLongError, before int(), past int()'s digit limit."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a number in ASCII digits: {text!r}")
+        raise ValueError(f"not a number in ASCII digits: {_echo(text)!r}")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and len(text) > limit:
+        raise NumberTooLongError(
+            f"number too long: {_echo(text)!r} has {len(text)} digits, over the limit of {limit}"
+        )
     return int(text)
+
+
+# Characters of a token that an error message quotes; a longer one is cut to
+# this prefix and an ellipsis.
+_ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "…"
 
 
 @dataclass(frozen=True, order=True)
@@ -85,26 +105,30 @@ class CycleType:
             raise ValueError("empty cycle-type string")
         if text.startswith("["):
             if not text.endswith("]"):
-                raise ValueError(f"unterminated part list: {text!r}")
+                raise ValueError(f"unterminated part list: {_echo(text)!r}")
             body = text[1:-1].strip()
             if not body:
                 raise ValueError("empty part list")
             try:
                 parts = [_natural(tok.strip()) for tok in body.split(",")]
+            except NumberTooLongError:
+                raise
             except ValueError:
-                raise ValueError(f"bad part list: {text!r}") from None
+                raise ValueError(f"bad part list: {_echo(text)!r}") from None
             return cls.from_parts(parts)
         mults: dict[int, int] = {}  # cycle length -> multiplicity
         for token in text.split():
             length_text, _, mult_text = token.partition("^")
             try:
                 length, mult = _natural(length_text), _natural(mult_text)
+            except NumberTooLongError:
+                raise
             except ValueError:
-                raise ValueError(f"bad cycle-type token: {token!r}") from None
+                raise ValueError(f"bad cycle-type token: {_echo(token)!r}") from None
             if length < 1 or mult < 1:
-                raise ValueError(f"bad cycle-type token: {token!r}")
+                raise ValueError(f"bad cycle-type token: {_echo(token)!r}")
             if length in mults:
-                raise ValueError(f"repeated cycle length {length} in {text!r}")
+                raise ValueError(f"repeated cycle length {_echo(length_text)} in {_echo(text)!r}")
             mults[length] = mult
         return _counted_cycle_type(mults)
 
