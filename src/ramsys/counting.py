@@ -214,16 +214,17 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     C(γ_C + r_C - 1, r_C)·γ_C parts, do not fit gives each cursor a stream
     of its own and formats each composition it draws.
 
-    The last classes restart most often, so the product of the last t >= 2
-    of them (not the first) is replayed as one block of (entries suffix,
-    text suffix) pairs: the odometer, run over those classes, yields them,
-    one tee records them while the stream first walks the block, and every
-    restart copies it, so the classes before the block carry once per block
-    rather than once per pass of the last class (Knuth, TAOCP 7.2.1.1,
-    Algorithm M, with the low digits unrolled).  Its parts, the block's
-    lines times Σ γ_C over its classes, are the most that fit what the
-    shapes' tees left of _REPLAY_PARTS, given out from the last class
-    leftwards; the tees hold at most _REPLAY_PARTS parts per enumeration.
+    The last classes restart most often, so the product of the last two
+    (when the first is not one of them) is replayed as one block of
+    (entries suffix, text suffix) pairs: the odometer, run over those two
+    classes, yields them, one tee records them while the stream first walks
+    the block, and every restart copies it, so the classes before the block
+    carry once per block rather than once per pass of the last class
+    (Knuth, TAOCP 7.2.1.1, Algorithm M, with the low digits unrolled).  The
+    last class's own pairs are recorded the same way when its shape
+    replays.  The block's parts, its lines times γ_C summed over the two
+    classes, must fit what the shapes' tees left of _REPLAY_PARTS, so the
+    tees hold at most _REPLAY_PARTS parts per enumeration.
 
     A carry joins the texts of the classes before the block once, into the
     line's prefix, and makes the tuple of their entries.  A line is then the
@@ -253,18 +254,19 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     lam, shape = entries[last][0], shapes[last]
 
     def last_class():  # the last class's (entries suffix, text) pairs
-        return ((((lam, c),), text) for c, text in _cursor(shape, replays))
+        if shape in replays:
+            return ((((lam, c),), text) for c, text in replays[shape].__copy__())
+        template = _template(shape[0])
+        return ((((lam, c),), template % c) for c in weak_compositions(shape[1], shape[0]))
 
     restart = tee(last_class(), 1)[0].__copy__ if shape in replays else last_class
-    # the block, classes b to last: the most, from the last leftwards, whose
-    # lines times parts fit the room the shapes left (the same first test)
-    b, lines, parts = last + 1, 1, 0
-    while b > 1 and max(shapes[b - 1]) * shapes[b - 1][0] <= room:
-        g, r = shapes[b - 1]
-        if lines * multiset_coefficient(g, r) * (parts + g) > room:
-            break
-        b, lines, parts = b - 1, lines * multiset_coefficient(g, r), parts + g
-    b = min(b, last)
+    # the block: the last two classes, if the first is not one of them and
+    # their product's lines times parts fit the room the shapes' tees left
+    b = last
+    if last > 1 and max(shapes[b - 1]) * shapes[b - 1][0] <= room and max(shape) * shape[0] <= room:
+        lines = multiset_coefficient(*shapes[b - 1]) * multiset_coefficient(*shape)
+        if lines * (shapes[b - 1][0] + shape[0]) <= room:
+            b = last - 1
     # the first composition, (r_C, 0, ..., 0), and its text of each shape
     # before the last class: what a class holds until it first advances,
     # when its cursor is made

@@ -183,6 +183,50 @@ class TestCount:
     def test_spec_numbers_are_ascii_digits(self, capsys, spec, error):
         assert run(capsys, "count", "3", "--ramification", spec) == (2, "", f"error: {error}\n")
 
+    # n, --limit and --max-r follow the same rule; int() would read each of these
+    @pytest.mark.parametrize("argv, error", [
+        (["count", "1_0", "--ramification", "all:1"],
+         "argument n: expected a positive integer, got '1_0'"),
+        (["count", "３", "--ramification", "all:1"],
+         "argument n: expected a positive integer, got '３'"),
+        (["count", " 5", "--ramification", "all:1"],
+         "argument n: expected a positive integer, got ' 5'"),
+        (["reps", "3", "--ramification", "all:1", "--limit", "+1_0"],
+         "argument --limit: expected a non-negative integer, got '+1_0'"),
+        (["verify", "3", "--max-r", "0x1"],
+         "argument --max-r: expected a positive integer, got '0x1'"),
+    ], ids=["underscore-n", "fullwidth-n", "blank-n", "signed-limit", "hex-max-r"])
+    def test_cli_integers_are_ascii_digits(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        usage = {"count": "ramsys count [-h] --ramification SPEC [--format {table,json}] n",
+                 "reps": "ramsys reps [-h] --ramification SPEC [--limit LIMIT] n",
+                 "verify": "ramsys verify [-h] [--max-r MAX_R] n"}[argv[0]]
+        assert (captured.out, captured.err) == (
+            "", f"usage: {usage}\nramsys {argv[0]}: error: {error}\n",
+        )
+
+    # past int()'s digit limit a spec number is refused by its length, before
+    # int(), and the message quotes its first 40 characters only
+    @pytest.mark.parametrize("spec", ["{}^1:1", "1^5:{}", "[{}]:1", "1^5:-{}"],
+                             ids=["cycle-length", "count", "bracketed-part", "negative-count"])
+    @pytest.mark.skipif(digit_limit() is None, reason="int() has no digit limit")
+    def test_over_long_spec_numbers_are_refused_by_length(self, capsys, spec):
+        limit = digit_limit()
+        number = "7" * (limit + 700)
+        error = (f"error: number too long: '{'7' * 40}…' has {limit + 700} digits, "
+                 f"over the limit of {limit} (at position 0)\n")
+        assert run(capsys, "count", "5", "--ramification", spec.format(number)) == (2, "", error)
+
+    def test_echoed_tokens_are_cut_to_a_prefix(self, capsys):
+        token = "x" * 5000 + "^1"
+        error = f"error: bad cycle-type token: '{'x' * 40}…' (at position 0)\n"
+        assert run(capsys, "count", "5", "--ramification", f"{token}:1") == (2, "", error)
+        code, _, err = run(capsys, "count", "5", "--ramification", "1^5 " + "y" * 5000)
+        assert code == 2 and len(err) < 200
+
     def test_blanks_around_bracket_parts_are_kept(self, capsys):
         spaced = run(capsys, "count", "3", "--ramification", "[ 2 , 1 ] : 1")
         assert spaced == run(capsys, "count", "3", "--ramification", "1^1 2^1:1")

@@ -372,6 +372,85 @@ class TestEnumerateTypes:
         assert drained == 22880
         assert peak < 2**20
 
+    def test_block_makes_no_cursor_after_its_first_walk(self, monkeypatch):
+        # S_8 all:1 ends in 1^6 2^1 and 1^8 (γ 4 and 2): the block of those two
+        # is 8 lines.  Once the stream has walked it, every restart copies its
+        # tee, so a cursor is made only at a block boundary, where a class
+        # before the block carries; walking it afresh makes cursors inside it
+        made, line = [], 0
+        real = ramsys.counting._cursor
+
+        def counting_cursor(shape, replays):
+            made.append(line)
+            return real(shape, replays)
+
+        monkeypatch.setattr(ramsys.counting, "_cursor", counting_cursor)
+        ram = all_ones(8)
+        block = prod(gamma(lam) for lam, _ in ram.entries[-2:])
+        assert block == 8
+        stream = enumerate_types(ram)
+        for line in range(1000):
+            next(stream)
+        assert any(0 < k < block for k in made)  # the first walk makes the block's cursors
+        assert [k for k in made if k >= block and k % block] == []
+        assert len([k for k in made if k >= block]) < 1000 // block
+
+    @pytest.mark.parametrize("budget", [0, 40, 300, 10**9])
+    def test_block_or_none_gives_the_product_order(self, monkeypatch, budget):
+        # the odometer runs once per enumeration without a block and twice
+        # with one (the block's classes, then the classes before it); at a
+        # budget of 300 parts both happen over these supports, and the
+        # vectors and texts are the itertools.product ones either way
+        monkeypatch.setattr(ramsys.counting, "_REPLAY_PARTS", budget)
+        runs = []
+        real = ramsys.counting._lines
+
+        def counting_lines(*args):
+            runs.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(ramsys.counting, "_lines", counting_lines)
+        specs = [(4, "all:1"), (4, "4^1:2;1^1 3^1:1;1^2 2^1:2"), (3, "1^1 2^1:2;1^3:2"),
+                 (5, "1^1 4^1:1;1^3 2^1:3;1^5:4"), (4, "4^1:1")]
+        kinds = set()
+        for n, spec in specs:
+            ram = parse_ramification(spec, n)
+            runs.clear()
+            classes = [lam for lam, _ in ram.entries]
+            compositions = [list(weak_compositions(r, gamma(lam))) for lam, r in ram.entries]
+            expected = [
+                RSCTypeVector(tuple(zip(classes, combo)))
+                for combo in itertools.product(*compositions)
+            ]
+            observed = list(enumerate_types(ram))
+            assert observed == expected, spec
+            assert [str(v) for v in observed] == [str(v) for v in expected], spec
+            blocked = len(runs) == 2
+            kinds.add(blocked)
+            assert runs == ([1, len(classes) - 2] if blocked else [len(classes) - 1]), spec
+            if budget == 0:
+                assert not blocked
+            if budget == 10**9:
+                assert blocked == (len(classes) > 2)
+        if budget == 300:
+            assert kinds == {True, False}
+
+    def test_block_memory_is_bounded(self):
+        # the last two classes have 816 and 5 compositions: their product,
+        # 4,080 lines of 18 parts, is over the room, so no block is recorded,
+        # and a drain holds a few hundred KB
+        ram = parse_ramification("[10]:1;1^2 8^1:3;1^10:4", 10)
+        assert [gamma(lam) for lam, _ in ram.entries] == [10, 16, 2]
+        assert 816 * 5 * 18 > ramsys.counting._REPLAY_PARTS
+        tracemalloc.start()
+        try:
+            drained = sum(1 for _ in enumerate_types(ram))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert drained == 10 * 816 * 5
+        assert peak < 2**20
+
     def test_vector_validation(self):
         lam = CycleType.parse("3^1")
         with pytest.raises(ValueError):
