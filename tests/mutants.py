@@ -250,6 +250,34 @@ MUTANTS = (
         (f"{TEST_ORACLE}::TestJointReading::test_every_support_of_s2_and_s3",
          f"{TEST_ORACLE}::TestJointReading::test_pinned_supports"),
     ),
+    Mutant(
+        "the tail block walked afresh at each restart, its tee dropped",
+        COUNTING,
+        "        restart = tee(_lines(entries[b:last], shapes[b:last], replays, firsts, restart), 1)[0].__copy__\n",
+        "        restart = lambda tail=restart: _lines(entries[b:last], shapes[b:last], replays, firsts, tail)\n",
+        (f"{TEST_COUNTING}::TestEnumerateTypes::test_block_makes_no_cursor_after_its_first_walk",),
+    ),
+    Mutant(
+        "the tail block sized without the _REPLAY_PARTS room",
+        COUNTING,
+        "        if lines * (shapes[b - 1][0] + shape[0]) <= room:\n",
+        "        if True:\n",
+        (f"{TEST_COUNTING}::TestEnumerateTypes::test_block_memory_is_bounded",),
+    ),
+    Mutant(
+        "the CLI's integer arguments read by int()",
+        CLI,
+        "        value = _natural(text)\n",
+        "        value = int(text)\n",
+        (f"{TEST_CLI}::TestCount::test_cli_integers_are_ascii_digits",),
+    ),
+    Mutant(
+        "spec numbers past int()'s digit limit not refused by their length",
+        PERM,
+        "    if limit and len(text) > limit:\n",
+        "    if False:\n",
+        (f"{TEST_CLI}::TestCount::test_over_long_spec_numbers_are_refused_by_length",),
+    ),
 )
 
 
