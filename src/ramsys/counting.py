@@ -14,19 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat, tee
 from math import factorial, log10, prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .centralizer import gamma
 from .combinat import _stirling_row, multiset_coefficient, weak_compositions
-from .perm import (
-    CycleType,
-    InputError,
-    NumberTooLongError,
-    UnsupportedGroupError,
-    _echo,
-    _natural,
-    enumerate_cycle_types,
-)
+from .perm import CycleType, InputError, NumberTooLongError, UnsupportedGroupError
+from .perm import _echo, _natural, enumerate_cycle_types
 
 
 def ensure_countable(n: int) -> None:
@@ -109,20 +102,15 @@ class RSCTypeVector:
                 )
             if any(part < 0 for part in composition):
                 raise ValueError(f"negative entry in composition for class {lam}")
-        self.__dict__["text"] = " ".join([_format_composition(c) for _, c in self.entries])
+        self.__dict__["text"] = " ".join([_template(len(c)) % c for _, c in self.entries])
 
     def __str__(self) -> str:
         return self.text
 
 
-def _format_composition(composition: tuple[int, ...]) -> str:
-    return _template(len(composition)) % composition
-
-
 def _template(parts: int) -> str:
-    """The %-template of a composition of that many parts, the one rule of
-    its text: `(a,b,...)`, the tuple's repr without spaces, and `(a)` for
-    one part."""
+    # the one rule of a composition's text, a %-template per number of parts:
+    # the tuple's repr without spaces, and `(a)` for one part
     return "(" + "%d," * (parts - 1) + "%d)"
 
 
@@ -174,13 +162,13 @@ def count_rsc_stirling(ram: Ramification) -> int:
     return total
 
 
-# Most parts (compositions times γ_C) that the replay tees of one
-# enumeration hold, over all their shapes.  On a 2-core Xeon VM, 600 requests
-# of the benchmark's reps-stream workload took 356 ms with no replay, 295 ms
-# at 2^12 parts and 288-289 ms from 2^16 to 2^20 (in-process, best of 5);
-# about 2% of those requests have shapes past 2^16.  The tees then hold at
-# most about 8 MB, at γ_C = 2, where a composition's tuple, text and pair
-# outweigh its parts, and at most about 3 MB from γ_C = 4.
+# Most parts (compositions times γ_C, block lines times Σ γ_C) that the
+# replay tees of one enumeration hold.  On a 2-core Xeon VM, 600 reps-stream
+# requests took 375-394 ms with no replay, 327-352 ms at 2^12 parts and
+# 340-365 ms from 2^16 to 2^20 (in-process, budgets alternated per request);
+# but 100,000 lines of S_10 all:2 took 313 ms at 2^12 against 260 at 2^16.
+# The tees then hold at most about 8 MB, at γ_C = 2, where a composition's
+# tuple, text and pair outweigh its parts, and about 3 MB from γ_C = 4.
 _REPLAY_PARTS = 2**16
 
 
@@ -209,22 +197,16 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     of the shape is a copy of it, which reads the pairs from the start: the
     copies share what any of them has drawn, so a composition is drawn and
     formatted once however often its classes restart, and a full drain
-    draws each replayed shape's compositions once.  Each composition's text
-    comes from one %-template per shape.  A shape whose pairs,
+    draws each replayed shape's compositions once.  A shape whose pairs,
     C(γ_C + r_C - 1, r_C)·γ_C parts, do not fit gives each cursor a stream
     of its own and formats each composition it draws.
 
-    The last classes restart most often, so the product of the last two
-    (when the first is not one of them) is replayed as one block of
-    (entries suffix, text suffix) pairs: the odometer, run over those two
-    classes, yields them, one tee records them while the stream first walks
-    the block, and every restart copies it, so the classes before the block
-    carry once per block rather than once per pass of the last class
-    (Knuth, TAOCP 7.2.1.1, Algorithm M, with the low digits unrolled).  The
-    last class's own pairs are recorded the same way when its shape
-    replays.  The block's parts, its lines times γ_C summed over the two
-    classes, must fit what the shapes' tees left of _REPLAY_PARTS, so the
-    tees hold at most _REPLAY_PARTS parts per enumeration.
+    The product of the last two classes (not the first) is one block of
+    (entries suffix, text suffix) pairs, yielded by the same odometer and
+    recorded by one more tee while the stream first walks it; every restart
+    copies it, so the classes before it carry once per block (Knuth, TAOCP
+    7.2.1.1, Algorithm M, the low digits unrolled).  Its lines times parts
+    must fit what the shapes' tees left of _REPLAY_PARTS.
 
     A carry joins the texts of the classes before the block once, into the
     line's prefix, and makes the tuple of their entries.  A line is then the
@@ -253,19 +235,14 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     last = len(shapes) - 1
     lam, shape = entries[last][0], shapes[last]
 
-    def last_class():  # the last class's (entries suffix, text) pairs
-        if shape in replays:
-            return ((((lam, c),), text) for c, text in replays[shape].__copy__())
-        template = _template(shape[0])
-        return ((((lam, c),), template % c) for c in weak_compositions(shape[1], shape[0]))
+    def last_class():  # its (entries suffix, text) pairs, recorded if its shape replays
+        return ((((lam, c),), text) for c, text in _cursor(shape, replays))
 
     restart = tee(last_class(), 1)[0].__copy__ if shape in replays else last_class
-    # the block: the last two classes, if the first is not one of them and
-    # their product's lines times parts fit the room the shapes' tees left
-    b = last
-    if last > 1 and max(shapes[b - 1]) * shapes[b - 1][0] <= room and max(shape) * shape[0] <= room:
-        lines = multiset_coefficient(*shapes[b - 1]) * multiset_coefficient(*shape)
-        if lines * (shapes[b - 1][0] + shape[0]) <= room:
+    # the block, the last two classes but never the first, if it fits the room left
+    b, (g, r) = last, shapes[last - 1]
+    if last > 1 and max(g, r) * g <= room and max(shape) * shape[0] <= room:
+        if multiset_coefficient(g, r) * multiset_coefficient(*shape) * (g + shape[0]) <= room:
             b = last - 1
     # the first composition, (r_C, 0, ..., 0), and its text of each shape
     # before the last class: what a class holds until it first advances,
@@ -273,7 +250,7 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     firsts = {}
     for g, r in dict.fromkeys(shapes[:-1]):
         first = (r,) + (0,) * (g - 1)
-        firsts[g, r] = (first, _format_composition(first))
+        firsts[g, r] = (first, _template(g) % first)
     if b < last:
         restart = tee(_lines(entries[b:last], shapes[b:last], replays, firsts, restart), 1)[0].__copy__
     for line, text in _lines(entries[:b], shapes[:b], replays, firsts, restart):
@@ -283,17 +260,10 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
         yield vector
 
 
-def _lines(
-    entries: Sequence[tuple[CycleType, int]],
-    shapes: Sequence[tuple[int, int]],
-    replays: dict,
-    firsts: dict,
-    restart: Callable[[], Iterator[tuple[tuple, str]]],
-) -> Iterator[tuple[tuple, str]]:
-    """The odometer of enumerate_types: (entries, text) of each line of the
-    product of the classes of ``entries`` (pairs (class, r_C), with their
-    shapes) and the (entries suffix, text suffix) pairs that each call of
-    ``restart`` streams from the start."""
+def _lines(entries, shapes, replays: dict, firsts: dict, restart) -> Iterator[tuple[tuple, str]]:
+    """enumerate_types' odometer: (entries, text) per line of the product of
+    the classes of ``entries`` and the (entries suffix, text suffix) pairs
+    that each call of ``restart`` streams from the start."""
     last = len(entries)
     cursors, current, texts = [None] * last, [None] * last, [""] * last
     start = 0  # the classes from start to last - 1 (re)start

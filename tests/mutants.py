@@ -260,7 +260,7 @@ MUTANTS = (
     Mutant(
         "the tail block sized without the _REPLAY_PARTS room",
         COUNTING,
-        "        if lines * (shapes[b - 1][0] + shape[0]) <= room:\n",
+        "        if multiset_coefficient(g, r) * multiset_coefficient(*shape) * (g + shape[0]) <= room:\n",
         "        if True:\n",
         (f"{TEST_COUNTING}::TestEnumerateTypes::test_block_memory_is_bounded",),
     ),
