@@ -22,7 +22,6 @@ from .counting import (
 )
 from .perm import (
     InputError,
-    NumberTooLongError,
     _echo,
     _natural,
     _trusted_cycle_type,
@@ -46,10 +45,8 @@ def _cli_natural(text: str, least: int, kind: str) -> int:
     # underscores and other scripts' digits are usage errors here too
     try:
         value = _natural(text)
-    except NumberTooLongError as exc:
+    except ValueError as exc:  # past int()'s digit limit, in _natural's words
         raise argparse.ArgumentTypeError(str(exc)) from None
-    except ValueError:
-        value = -1
     if value < least:
         raise argparse.ArgumentTypeError(f"expected {kind} integer, got {_echo(text)!r}")
     return value

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .centralizer import gamma
 from .combinat import _stirling_row, multiset_coefficient, weak_compositions
-from .perm import CycleType, InputError, NumberTooLongError, UnsupportedGroupError
+from .perm import CycleType, InputError, UnsupportedGroupError
 from .perm import _echo, _natural, enumerate_cycle_types
 
 
@@ -326,36 +326,33 @@ def _parse_spec(text: str, n: int) -> Ramification | int:
         entry = raw.strip()
         position = offset + len(raw) - len(raw.lstrip())
         offset += len(raw) + 1
-        if not entry:
-            raise RamificationParseError("empty entry", position)
-        type_text, sep, count_text = entry.rpartition(":")
-        if not sep:
-            raise RamificationParseError(f"entry {_echo(entry)!r} is missing ':'", position)
-        number = count_text.strip()
+        # an entry's refusals are ValueErrors, given its position in one place;
+        # nothing else in the try may raise one, or it would pass for a refusal
         try:
+            if not entry:
+                raise ValueError("empty entry")
+            type_text, sep, count_text = entry.rpartition(":")
+            if not sep:
+                raise ValueError(f"entry {_echo(entry)!r} is missing ':'")
+            number = count_text.strip()
             count = _natural(number.removeprefix("-"))
-        except NumberTooLongError as exc:
-            raise RamificationParseError(str(exc), position) from None
-        except ValueError:
-            raise RamificationParseError(f"bad count {_echo(number)!r}", position) from None
-        if number.startswith("-"):
-            raise RamificationParseError(f"negative count {_echo(number)}", position)
-        if type_text.strip() == "all":
-            if ";" in text:
-                raise RamificationParseError(
-                    "'all' cannot be combined with other entries", position
-                )
-            return count
-        try:
+            if count < 0:
+                raise ValueError(f"bad count {_echo(number)!r}")
+            if number.startswith("-"):
+                raise ValueError(f"negative count {_echo(number)}")
+            if type_text.strip() == "all":
+                if ";" in text:
+                    raise ValueError("'all' cannot be combined with other entries")
+                return count
             lam = CycleType.parse(type_text)
+            if lam.n != n:
+                raise ValueError(
+                    f"class {lam} has parts summing to {decimal_string(lam.n)}, expected {n}"
+                )
+            if lam in entries:
+                raise ValueError(f"class {lam} listed twice")
         except ValueError as exc:
             raise RamificationParseError(str(exc), position) from None
-        if lam.n != n:
-            raise RamificationParseError(
-                f"class {lam} has parts summing to {decimal_string(lam.n)}, expected {n}", position
-            )
-        if lam in entries:
-            raise RamificationParseError(f"class {lam} listed twice", position)
         entries[lam] = count
     # each entry is checked above, so only the sort of __post_init__ is left
     classes = sorted(entries, reverse=True)

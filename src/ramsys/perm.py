@@ -36,20 +36,17 @@ class UnsupportedGroupError(InputError, ValueError):
     counting hypothesis fails, and S_n past ``ORACLE_MAX_N`` for the oracle."""
 
 
-class NumberTooLongError(InputError, ValueError):
-    """A number in ASCII digits longer than int() reads, refused by its length."""
-
-
 def _natural(text: str) -> int:
     """The number that text writes in ASCII digits alone, the one rule for a
-    number in a spec or an argument; ValueError for any other text, where
-    int() would also take blanks, a sign, underscores or another script's
-    digits, and NumberTooLongError, before int(), past int()'s digit limit."""
+    number in a spec or an argument, or -1 for any other text, where int()
+    would also take blanks, a sign, underscores or another script's digits;
+    the caller range-checks the value and words its own refusal.  Past
+    int()'s digit limit it raises ValueError, before int()."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a number in ASCII digits: {_echo(text)!r}")
+        return -1
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit and len(text) > limit:
-        raise NumberTooLongError(
+        raise ValueError(
             f"number too long: {_echo(text)!r} has {len(text)} digits, over the limit of {limit}"
         )
     return int(text)
@@ -109,22 +106,14 @@ class CycleType:
             body = text[1:-1].strip()
             if not body:
                 raise ValueError("empty part list")
-            try:
-                parts = [_natural(tok.strip()) for tok in body.split(",")]
-            except NumberTooLongError:
-                raise
-            except ValueError:
-                raise ValueError(f"bad part list: {_echo(text)!r}") from None
+            parts = [_natural(tok.strip()) for tok in body.split(",")]
+            if -1 in parts:
+                raise ValueError(f"bad part list: {_echo(text)!r}")
             return cls.from_parts(parts)
         mults: dict[int, int] = {}  # cycle length -> multiplicity
         for token in text.split():
             length_text, _, mult_text = token.partition("^")
-            try:
-                length, mult = _natural(length_text), _natural(mult_text)
-            except NumberTooLongError:
-                raise
-            except ValueError:
-                raise ValueError(f"bad cycle-type token: {_echo(token)!r}") from None
+            length, mult = _natural(length_text), _natural(mult_text)
             if length < 1 or mult < 1:
                 raise ValueError(f"bad cycle-type token: {_echo(token)!r}")
             if length in mults:

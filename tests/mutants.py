@@ -278,6 +278,27 @@ MUTANTS = (
         "    if False:\n",
         (f"{TEST_CLI}::TestCount::test_over_long_spec_numbers_are_refused_by_length",),
     ),
+    Mutant(
+        "a spec entry's refusal placed at position 0",
+        COUNTING,
+        "            raise RamificationParseError(str(exc), position) from None\n",
+        "            raise RamificationParseError(str(exc), 0) from None\n",
+        (f"{TEST_COUNTING}::TestParseRamification::test_error_positions_point_past_leading_blanks",),
+    ),
+    Mutant(
+        "a part list's non-numbers left to from_parts",
+        PERM,
+        "            if -1 in parts:\n",
+        "            if False:\n",
+        (f"{TEST_CLI}::TestCount::test_spec_numbers_are_ascii_digits[sign-part]",),
+    ),
+    Mutant(
+        "an over-long CLI integer left to argparse's invalid-value message",
+        CLI,
+        "    except ValueError as exc:  # past int()'s digit limit, in _natural's words\n",
+        "    except ():\n",
+        (f"{TEST_CLI}::TestCount::test_over_long_cli_integers_are_refused_by_length",),
+    ),
 )
 
 

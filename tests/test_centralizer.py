@@ -5,6 +5,7 @@ from math import comb, factorial, prod
 import pytest
 
 import ramsys
+import ramsys.oracle as oracle
 from ramsys.centralizer import abelianization_invariants, gamma
 from ramsys.cli import main
 from ramsys.perm import (
@@ -164,3 +165,68 @@ class TestOracleAgreement:
                 )
                 factors = abelianization_invariants(cycle_type(sigma))
                 assert observed == cyclic_product_order_histogram(factors)
+
+
+def wreath_generators(i, m):
+    """Three generators of C_i wr S_m on the i·m points of u0 of i^m, whose
+    k-th cycle is i·k + 1 -> ... -> i·k + i -> i·k + 1, as padded image
+    tuples: u0's first i-cycle rotated, the first two i-cycles swapped point
+    by point, and the m i-cycles cycled, k -> k + 1 mod m."""
+    points = i * m
+    rotate = [0, *range(1, points + 1)]
+    rotate[i] = 1
+    rotate[1:i] = range(2, i + 1)
+    swap = [0, *range(1, points + 1)]
+    swap[1 : 2 * i + 1] = [*range(i + 1, 2 * i + 1), *range(1, i + 1)]
+    shift = [0, *[(p + i - 1) % points + 1 for p in range(1, points + 1)]]
+    return [tuple(rotate), tuple(swap), tuple(shift)]
+
+
+def closure(generators):
+    """The group the padded image tuples generate, sorted, identity first:
+    every product of the identity by the generators, on the right."""
+    identity = tuple(range(len(generators[0])))
+    reached, frontier = {identity}, [identity]
+    for a in frontier:
+        for s in generators:
+            b = tuple([a[p] for p in s])
+            if b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    return sorted(reached)
+
+
+# The wreath factors C_i wr S_m of order i^m·m! <= 1,000 with m >= 2 (m = 1
+# is a cyclic group): 31 of them, up to C_22 wr S_2 on 44 points
+WREATH_FACTORS = [(i, m) for m in range(2, 7) for i in range(1, 23) if i**m * factorial(m) <= 1000]
+
+
+class TestWreathFactors:
+    """γ's rule one wreath factor at a time, far past the oracle's S_n.
+
+    The closed form reads γ of a class off three facts: Z_u is the product
+    of the wreath products C_i wr S_λi, abelianization distributes over a
+    direct product, and C_i wr S_m has i characters for m = 1 and 2i for
+    m >= 2.  This holds the third fact at each factor: the oracle's own
+    character walk (``_characters``) counts the characters of C_i wr S_m,
+    built as the closure of three generators, against gamma of i^m.  That
+    the centralizer of u0 is this wreath product is assumed here, with
+    commutation with u0 and the order i^m·m! as the sanity checks; it is
+    checked only where the oracle lists S_n, n <= ORACLE_MAX_N, against
+    ``character_basis``' domain."""
+
+    def test_factor_list(self):
+        assert len(WREATH_FACTORS) == 31 and max(i * m for i, m in WREATH_FACTORS) == 44
+
+    @pytest.mark.parametrize("i, m", WREATH_FACTORS, ids=[f"{i}^{m}" for i, m in WREATH_FACTORS])
+    def test_characters_of_the_factor_are_gamma(self, i, m):
+        lam = CycleType.parse(f"{i}^{m}")
+        u0 = (0, *oracle._u0(lam))
+        generators = wreath_generators(i, m)
+        for s in generators:
+            assert tuple([u0[p] for p in s]) == tuple([s[p] for p in u0])
+        group = closure(generators)
+        assert len(group) == i**m * factorial(m) == centralizer_order(lam)
+        assert len(oracle._characters(group)[1]) == gamma(lam)
+        if i * m <= oracle.ORACLE_MAX_N:
+            assert oracle.character_basis(u0[1:])[1] == tuple([g[1:] for g in group])

@@ -209,9 +209,12 @@ class TestCount:
         )
 
     # past int()'s digit limit a spec number is refused by its length, before
-    # int(), and the message quotes its first 40 characters only
-    @pytest.mark.parametrize("spec", ["{}^1:1", "1^5:{}", "[{}]:1", "1^5:-{}"],
-                             ids=["cycle-length", "count", "bracketed-part", "negative-count"])
+    # int(), and the message quotes its first 40 characters only; an entry
+    # with another fault beside it gets the same refusal, whichever comes first
+    @pytest.mark.parametrize("spec", ["{}^1:1", "1^5:{}", "[{}]:1", "1^5:-{}",
+                                      "x^{}:1", "[a,{}]:1", "{}^x:1"],
+                             ids=["cycle-length", "count", "bracketed-part", "negative-count",
+                                  "bad-length-first", "bad-part-first", "bad-multiplicity-after"])
     @pytest.mark.skipif(digit_limit() is None, reason="int() has no digit limit")
     def test_over_long_spec_numbers_are_refused_by_length(self, capsys, spec):
         limit = digit_limit()
@@ -219,6 +222,19 @@ class TestCount:
         error = (f"error: number too long: '{'7' * 40}…' has {limit + 700} digits, "
                  f"over the limit of {limit} (at position 0)\n")
         assert run(capsys, "count", "5", "--ramification", spec.format(number)) == (2, "", error)
+
+    # the same refusal for n, in _natural's words: argparse would otherwise
+    # print the whole number as an invalid value
+    @pytest.mark.skipif(digit_limit() is None, reason="int() has no digit limit")
+    def test_over_long_cli_integers_are_refused_by_length(self, capsys):
+        limit = digit_limit()
+        with pytest.raises(SystemExit) as info:
+            main(["count", "7" * (limit + 700), "--ramification", "all:1"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"ramsys count: error: argument n: number too long: '{'7' * 40}…' has {limit + 700} "
+            f"digits, over the limit of {limit}\n"
+        )
 
     def test_echoed_tokens_are_cut_to_a_prefix(self, capsys):
         token = "x" * 5000 + "^1"
