@@ -11,7 +11,7 @@ composition of r_C into γ_C parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import repeat, tee
 from math import factorial, log10, prod
 from typing import Iterable, Iterator, Sequence
@@ -41,31 +41,29 @@ class RamificationParseError(InputError, ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Ramification:
+class Ramification(namedtuple("Ramification", "n entries")):
     """A formal combination sum_C r_C · C over the cycle types of S_n.
 
     ``entries`` lists the support only (r_C > 0), in canonical class order.
     """
 
-    n: int
-    entries: tuple[tuple[CycleType, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+    def __new__(cls, n: int, entries: tuple[tuple[CycleType, int], ...]) -> "Ramification":
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
         seen: set[CycleType] = set()
-        for lam, mult in self.entries:
-            if lam.n != self.n:
-                raise ValueError(f"class {lam} is not a class of S_{self.n}")
+        for lam, mult in entries:
+            if lam.n != n:
+                raise ValueError(f"class {lam} is not a class of S_{n}")
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult} for class {lam}")
             if lam in seen:
                 raise ValueError(f"class {lam} listed twice")
             seen.add(lam)
         # the classes are distinct, so the pairs sort by class alone
-        entries = sorted([(lam, mult) for lam, mult in self.entries if mult > 0], reverse=True)
-        self.__dict__["entries"] = tuple(entries)
+        entries = sorted([(lam, mult) for lam, mult in entries if mult > 0], reverse=True)
+        return tuple.__new__(cls, (n, tuple(entries)))
 
     def __str__(self) -> str:
         """`class:count` entries joined by `;`, which parse_ramification reads
@@ -76,33 +74,37 @@ class Ramification:
 def _listed_ramification(
     n: int, classes: Iterable[CycleType], counts: Iterable[int]
 ) -> Ramification:
-    """r_C = counts[i] on C = classes[i], built without __post_init__.  The
-    classes are distinct, of degree n and in canonical order, as
+    """r_C = counts[i] on C = classes[i], built without the constructor's
+    check.  The classes are distinct, of degree n and in canonical order, as
     enumerate_cycle_types(n) lists them or parse_ramification sorts them;
     the counts are non-negative, and only the zeros are dropped."""
-    ram = object.__new__(Ramification)
-    ram.__dict__.update(n=n, entries=tuple([(lam, r) for lam, r in zip(classes, counts) if r]))
-    return ram
+    return tuple.__new__(Ramification, (n, tuple([(lam, r) for lam, r in zip(classes, counts) if r])))
 
 
-@dataclass(frozen=True)
-class RSCTypeVector:
+class RSCTypeVector(namedtuple("RSCTypeVector", "entries text")):
     """Canonical representative of one isomorphism class: per support class,
     the multiplicities with which each of the γ_C characters is used;
-    ``text`` is its printed line, `(a,b,...)` per class joined by spaces."""
+    ``text`` is its printed line, `(a,b,...)` per class joined by spaces,
+    made from the entries and so left out of the repr and of copy's and
+    pickle's arguments."""
 
-    entries: tuple[tuple[CycleType, tuple[int, ...]], ...]
-    text: str = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for lam, composition in self.entries:
+    def __new__(cls, entries: tuple[tuple[CycleType, tuple[int, ...]], ...]) -> "RSCTypeVector":
+        for lam, composition in entries:
             if len(composition) != gamma(lam):
                 raise ValueError(
                     f"class {lam} needs a tuple of length {gamma(lam)}, got {len(composition)}"
                 )
             if any(part < 0 for part in composition):
                 raise ValueError(f"negative entry in composition for class {lam}")
-        self.__dict__["text"] = " ".join([_template(len(c)) % c for _, c in self.entries])
+        return tuple.__new__(cls, (entries, " ".join([_template(len(c)) % c for _, c in entries])))
+
+    def __repr__(self) -> str:
+        return f"RSCTypeVector(entries={self.entries!r})"
+
+    def __getnewargs__(self) -> tuple:
+        return (self.entries,)
 
     def __str__(self) -> str:
         return self.text
@@ -215,11 +217,9 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
     however many classes the support has.
     """
     ensure_countable(ram.n)
-    new, entries = object.__new__, ram.entries
+    new, entries = tuple.__new__, ram.entries
     if not entries:  # one vector, of no class
-        vector = new(RSCTypeVector)
-        vector.__dict__.update(entries=(), text="")
-        yield vector
+        yield new(RSCTypeVector, ((), ""))
         return
     shapes = [(gamma(lam), mult) for lam, mult in entries]
     replays: dict[tuple[int, int], Iterator] = {}
@@ -253,11 +253,8 @@ def enumerate_types(ram: Ramification) -> Iterator[RSCTypeVector]:
         firsts[g, r] = (first, _template(g) % first)
     if b < last:
         restart = tee(_lines(entries[b:last], shapes[b:last], replays, firsts, restart), 1)[0].__copy__
-    for line, text in _lines(entries[:b], shapes[:b], replays, firsts, restart):
-        vector = new(RSCTypeVector)
-        fields = vector.__dict__
-        fields["entries"], fields["text"] = line, text
-        yield vector
+    for pair in _lines(entries[:b], shapes[:b], replays, firsts, restart):
+        yield new(RSCTypeVector, pair)
 
 
 def _lines(entries, shapes, replays: dict, firsts: dict, restart) -> Iterator[tuple[tuple, str]]:
@@ -354,7 +351,7 @@ def _parse_spec(text: str, n: int) -> Ramification | int:
         except ValueError as exc:
             raise RamificationParseError(str(exc), position) from None
         entries[lam] = count
-    # each entry is checked above, so only the sort of __post_init__ is left
+    # each entry is checked above, so only the constructor's sort is left
     classes = sorted(entries, reverse=True)
     return _listed_ramification(n, classes, map(entries.__getitem__, classes))
 

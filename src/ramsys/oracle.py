@@ -29,7 +29,7 @@ agreement between the two paths is evidence, not circularity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import lcm, prod
 from operator import itemgetter
@@ -158,8 +158,7 @@ def character_basis(u: Images) -> tuple[int, tuple[Images, ...], tuple[tuple[int
     return modulus, tuple([x[1:] for x in elements]), tuple(tables)
 
 
-@dataclass(frozen=True)
-class ClassAction:
+class ClassAction(namedtuple("ClassAction", "base_points modulus domains tables base_maps character_maps")):
     """The generators g_0 = (1 2) and g_1 = (1 2 ... n) of S_n acting on one
     class's (base point, character) pairs, as index maps; one generator at
     n = 2, none at n = 1.
@@ -174,12 +173,7 @@ class ClassAction:
                     of the character that g_k moves character c of b to
     """
 
-    base_points: tuple[Images, ...]
-    modulus: int
-    domains: tuple[tuple[Images, ...], ...]
-    tables: tuple[tuple[tuple[int, ...], ...], ...]
-    base_maps: tuple[tuple[int, ...], ...]
-    character_maps: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ()
 
 
 def _conjugate_images(g: tuple, elements: list) -> list[tuple[int, ...]]:

@@ -199,33 +199,54 @@ MUTANTS = (
         (f"{TEST_COUNTING}::TestCountRscStirling",),
     ),
     Mutant(
-        "a parsed class is checked again by CycleType's __post_init__",
+        "a parsed class is checked again by CycleType's constructor",
         PERM,
         "    return _trusted_cycle_type(n, tuple(sorted(mults.items(), reverse=True)))\n",
         "    return CycleType(n, tuple(sorted(mults.items(), reverse=True)))\n",
         (f"{CHECKED_ONCE}[CycleType.parse-tokens]", f"{CHECKED_ONCE}[CycleType.from_parts]"),
     ),
     Mutant(
-        "a parsed spec is checked again by Ramification's __post_init__",
+        "a parsed spec is checked again by Ramification's constructor",
         COUNTING,
         "    return _listed_ramification(n, classes, map(entries.__getitem__, classes))\n",
         "    return Ramification(n, tuple([(lam, entries[lam]) for lam in classes]))\n",
         (f"{CHECKED_ONCE}[count-9-spec]", f"{CHECKED_ONCE}[parse_ramification-spec]"),
     ),
     Mutant(
-        "the walk's classes are checked again by CycleType's __post_init__",
+        "the walk's classes are checked again by CycleType's constructor",
         PERM,
         "    return [_trusted_cycle_type(n, pairs) for _, pairs in walk_cycle_types(n)]\n",
         "    return [CycleType(n, pairs) for _, pairs in walk_cycle_types(n)]\n",
         (f"{CHECKED_ONCE}[enumerate_cycle_types]", f"{CHECKED_ONCE}[reps-8-all1]"),
     ),
     Mutant(
-        "verify's cases are checked again by Ramification's __post_init__",
+        "verify's cases are checked again by Ramification's constructor",
         CLI,
         "        ram = _listed_ramification(args.n, classes, multiplicities)\n",
         "        from .counting import Ramification\n"
         "        ram = Ramification(args.n, tuple(zip(classes, multiplicities)))\n",
         (f"{CHECKED_ONCE}[verify-4]",),
+    ),
+    Mutant(
+        "the odometer's vectors are checked again by RSCTypeVector's constructor",
+        COUNTING,
+        "        yield new(RSCTypeVector, pair)\n",
+        "        yield RSCTypeVector(pair[0])\n",
+        (f"{CHECKED_ONCE}[enumerate_types-spec]", f"{CHECKED_ONCE}[reps-8-all1]"),
+    ),
+    Mutant(
+        "a type vector's repr shows its text",
+        COUNTING,
+        '    def __repr__(self) -> str:\n        return f"RSCTypeVector(entries={self.entries!r})"\n\n',
+        "",
+        (f"{TEST_COUNTING}::TestEnumerateTypes::test_carried_text_matches_a_fresh_join",),
+    ),
+    Mutant(
+        "a type vector copied or unpickled by passing its text to the constructor",
+        COUNTING,
+        "    def __getnewargs__(self) -> tuple:\n        return (self.entries,)\n\n",
+        "",
+        ("tests/test_public_api.py::test_records_copy_and_pickle",),
     ),
     Mutant(
         "the class walk without its class-list bound",

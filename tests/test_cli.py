@@ -807,20 +807,24 @@ class TestFreshProcess:
 
     def test_closed_form_commands_load_no_json(self):
         # `count --format json` lays its bytes out by hand, and its class
-        # texts need no escaping, so the closed-form commands never import json
+        # texts need no escaping, so the closed-form commands never import json;
+        # nor does any command load dataclasses or inspect, which are slow to
+        # import.  Modules loaded before ramsys (by site, say) do not count
         script = (
             "import sys\n"
+            "before = set(sys.modules)\n"
             "from ramsys.cli import main\n"
             "for argv in (['classes', '3'], ['count', '3', '--ramification', 'all:1'],\n"
             "             ['count', '3', '--ramification', 'all:1', '--format', 'json'],\n"
             "             ['count', '3', '--ramification', '1^1 2^1:2', '--format', 'json'],\n"
-            "             ['reps', '3', '--ramification', 'all:1', '--limit', '1']):\n"
+            "             ['reps', '3', '--ramification', 'all:1', '--limit', '1'],\n"
+            "             ['verify', '3', '--max-r', '1']):\n"
             "    assert main(argv) == 0\n"
-            "print('json' in sys.modules, file=sys.stderr)\n"
+            "print(sorted({'json', 'dataclasses', 'inspect'} & (set(sys.modules) - before)), file=sys.stderr)\n"
         )
         result = fresh_python("-c", script)
         assert result.returncode == 0
-        assert result.stderr == "False\n"
+        assert result.stderr == "[]\n"
         assert '"class": "1^1 2^1"' in result.stdout
 
     @pytest.mark.parametrize("argv", [
@@ -994,9 +998,10 @@ class TestNoClassBuilt:
 class TestCheckedOnce:
     """Input is checked once, where it is parsed; what the library builds
     after that, or makes itself (the walk's classes, the odometer's
-    vectors, verify's cases), is built without __post_init__.  Each case
-    runs one entry point with the three __post_init__ methods made to raise,
-    then unpatched, and the two runs must give the same bytes or value."""
+    vectors, verify's cases), is built without the checking constructor.
+    Each case runs one entry point with the three records' __new__ made to
+    raise, then unpatched, and the two runs must give the same bytes or
+    value."""
 
     SPEC = "[4,3,2]:6;1^9:8"
     ENTRY_POINTS = {
@@ -1027,16 +1032,17 @@ class TestCheckedOnce:
         call = self.ENTRY_POINTS[entry]
         outcome = call if callable(call) else lambda: run(capsys, *call)
 
-        def refuse(obj):
-            raise AssertionError(f"{type(obj).__name__}.__post_init__ ran")
+        def refuse(cls, *args):
+            raise AssertionError(f"{cls.__name__}.__new__ ran")
 
+        # monkeypatch restores the class-dict entry, the staticmethod
         with monkeypatch.context() as patch:
             for cls in (CycleType, Ramification, RSCTypeVector):
-                patch.setattr(cls, "__post_init__", refuse)
+                patch.setattr(cls, "__new__", refuse)
             unchecked = outcome()
             # the control: direct construction still runs the (patched) check
             for cls, args in ((CycleType, (1, ((1, 1),))), (Ramification, (1, ())), (RSCTypeVector, ((),))):
-                with pytest.raises(AssertionError, match=f"{cls.__name__}.__post_init__ ran"):
+                with pytest.raises(AssertionError, match=f"{cls.__name__}.__new__ ran"):
                     cls(*args)
         expected = outcome()
         assert unchecked == expected

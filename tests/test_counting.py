@@ -215,8 +215,8 @@ class TestEnumerateTypes:
             next(enumerate_types(all_ones(6)))
 
     def test_trusted_vectors_equal_validated(self):
-        # the stream builds vectors without __post_init__; they must be the
-        # vectors the public constructor gives for the itertools.product order
+        # the stream builds vectors without the checking constructor; they
+        # must be the vectors it gives for the itertools.product order
         rng = random.Random(29)
         checked = 0
         while checked < 40:

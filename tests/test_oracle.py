@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -780,7 +779,7 @@ class TestSupportOrbitCount:
                 return action
             identity = tuple(range(1, mu.n + 1))
             first = tuple([h for h in action.domains[0] if h != identity])
-            return dataclasses.replace(action, domains=(first, *action.domains[1:]))
+            return action._replace(domains=(first, *action.domains[1:]))
 
         monkeypatch.setattr(ramsys.oracle, "class_action", faulty)
         with pytest.raises(AssertionError, match="not divisible"):

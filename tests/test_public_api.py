@@ -1,7 +1,8 @@
 import ast
-import dataclasses
+import copy
 import importlib
 import importlib.util
+import pickle
 from pathlib import Path
 
 import ramsys
@@ -134,7 +135,7 @@ def test_every_exported_name_is_read_by_the_library():
 
 def test_every_public_method_of_an_exported_class_is_used_by_the_library_or_the_benchmark():
     # the same rule one level down: a method only the tests call belongs in
-    # tests/reference.py.  Dataclass fields are data, and an exception class
+    # tests/reference.py.  A record's fields are data, and an exception class
     # only carries its message.
     used = _library_names() | _benchmark_names()
     unused = []
@@ -142,9 +143,24 @@ def test_every_public_method_of_an_exported_class_is_used_by_the_library_or_the_
         cls = getattr(ramsys, name)
         if not isinstance(cls, type) or issubclass(cls, BaseException):
             continue
-        fields = {field.name for field in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        fields = set(getattr(cls, "_fields", ()))
         unused += sorted(f"{name}.{attr}" for attr in vars(cls).keys() - fields - used if attr[0] != "_")
     assert not unused, unused
+
+
+def test_records_copy_and_pickle():
+    # a copy or an unpickled record is built from its constructor's
+    # arguments; a type vector's text is made there, not passed in
+    records = (
+        ramsys.CycleType.parse("1^2 2^1"),
+        ramsys.parse_ramification("all:1", 4),
+        next(ramsys.enumerate_types(ramsys.parse_ramification("[2,1]:2;1^3:1", 3))),
+    )
+    for record in records:
+        for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record)
+            assert clone == record
+            assert str(clone) == str(record) and repr(clone) == repr(record)
 
 
 def test_every_module_level_name_is_read_by_the_library_or_the_benchmark():
